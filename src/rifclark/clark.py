@@ -84,7 +84,7 @@ def classify_alpha(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> AlphaClass:
     out is rejected.
     """
     a = complex(alpha)
-    if abs(a) == 0.0 or abs(abs(a) - 1.0) > 1e-6:
+    if not abs(abs(a) - 1.0) <= 1e-6:
         raise DomainError("alpha must be unimodular")
     a /= abs(a)
     radius = max(tol, 1e-8)
@@ -287,7 +287,7 @@ def classify_extreme(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> ExtremeDecisi
             "exceptional alpha: the line part splits off sigma_alpha",
         )
     try:
-        saturated = is_saturated_cached(rif, tol)
+        saturated = rif.saturated(tol)
     except NumericError:
         return ExtremeDecision(
             ExtremeStatus.UNDETERMINED, "saturation test did not certify"
@@ -303,18 +303,6 @@ def classify_extreme(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> ExtremeDecisi
         ExtremeStatus.UNDETERMINED,
         "generic alpha but the saturation criterion does not apply",
     )
-
-
-_SATURATION_CACHE: dict[int, bool] = {}
-
-
-def is_saturated_cached(rif: Rif, tol: float = DEFAULT_TOL) -> bool:
-    from .rif import is_saturated
-
-    key = id(rif)
-    if key not in _SATURATION_CACHE:
-        _SATURATION_CACHE[key] = is_saturated(rif, tol)
-    return _SATURATION_CACHE[key]
 
 
 @dataclass(frozen=True)

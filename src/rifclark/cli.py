@@ -47,10 +47,12 @@ def _eval_angle(expr: str) -> float:
     if not expr or not _ANGLE_CHARS.match(expr):
         raise DomainError(f"cannot parse angle expression {expr!r}")
     try:
-        val = eval(expr, {"__builtins__": {}}, {"pi": math.pi})
+        val = float(eval(expr, {"__builtins__": {}}, {"pi": math.pi}))
     except Exception:
         raise DomainError(f"cannot parse angle expression {expr!r}") from None
-    return float(val)
+    if not math.isfinite(val):
+        raise DomainError(f"angle expression {expr!r} is not finite")
+    return val
 
 
 def parse_alpha(text: str) -> complex:
@@ -70,6 +72,8 @@ def parse_alpha(text: str) -> complex:
         val = complex(s.replace("i", "j"))
     except ValueError:
         raise DomainError(f"cannot parse alpha {text!r}") from None
+    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        raise DomainError(f"alpha {text!r} is not finite")
     r = abs(val)
     if r == 0.0:
         raise DomainError(f"alpha {text!r} has modulus zero")
@@ -91,9 +95,12 @@ def _load_entry(token: str) -> CatalogEntry:
     if token in catalog.names():
         return catalog.get(token)
     if os.path.exists(token):
-        with open(token, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if "rif" in obj:
+        try:
+            with open(token, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"cannot read {token!r} as JSON: {exc}") from None
+        if isinstance(obj, dict) and "rif" in obj:
             obj = obj["rif"]
         poly = BiPolyN1.from_json(obj)
         name = os.path.splitext(os.path.basename(token))[0]
@@ -115,7 +122,21 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Strict JSON: a NaN or infinity in a report is a numeric failure."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise NumericError("report contains a non-finite value") from None
+
+
+def _positive_float(text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(val) and val > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+    return val
 
 
 def _vanishing_order(cm, tau: complex) -> int:
@@ -237,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="catalog name or polynomial JSON path")
         p.add_argument("--nodes", type=int, default=4096,
                        help="quadrature node count (default 4096)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
                        help="numeric tolerance (default 1e-8)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized checks")

@@ -9,7 +9,12 @@ Conventions used across the package:
 * "Unimodular within tol" means ``abs(abs(z) - 1) <= tol``.
 
 The root finder is a simultaneous Aberth-Ehrlich iteration with a companion
-matrix fallback, certified by backward-stable residuals.  Structurally
+matrix fallback, certified by backward-stable residuals.  Each sweep
+evaluates p, p' and the residual scale at all live iterates at once from a
+power table; iterates outside the unit disk go through the reversed
+polynomial at 1/z, so no power exceeds 1, and roots that pass the residual
+test are frozen.  Callers find each polynomial's roots once: circle
+cancellation hands the roots it found to blaschke_from_rational.  Structurally
 multiple roots on the unit circle are a core case here: boundary zeros of
 nonnegative trigonometric polynomials always have even order, and a 2m-fold
 root scatters under coefficient roundoff into a cluster of radius roughly
@@ -62,14 +67,6 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z, dtype=complex)
     for c in coeffs[::-1]:
         out = out * z + c
-    return out
-
-
-def _abs_bound(abs_coeffs: np.ndarray, abs_z: np.ndarray) -> np.ndarray:
-    """sum_k |c_k| |z|**k, the natural backward-error scale for p(z)."""
-    out = np.zeros_like(abs_z, dtype=float)
-    for a in abs_coeffs[::-1]:
-        out = out * abs_z + a
     return out
 
 
@@ -199,6 +196,14 @@ class UniPoly:
 def _cluster_members(points, radius: float) -> list[list[complex]]:
     """Greedy clustering by centroid distance; deterministic via sorting."""
     pts = sorted((complex(p) for p in points), key=lambda w: (w.real, w.imag))
+    if len(pts) > 1:
+        # the usual case, every point farther than radius from every other,
+        # gives singletons; skip the quadratic Python loop for it
+        arr = np.array(pts)
+        gaps = np.abs(arr[:, None] - arr[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() > radius:
+            return [[p] for p in pts]
     clusters: list[list[complex]] = []
     centroids: list[complex] = []
     for p in pts:
@@ -216,16 +221,63 @@ def _cluster_members(points, radius: float) -> list[list[complex]]:
     return clusters
 
 
+def _eval_tables(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient columns for _eval_scaled.
+
+    The complex table holds c, k*c and their reversals, so one matrix
+    product against a power table gives p(z) and z*p'(z), or, at y = 1/z,
+    the reversed R(y) = y**n p(1/y) and n*R(y) - y*R'(y).  The real table
+    holds |c| and its reversal for the backward-error scale.
+    """
+    kc = np.arange(len(c)) * c
+    ac = np.abs(c)
+    return np.stack([c, kc, c[::-1], kc[::-1]], axis=1), np.stack([ac, ac[::-1]], axis=1)
+
+
+def _eval_scaled(tables: tuple[np.ndarray, np.ndarray], z: np.ndarray):
+    """(value, slope, scale) of p at every point of z at once.
+
+    Points inside the closed disk are evaluated directly: value p(z), slope
+    z*p'(z), scale sum |c_k| |z|**k.  Points outside are evaluated through
+    the reversed polynomial at y = 1/z, which divides all three by z**n (in
+    modulus, for the scale), so no power exceeds 1 and nothing overflows.
+    Either way value / scale is the backward-error residual of p at z, and
+    z * value / slope is the Newton correction p(z) / p'(z).
+    """
+    coef, acoef = tables
+    az = np.abs(z)
+    outside = az > 1.0
+    y, ay = z, az
+    if outside.any():
+        y = np.where(outside, 1.0 / np.where(outside, z, 1.0), z)
+        ay = np.abs(y)
+    pw = np.empty((z.size, coef.shape[0]), dtype=complex)
+    pw[:, 0] = 1.0
+    pw[:, 1:] = y[:, None]
+    np.multiply.accumulate(pw, axis=1, out=pw)
+    apw = np.empty(pw.shape, dtype=float)
+    apw[:, 0] = 1.0
+    apw[:, 1:] = ay[:, None]
+    np.multiply.accumulate(apw, axis=1, out=apw)
+    v = pw @ coef
+    b = apw @ acoef
+    return (np.where(outside, v[:, 2], v[:, 0]),
+            np.where(outside, v[:, 3], v[:, 1]),
+            np.where(outside, b[:, 1], b[:, 0]))
+
+
 def _aberth(c: np.ndarray, max_iter: int = 600) -> np.ndarray:
     """Simultaneous Aberth-Ehrlich iteration on ascending coefficients.
 
     Assumes c[0] != 0 and c[-1] != 0.  Multiple roots converge linearly to a
     cluster whose residuals hit the backward-stable floor, which is all the
-    caller needs; no deflation is performed.
+    caller needs; no deflation is performed.  The residual test depends only
+    on a root's own iterate, so a root that passes it is frozen: later
+    sweeps evaluate and update the remaining roots only, though their
+    Aberth sums still run over every iterate.
     """
     n = len(c) - 1
     lead = c[-1]
-    ac = np.abs(c)
     # geometric-mean style initial radius, clipped to a sane range
     if c[0] != 0:
         r0 = float(abs(c[0] / lead)) ** (1.0 / n)
@@ -235,22 +287,23 @@ def _aberth(c: np.ndarray, max_iter: int = 600) -> np.ndarray:
     k = np.arange(n)
     z = r0 * np.exp(2j * np.pi * (k + 0.37) / n + 0.41j)
     floor = 8.0 * _EPS * (n + 1)
+    tables = _eval_tables(c)
+    active = k
     for _ in range(max_iter):
-        pv = _horner(c, z)
-        dv = _horner(np.arange(1, n + 1) * c[1:], z)
-        bound = _abs_bound(ac, np.abs(z))
-        done = np.abs(pv) <= floor * bound
-        if done.all():
-            break
-        safe_dv = np.where(dv == 0, 1.0, dv)
-        w = np.where(dv == 0, 0.1 + 0.1j, pv / safe_dv)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
+        za = z[active]
+        val, slope, scale = _eval_scaled(tables, za)
+        live = ~(np.abs(val) <= floor * scale)
+        if not live.all():
+            active, za, val, slope = active[live], za[live], val[live], slope[live]
+            if not active.size:
+                break
+        w = np.where(slope == 0, 0.1 + 0.1j, za * val / np.where(slope == 0, 1.0, slope))
+        diff = za[:, None] - z[None, :]
+        diff[np.arange(active.size), active] = np.inf
         s = (1.0 / diff).sum(axis=1)
         denom = 1.0 - w * s
         step = np.where(np.abs(denom) < 1e-12, w, w / np.where(denom == 0, 1.0, denom))
-        step = np.where(done, 0.0, step)
-        z = z - step
+        z[active] = za - step
         if float(np.abs(step).max()) <= 1e-16 * (1.0 + float(np.abs(z).max())):
             break
     return z
@@ -264,12 +317,15 @@ def roots(p, tol: float = DEFAULT_TOL, cluster_radius: float = CLUSTER_RADIUS,
     the cluster centroid.  Every reported root r is certified against the
     backward-stable residual bound |p(r)| <= max(tol, 1e-10) * sum |c_k||r|^k;
     if the primary iteration cannot certify, a companion-matrix fallback is
-    tried, and failure of both raises NumericError.
+    tried, and failure of both raises NumericError.  Non-finite coefficients
+    raise DomainError.
     """
     q = p if isinstance(p, UniPoly) else UniPoly(p)
     if q.is_zero:
         raise DomainError("the zero polynomial has no well-defined root set")
     c = q.coeffs
+    if not np.isfinite(c).all():
+        raise DomainError("polynomial coefficients must be finite")
     m = float(np.max(np.abs(c)))
     top = len(c) - 1
     while top > 0 and abs(c[top]) <= _LEAD_TRIM * m:
@@ -285,45 +341,35 @@ def roots(p, tol: float = DEFAULT_TOL, cluster_radius: float = CLUSTER_RADIUS,
         out.append((0j, k0))
         c = c[k0:]
     if len(c) > 1:
-        ac = np.abs(c)
+        tables = _eval_tables(c)
         cap = max(tol, 1e-10)
 
         def _certify(cands):
             clusters = _cluster_members(cands, cluster_radius)
-            result = []
-            worst = 0.0
-            for members in clusters:
-                r = sum(members) / len(members)
-                resid = abs(complex(_horner(c, np.array([r]))[0]))
-                bound = float(_abs_bound(ac, np.array([abs(r)]))[0])
-                worst = max(worst, resid / max(bound, 1e-300))
-                result.append((r, len(members)))
-            return result, worst
+            centres = np.array([sum(members) / len(members) for members in clusters])
+            val, _, scale = _eval_scaled(tables, centres)
+            worst = float(np.max(np.abs(val) / np.maximum(scale, 1e-300)))
+            return [(complex(r), len(members)) for r, members in zip(centres, clusters)], worst
 
         found, worst = _certify(_aberth(c, max_iter))
-        if worst > cap:
+        if not worst <= cap:
             found, worst = _certify(np.roots(c[::-1]))
-            if worst > cap:
+            if not worst <= cap:
                 raise NumericError("root finding did not converge", residual=worst)
         out.extend(found)
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 
 
-def unimodular_common_roots(a, b, tol: float = DEFAULT_TOL) -> list[complex]:
-    """Common zeros of a and b lying on the unit circle (within tol).
+def _roots_if_any(p: UniPoly, tol: float) -> list[tuple[complex, int]]:
+    return roots(p, tol) if p.degree >= 1 else []
 
-    Symmetric in the two arguments.  Matching is by proximity of the two
-    root sets; matched points are projected onto the circle.  Each common
-    point is reported once regardless of multiplicities.
-    """
+
+def _circle_matches(ra, rb, tol: float) -> list[complex]:
+    """Points on the unit circle (within tol) that appear in both root lists."""
     band = max(tol, 1e-8)
-    pa = a if isinstance(a, UniPoly) else UniPoly(a)
-    pb = b if isinstance(b, UniPoly) else UniPoly(b)
-    if pa.is_zero or pb.is_zero or pa.degree < 1 or pb.degree < 1:
-        return []
-    ra = [r for r, _ in roots(pa, tol) if abs(abs(r) - 1.0) <= band]
-    rb = [r for r, _ in roots(pb, tol) if abs(abs(r) - 1.0) <= band]
+    ra = [r for r, _ in ra if abs(abs(r) - 1.0) <= band]
+    rb = [r for r, _ in rb if abs(abs(r) - 1.0) <= band]
     hits = []
     for u in ra:
         for v in rb:
@@ -338,20 +384,29 @@ def unimodular_common_roots(a, b, tol: float = DEFAULT_TOL) -> list[complex]:
     return out
 
 
-def cancel_common_unimodular(num, den, tol: float = DEFAULT_TOL):
-    """Deflate every common circle zero out of the pair.
+def unimodular_common_roots(a, b, tol: float = DEFAULT_TOL) -> list[complex]:
+    """Common zeros of a and b lying on the unit circle (within tol).
 
-    Returns (num_reduced, den_reduced, cancelled_points); repeated common
-    zeros are removed one layer per pass until none remain.  A deflation
-    remainder above 1e-6 of the coefficient scale raises NumericError since
-    it means the claimed common zero was not actually a zero.
+    Symmetric in the two arguments.  Matching is by proximity of the two
+    root sets; matched points are projected onto the circle.  Each common
+    point is reported once regardless of multiplicities.
     """
-    num = num if isinstance(num, UniPoly) else UniPoly(num)
-    den = den if isinstance(den, UniPoly) else UniPoly(den)
+    pa = a if isinstance(a, UniPoly) else UniPoly(a)
+    pb = b if isinstance(b, UniPoly) else UniPoly(b)
+    if pa.degree < 1 or pb.degree < 1:
+        return []
+    return _circle_matches(roots(pa, tol), roots(pb, tol), tol)
+
+
+def _cancel_common(num: UniPoly, den: UniPoly, tol: float):
+    """cancel_common_unimodular, also returning the roots of the reduced
+    pair: its last pass finds them and finds no common circle zero among
+    them, so callers need not find them again."""
     cancelled: list[complex] = []
-    guard = max(num.coeffs.size, den.coeffs.size, 1)
-    for _ in range(guard):
-        common = unimodular_common_roots(num, den, tol)
+    # terminates: every pass that finds a common zero lowers both degrees
+    while True:
+        num_roots, den_roots = _roots_if_any(num, tol), _roots_if_any(den, tol)
+        common = _circle_matches(num_roots, den_roots, tol)
         if not common:
             break
         for g in common:
@@ -366,7 +421,20 @@ def cancel_common_unimodular(num, den, tol: float = DEFAULT_TOL):
             num, den = num2, den2
             cancelled.append(g)
     cancelled.sort(key=lambda w: (w.real, w.imag))
-    return num, den, cancelled
+    return num, den, cancelled, num_roots, den_roots
+
+
+def cancel_common_unimodular(num, den, tol: float = DEFAULT_TOL):
+    """Deflate every common circle zero out of the pair.
+
+    Returns (num_reduced, den_reduced, cancelled_points); repeated common
+    zeros are removed one layer per pass until none remain.  A deflation
+    remainder above 1e-6 of the coefficient scale raises NumericError since
+    it means the claimed common zero was not actually a zero.
+    """
+    num = num if isinstance(num, UniPoly) else UniPoly(num)
+    den = den if isinstance(den, UniPoly) else UniPoly(den)
+    return _cancel_common(num, den, tol)[:3]
 
 
 class TrigPoly:
@@ -705,17 +773,15 @@ def blaschke_from_rational(num, den, tol: float = DEFAULT_TOL) -> BlaschkeProduc
     sc = max(float(nv.max()), float(dv.max()), 1e-300)
     if float(np.max(np.abs(nv - dv))) > 4 * max(tol, 1e-8) * sc:
         raise DomainError("modulus mismatch on the circle")
-    num2, den2, _ = cancel_common_unimodular(num, den, tol)
+    num2, den2, _, num_roots, den_roots = _cancel_common(num, den, tol)
     zeros: list[complex] = []
-    if num2.degree >= 1:
-        for r, m in roots(num2, tol):
-            if abs(r) >= 1.0:
-                raise DomainError("numerator zero on or outside the circle after cancellation")
-            zeros.extend([r] * m)
-    if den2.degree >= 1:
-        for r, _ in roots(den2, tol):
-            if abs(r) <= 1.0:
-                raise DomainError("denominator zero inside the closed disk")
+    for r, m in num_roots:
+        if abs(r) >= 1.0:
+            raise DomainError("numerator zero on or outside the circle after cancellation")
+        zeros.extend([r] * m)
+    for r, _ in den_roots:
+        if abs(r) <= 1.0:
+            raise DomainError("denominator zero inside the closed disk")
     zeros.sort(key=lambda w: (w.real, w.imag))
     b0 = BlaschkeProduct(1.0, tuple(zeros))
     ratio = num2(nodes) / den2(nodes) / b0(nodes)

@@ -21,7 +21,7 @@ decompositions) is organized around this singularity list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,8 @@ class BiPolyN1:
             raise DomainError("the z1-degree bound must be at least 1")
         object.__setattr__(self, "n", int(self.n))
         for part in (self.p1, self.p2):
+            if not np.isfinite(part.coeffs).all():
+                raise DomainError("coefficients must be finite")
             if not part.is_zero and part.degree > self.n:
                 raise DomainError("coefficient degree exceeds the declared bound")
 
@@ -70,9 +72,15 @@ class BiPolyN1:
 
     @staticmethod
     def from_json(obj) -> "BiPolyN1":
-        return BiPolyN1(
-            UniPoly.from_json(obj["p1"]), UniPoly.from_json(obj["p2"]), int(obj["n"])
-        )
+        """Inverse of to_json; malformed input raises DomainError."""
+        try:
+            p1, p2 = UniPoly.from_json(obj["p1"]), UniPoly.from_json(obj["p2"])
+            n = int(obj["n"])
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(
+                f"malformed polynomial JSON ({type(exc).__name__}: {exc})"
+            ) from None
+        return BiPolyN1(p1, p2, n)
 
 
 def reflect(p: BiPolyN1) -> BiPolyN1:
@@ -133,6 +141,8 @@ class Rif:
     ptilde: BiPolyN1
     singularities: tuple
     phi_at_origin: complex
+    _saturation: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def n(self) -> int:
@@ -159,6 +169,12 @@ class Rif:
     def to_json(self) -> dict:
         return self.p.to_json()
 
+    def saturated(self, tol: float = DEFAULT_TOL) -> bool:
+        """is_saturated(self, tol), computed once per tolerance."""
+        if tol not in self._saturation:
+            self._saturation[tol] = is_saturated(self, tol)
+        return self._saturation[tol]
+
 
 def _disk_mesh(count: int = 257) -> np.ndarray:
     """Deterministic low-discrepancy mesh of the open unit disk."""
@@ -169,8 +185,9 @@ def _disk_mesh(count: int = 257) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
-def _stability_violation(p: BiPolyN1, tol: float) -> str | None:
-    """None if stable, else a short reason string.
+def _stability_violation(p: BiPolyN1, p1_roots: list) -> str | None:
+    """None if stable, else a short reason string; p1_roots are the roots
+    of p1 (empty when p1 is constant).
 
     Checks, in order: p1 zero free off the circle (zeros of p1 inside the
     disk are zeros of p at z2 = 0), no unimodular proportionality p1 = c p2
@@ -184,14 +201,13 @@ def _stability_violation(p: BiPolyN1, tol: float) -> str | None:
         return "not stable: vanishing at z2 = 0"
     if abs(p1(0.0)) <= 1e-12 * sc:
         return "not stable: vanishing at the origin"
-    if p1.degree >= 1:
-        for r, _ in roots(p1, tol):
-            if abs(r) < 1.0 - 1e-9:
-                return "not stable: zero inside the disk at z2 = 0"
-            if abs(abs(r) - 1.0) <= 1e-9:
-                if abs(p2(r)) <= 1e-8 * sc:
-                    return "not coprime: simultaneous circle zero of p1 and p2"
-                return "not stable: zero on a distinguished face"
+    for r, _ in p1_roots:
+        if abs(r) < 1.0 - 1e-9:
+            return "not stable: zero inside the disk at z2 = 0"
+        if abs(abs(r) - 1.0) <= 1e-9:
+            if abs(p2(r)) <= 1e-8 * sc:
+                return "not coprime: simultaneous circle zero of p1 and p2"
+            return "not stable: zero on a distinguished face"
     if not p2.is_zero and p1.degree == p2.degree:
         j = int(np.argmax(np.abs(p2.coeffs)))
         c = p1.coeffs[j] / p2.coeffs[j]
@@ -217,7 +233,8 @@ def _stability_violation(p: BiPolyN1, tol: float) -> str | None:
     return None
 
 
-def _coprime_violation(p: BiPolyN1, pt: BiPolyN1, tol: float) -> str | None:
+def _coprime_violation(p: BiPolyN1, pt: BiPolyN1, p1_roots: list,
+                       tol: float) -> str | None:
     """None if p and ptilde share no factor, else a reason string.
 
     A common factor is either all of p (ptilde a unimodular multiple of p)
@@ -234,7 +251,7 @@ def _coprime_violation(p: BiPolyN1, pt: BiPolyN1, tol: float) -> str | None:
         if float(np.max(np.abs(b - c * a))) <= 1e-10 * sc:
             return "not coprime: the reflection is a scalar multiple of p"
     if p.p1.degree >= 1 and p.p2.degree >= 1 and not p.p2.is_zero:
-        r1 = [r for r, _ in roots(p.p1, tol)]
+        r1 = [r for r, _ in p1_roots]
         r2 = [r for r, _ in roots(p.p2, tol)]
         common = []
         for u in r1:
@@ -311,11 +328,12 @@ def validate(p: BiPolyN1, tol: float = DEFAULT_TOL) -> Rif:
     shape.  On success returns a Rif carrying the reflection, the sorted
     singularity list, and phi(0, 0).
     """
-    reason = _stability_violation(p, tol)
+    p1_roots = roots(p.p1, tol) if p.p1.degree >= 1 else []
+    reason = _stability_violation(p, p1_roots)
     if reason is not None:
         raise DomainError(reason)
     pt = reflect(p)
-    reason = _coprime_violation(p, pt, tol)
+    reason = _coprime_violation(p, pt, p1_roots, tol)
     if reason is not None:
         raise DomainError(reason)
     sings = _detect_singularities(p, pt, tol)

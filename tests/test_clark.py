@@ -16,8 +16,9 @@ from rifclark.clark import (
     level_set_sample,
 )
 from rifclark.errors import DomainError
+from rifclark.polynomials import UniPoly
 from rifclark.quadrature import circle_nodes, poisson2
-from rifclark.rif import phi_eval
+from rifclark.rif import BiPolyN1, phi_eval, validate
 
 RNG = np.random.default_rng(303)
 
@@ -147,6 +148,20 @@ def test_classify_extreme_branches():
     assert "phi(0)" in dec.reason
     av = get("amy-variant").build()
     assert classify_extreme(av, 1.0).status is ExtremeStatus.UNDETERMINED
+
+
+def test_classify_extreme_is_not_stale_across_objects():
+    # the saturation answer belongs to each Rif: fresh objects that take
+    # over the memory (and ids) of freed ones must not inherit their answer
+    fave = BiPolyN1(UniPoly([2.0, -1.0]), UniPoly([-1.0]), 1)
+    other = BiPolyN1(UniPoly([3.0, -1.0]), UniPoly([-1.0]), 1)
+    for _ in range(3):
+        firsts = [validate(fave) for _ in range(50)]
+        for rif in firsts:
+            assert classify_extreme(rif, 1j).status is ExtremeStatus.EXTREME
+        del firsts, rif
+        for rif in [validate(other) for _ in range(50)]:
+            assert classify_extreme(rif, 1j).status is ExtremeStatus.UNDETERMINED
 
 
 def test_level_set_sample_satisfies_equation():

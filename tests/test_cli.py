@@ -38,7 +38,8 @@ def test_parse_alpha_normalizes_with_warning(capsys):
 
 
 def test_parse_alpha_rejects_garbage():
-    for bad in ("abc", "", "e^{iq}", "0"):
+    for bad in ("abc", "", "e^{iq}", "0", "nan", "inf", "nan+1i", "1e400",
+                "e^{i*10**400}"):
         with pytest.raises(DomainError):
             cli.parse_alpha(bad)
 
@@ -127,6 +128,40 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert cli.main(["analyze", str(bad), "--alpha=1"]) == 2
     err = capsys.readouterr().err
     assert "not stable" in err
+
+
+def test_analyze_rejects_non_finite_alpha(capsys):
+    assert cli.main(["analyze", "fave", "--alpha=nan"]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_analyze_malformed_json_exit_code(tmp_path, capsys):
+    good = {"n": 1, "p1": {"coeffs": [[2.0, 0.0], [-1.0, 0.0]]},
+            "p2": {"coeffs": [[-1.0, 0.0]]}}
+    cases = {
+        "missing.json": json.dumps({"n": 1, "p1": good["p1"]}),
+        "nan.json": json.dumps({**good, "p2": {"coeffs": [[float("nan"), 0.0]]}}),
+        "truncated.json": json.dumps(good)[:-3],
+        "scalar.json": "5",
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["analyze", str(path), "--alpha=1"]) == 2, name
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_tol_must_be_positive_and_finite(capsys):
+    for bad in ("-1", "0", "nan", "inf", "tiny"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "fave", "--alpha=1", "--tol", bad])
+        assert exc.value.code == 2
+    assert cli.main(["analyze", "fave", "--alpha=1", "--tol", "1e-9"]) == 0
+
+
+def test_report_rejects_non_finite_values():
+    with pytest.raises(NumericError):
+        cli._dumps({"total_mass": float("nan")})
 
 
 def test_analyze_json_input(tmp_path, capsys):

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
+from rifclark import polynomials
+from rifclark import rif as rif_module
+from rifclark.clark import clark_measure
 from rifclark.errors import DomainError, NumericError
 from rifclark.polynomials import (
+    CLUSTER_RADIUS,
     BlaschkeProduct,
     TrigPoly,
     UniPoly,
@@ -12,8 +17,10 @@ from rifclark.polynomials import (
     fejer_riesz,
     roots,
 )
+from rifclark.rif import BiPolyN1, validate
 
 RNG = np.random.default_rng(101)
+EPS = float(np.finfo(float).eps)
 
 
 def test_unipoly_basic_arithmetic():
@@ -100,6 +107,12 @@ def test_roots_high_multiplicity_certified():
 def test_roots_zero_poly_raises():
     with pytest.raises(DomainError):
         roots(UniPoly([0.0]))
+
+
+def test_roots_rejects_non_finite_coefficients():
+    for bad in ([1.0, np.nan], [np.inf, 1.0, 2.0], [1.0, 2.0, complex(0.0, np.nan)]):
+        with pytest.raises(DomainError):
+            roots(UniPoly(bad))
 
 
 def test_trigpoly_modulus_squared_real_on_circle():
@@ -190,3 +203,134 @@ def test_unipoly_json_roundtrip():
     p = UniPoly([1.0 + 2.0j, -0.5, 0.25j])
     back = UniPoly.from_json(p.to_json())
     assert np.array_equal(back.coeffs, p.coeffs)
+
+
+def _ring(rng, n, lo, hi):
+    """n roots at jittered, equally spaced angles with moduli in [lo, hi]."""
+    angle = 2 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n + 2 * np.pi * rng.uniform()
+    return rng.uniform(lo, hi, n) * np.exp(1j * angle)
+
+
+def _root_cases():
+    """Root sets, one pytest.param each.  Every family keeps the coefficient
+    span below 1e12, since roots() treats leading coefficients under 1e-13
+    of the largest as zero and would then solve a different polynomial."""
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128):
+        yield pytest.param(_ring(rng, n, 0.5, 1.5), id=f"ring-{n}")
+        yield pytest.param(_ring(rng, n, 1 - 1e-3, 1 + 1e-3), id=f"near-circle-{n}")
+        if n <= 64:
+            angle = 2 * np.pi * rng.uniform(size=n)
+            yield pytest.param(np.sqrt(rng.uniform(0.25, 2.25, n)) * np.exp(1j * angle),
+                               id=f"random-{n}")
+        if n <= 48:
+            angle = 2 * np.pi * rng.uniform(size=n)
+            yield pytest.param(rng.uniform(1.05, 1.6, n) * np.exp(1j * angle),
+                               id=f"outside-{n}")
+    for n in (6, 9, 12):
+        # three tight groups: distinct roots 1e-3 apart, far above the merge radius
+        centres = np.repeat(_ring(rng, 3, 0.4, 1.2), n // 3)
+        yield pytest.param(centres + 1e-3 * np.exp(2j * np.pi * rng.uniform(size=n)),
+                           id=f"clustered-{n}")
+
+
+@pytest.mark.parametrize("true_roots", list(_root_cases()))
+def test_roots_agree_with_numpy(true_roots):
+    c = P.polyfromroots(true_roots)
+    n = len(c) - 1
+    ac = np.abs(c)
+    assert np.max(ac) / abs(c[-1]) < 1e12
+    found = roots(UniPoly(c))
+    assert sum(m for _r, m in found) == n
+    assert all(m == 1 for _r, m in found)
+    for r, _m in found:
+        # the residual certificate, evaluated independently of roots()
+        assert abs(P.polyval(r, c)) <= 1e-8 * P.polyval(abs(r), ac)
+    got = np.array([r for r, _m in found])
+    ref = np.roots(c[::-1])
+    dc = P.polyder(c)
+    for a, b in ((ref, got), (got, ref)):
+        for rho in a:
+            # first-order error bound for a backward error of (n + 1) eps in
+            # max |c_k|, the normwise sense in which numpy.roots is stable
+            kappa = np.max(ac) * P.polyval(abs(rho), np.ones(n + 1)) / abs(P.polyval(rho, dc))
+            assert np.min(np.abs(b - rho)) <= 100 * EPS * (n + 1) * kappa
+
+
+@pytest.mark.parametrize("n,mult,radius", [
+    (4, 2, CLUSTER_RADIUS), (8, 2, CLUSTER_RADIUS), (12, 2, CLUSTER_RADIUS),
+    (16, 2, CLUSTER_RADIUS), (4, 4, 1e-3), (6, 4, 1e-3),
+])
+def test_roots_near_circle_multiplicities(n, mult, radius):
+    # double roots on and just inside the circle, or one quadruple root,
+    # among simple roots well inside the disk
+    rng = np.random.default_rng([n, mult])
+    taus = (np.exp(1j * np.array([0.4, 2.5])) * np.array([1.0, 1 - 1e-3]))[: 4 // mult]
+    c = P.polyfromroots(np.concatenate(
+        [np.repeat(taus, mult), _ring(rng, n - mult * taus.size, 0.2, 0.5)]))
+    found = roots(UniPoly(c), cluster_radius=radius)
+    assert sum(m for _r, m in found) == n
+    multiple = sorted((r for r, m in found if m > 1), key=lambda r: r.real)
+    assert [m for _r, m in found if m > 1] == [mult] * taus.size
+    for r, tau in zip(multiple, sorted(taus, key=lambda t: t.real)):
+        assert abs(r - tau) < radius
+    ac = np.abs(c)
+    for r, _m in found:
+        assert abs(P.polyval(r, c)) <= 1e-8 * P.polyval(abs(r), ac)
+
+
+def _generated_rif(n, seed):
+    """Stable (n,1) polynomial with order-one contacts at e^{0.7i} and e^{3.9i}.
+
+    p2 and Q have roots at jittered, equally spaced angles with moduli in
+    [0.6, 0.8]; Q also vanishes at the contacts.  p1 is the outer factor of
+    |p2|^2 + |Q|^2, so |p1|^2 - |p2|^2 = |Q|^2 on the circle.
+    """
+    rng = np.random.default_rng([seed, n])
+    taus = np.exp(1j * np.array([0.7, 3.9]))
+    q = P.polyfromroots(np.concatenate([taus, _ring(rng, n - 2, 0.6, 0.8)]))
+    q /= np.max(np.abs(q))
+    p2 = P.polyfromroots(_ring(rng, n, 0.6, 0.8))
+    p2 *= 0.8 / np.max(np.abs(p2))
+    t = np.convolve(p2, np.conj(p2[::-1])) + np.convolve(q, np.conj(q[::-1]))
+    r = np.roots(t[::-1])
+    f = P.polyfromroots(r[np.abs(r) > 1.0])
+    z = np.exp(2j * np.pi * (np.arange(4 * n + 8) + 0.5) / (4 * n + 8))
+    tv = np.real(P.polyval(z, t) * z ** (-n))
+    p1 = np.sqrt(np.median(tv / np.abs(P.polyval(z, f)) ** 2)) * f
+    return BiPolyN1(UniPoly(p1), UniPoly(p2), n), taus
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_and_clark_measure_at_degree_128():
+    poly, taus = _generated_rif(128, 0)
+    rif = validate(poly)
+    assert [s.mult for s in rif.singularities] == [2, 2]
+    for s in rif.singularities:
+        assert min(abs(s.tau - taus)) < 1e-6
+    for alpha in (1j, rif.singularities[0].alpha):
+        cm = clark_measure(rif, alpha)
+        assert cm.balpha.degree == 128 - len(cm.lines)
+        assert abs(cm.total_mass() - cm.closed_form_mass()) < 1e-8
+
+
+def test_one_root_find_per_polynomial(monkeypatch):
+    found = []
+    real_roots = polynomials.roots
+
+    def counted(p, *args, **kwargs):
+        found.append(p)
+        return real_roots(p, *args, **kwargs)
+
+    monkeypatch.setattr(polynomials, "roots", counted)
+    monkeypatch.setattr(rif_module, "roots", counted)
+    poly, _taus = _generated_rif(8, 0)
+    rif = validate(poly)
+    # p1 (shared by the stability and coprimality checks), p2, |p1|^2 - |p2|^2
+    assert len(found) == 3
+    assert sum(p == poly.p1 for p in found) == 1
+    for alpha in (1j, rif.singularities[0].alpha):
+        found.clear()
+        clark_measure(rif, alpha)
+        # numerator and denominator of B_alpha, once each
+        assert len(found) == 2

@@ -27,6 +27,23 @@ def test_bipoly_rejects_degree_overflow():
         _poly([1.0, 2.0, 3.0], [1.0], 1)
 
 
+def test_bipoly_rejects_non_finite_and_malformed_json():
+    with pytest.raises(DomainError):
+        _poly([2.0, np.nan], [-1.0], 1)
+    with pytest.raises(DomainError):
+        _poly([2.0, -1.0], [np.inf], 1)
+    good = get("fave").poly.to_json()
+    for bad in (
+        {"n": 1, "p1": good["p1"]},
+        {"n": "one", "p1": good["p1"], "p2": good["p2"]},
+        {"n": 1, "p1": {"coeffs": [2.0, -1.0]}, "p2": good["p2"]},
+        {"n": 1, "p1": {"coeffs": [[2.0, 0.0], [float("nan"), 0.0]]}, "p2": good["p2"]},
+        [good],
+    ):
+        with pytest.raises(DomainError):
+            BiPolyN1.from_json(bad)
+
+
 def test_reflect_swaps_parts_and_is_involution():
     for e in entries().values():
         p = e.poly
