@@ -20,6 +20,16 @@ otherwise (one line per matched singularity, B_alpha of degree n - l).
 
 Everything here is exact modulo root finding: no quadrature enters the
 construction, only the verification-side integrals.
+
+Those integrals are uniform rules over the curve's node data: the N-th
+roots of unity zeta, conj(B_alpha(zeta)) and W_alpha(zeta).  One in-place
+pass over the Blaschke zeros a_k gives N(zeta) = prod (zeta - a_k) and
+D(zeta) = prod (1 - conj(a_k) zeta), hence conj(B_alpha) = conj(gamma N / D)
+and the weight denominator |u_red|^2 = |lead(u_red)|^2 |N|^2 (the zeros of
+B_alpha are exactly the roots of u_red); the weight numerator is one FFT of
+its coefficients.  Adaptive integration doubles N with nested rules: the
+old sums are kept, and node data and integrand are evaluated only at the N
+new nodes.
 """
 
 from __future__ import annotations
@@ -105,7 +115,11 @@ class ClarkMeasure:
     weight_num / weight_den evaluate to W_alpha on the circle after the
     matched singular factors have been cancelled, so both are finite there;
     removable_points records which tau_k were cancelled.  lines holds
-    (tau_k, c_k) pairs.  Node data for quadrature is cached per node count.
+    (tau_k, c_k) pairs.  weight_den is |u_red|^2 for the reduced pencil
+    numerator u_red, whose roots are exactly the zeros a_k of balpha, so on
+    the circle it equals |u_lead|^2 prod |zeta - a_k|^2 with u_lead the
+    leading coefficient of u_red; curve values and weights are computed in
+    that factored form.  Node data for quadrature is cached per node count.
     """
 
     rif: Rif
@@ -113,6 +127,7 @@ class ClarkMeasure:
     balpha: BlaschkeProduct
     weight_num: TrigPoly
     weight_den: TrigPoly
+    u_lead: complex
     removable_points: tuple
     lines: tuple
     _cache: dict = field(default_factory=dict, repr=False)
@@ -121,26 +136,53 @@ class ClarkMeasure:
     def alpha(self) -> complex:
         return self.alpha_class.alpha
 
+    def _weight(self, num, zero_prod) -> np.ndarray:
+        """W_alpha from the weight numerator's values and prod (zeta - a_k)."""
+        den = abs(self.u_lead) ** 2 * (zero_prod.real ** 2 + zero_prod.imag ** 2)
+        if not (np.min(den) > 0.0 and np.max(den) < math.inf):
+            raise NumericError("weight denominator is not positive on the circle")
+        return num.real / den
+
     def weight_eval(self, zeta) -> np.ndarray:
         """W_alpha at unimodular points; real, finite, nonnegative."""
-        num = self.weight_num.eval(zeta)
-        den = self.weight_den.eval(zeta)
-        num = num.real if isinstance(num, np.ndarray) else num.real
-        den = den.real if isinstance(den, np.ndarray) else den.real
-        if np.min(den) <= 0.0:
-            raise NumericError("weight denominator is not positive on the circle")
-        return num / den
+        zero_prod, _ = self.balpha.factors(zeta)
+        w = self._weight(self.weight_num.eval(zeta), zero_prod)
+        return float(w) if np.ndim(zeta) == 0 else w
 
     def curve_z2(self, zeta):
         """Second coordinate of the level-set graph: conj(B_alpha(zeta))."""
         return np.conj(self.balpha(zeta))
 
+    def _curve_data(self, zeta: np.ndarray, num: np.ndarray):
+        """(conj(B_alpha), W_alpha) at unimodular zeta, given the weight
+        numerator's values there, from one pass over the Blaschke zeros."""
+        zero_prod, pole_prod = self.balpha.factors(zeta)
+        w = self._weight(num, zero_prod)
+        z2 = np.divide(zero_prod, pole_prod, out=zero_prod)
+        z2 *= self.balpha.constant
+        return np.conj(z2, out=z2), w
+
     def node_data(self, count: int):
-        """(nodes, curve z2 values, weight values) cached per node count."""
+        """(nodes, curve z2 values, weight values) at the count-th roots of
+        unity, cached per node count.
+
+        The weight numerator comes from one FFT.  When the data for count/2
+        is cached it fills the even nodes, and only the odd nodes (the
+        count/2 roots turned by half a spacing) are computed.
+        """
         data = self._cache.get(count)
         if data is None:
             z = circle_nodes(count)
-            data = (z, self.curve_z2(z), self.weight_eval(z))
+            coarse = self._cache.get(count // 2) if count % 2 == 0 else None
+            if coarse is None:
+                z2, w = self._curve_data(z, self.weight_num.node_values(count))
+            else:
+                z2 = np.empty(count, dtype=complex)
+                w = np.empty(count)
+                z2[::2], w[::2] = coarse[1], coarse[2]
+                z2[1::2], w[1::2] = self._curve_data(
+                    z[1::2], self.weight_num.node_values(count // 2, half=True))
+            data = (z, z2, w)
             self._cache[count] = data
         return data
 
@@ -218,6 +260,7 @@ def clark_measure(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> ClarkMeasure:
         balpha=balpha,
         weight_num=wnum,
         weight_den=wden,
+        u_lead=complex(u_red.coeffs[-1]),
         removable_points=tuple(s.tau for s in matched),
         lines=lines,
     )
@@ -230,28 +273,40 @@ def integrate(cm: ClarkMeasure, f, count: int | None = 4096) -> complex:
     array of values.  The curve part is a uniform rule against the weight;
     each line adds c_k times a uniform rule in the second coordinate.  With
     count=None the node count doubles from 4096 until two successive values
-    agree to 1e-9 (relative), up to 2**20 nodes.
+    agree to 1e-9 (relative), up to 2**20 nodes.  The rules are nested: a
+    doubling keeps the sums over the old nodes and evaluates f only at the
+    new, odd ones.
     """
     if count is not None:
-        return _integrate_fixed(cm, f, int(count))
+        count = int(count)
+        return _rule_value(cm, _node_sums(cm, f, *cm.node_data(count)), count)
     count = 4096
-    prev = _integrate_fixed(cm, f, count)
+    sums = _node_sums(cm, f, *cm.node_data(count))
+    prev = _rule_value(cm, sums, count)
     while count < _MAX_ADAPTIVE_NODES:
         count *= 2
-        cur = _integrate_fixed(cm, f, count)
+        z, z2, w = cm.node_data(count)
+        sums += _node_sums(cm, f, z[1::2], z2[1::2], w[1::2])
+        cur = _rule_value(cm, sums, count)
         if abs(cur - prev) <= 1e-9 * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise NumericError("adaptive quadrature did not settle", residual=abs(prev))
 
 
-def _integrate_fixed(cm: ClarkMeasure, f, count: int) -> complex:
-    z, z2, w = cm.node_data(count)
-    vals = np.asarray(f(z, z2), dtype=complex)
-    total = complex(np.mean(vals * w))
-    for tau, mass in cm.lines:
-        line_vals = np.asarray(f(np.full_like(z, tau), z), dtype=complex)
-        total += mass * complex(np.mean(line_vals))
+def _node_sums(cm: ClarkMeasure, f, z, z2, w) -> np.ndarray:
+    """Sums of f over the given nodes: weighted along the curve, then
+    along each line."""
+    sums = [np.sum(np.asarray(f(z, z2), dtype=complex) * w)]
+    for tau, _mass in cm.lines:
+        sums.append(np.sum(np.asarray(f(np.full_like(z, tau), z), dtype=complex)))
+    return np.array(sums, dtype=complex)
+
+
+def _rule_value(cm: ClarkMeasure, sums: np.ndarray, count: int) -> complex:
+    total = complex(sums[0] / count)
+    for (_tau, mass), s in zip(cm.lines, sums[1:]):
+        total += mass * complex(s / count)
     return total
 
 

@@ -9,8 +9,10 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -42,13 +44,35 @@ _POLAR_RE = re.compile(
 _ANGLE_CHARS = re.compile(r"^[0-9pi+\-*/(). ]+$")
 
 
+_ANGLE_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
+
+
+def _angle_value(node) -> float:
+    """Float value of a parsed angle: numbers, pi, + - * / **, unary sign."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.BinOp) and type(node.op) in _ANGLE_OPS:
+        return _ANGLE_OPS[type(node.op)](_angle_value(node.left), _angle_value(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _ANGLE_OPS:
+        return _ANGLE_OPS[type(node.op)](_angle_value(node.operand))
+    raise ValueError("not an angle expression")
+
+
 def _eval_angle(expr: str) -> float:
     expr = expr.replace("π", "pi").replace(" ", "")
     if not expr or not _ANGLE_CHARS.match(expr):
         raise DomainError(f"cannot parse angle expression {expr!r}")
     try:
-        val = float(eval(expr, {"__builtins__": {}}, {"pi": math.pi}))
-    except Exception:
+        # float arithmetic throughout, so an exponent tower overflows at
+        # once instead of being computed in full as an integer
+        val = float(_angle_value(ast.parse(expr, mode="eval").body))
+    except (SyntaxError, ValueError, TypeError, ArithmeticError, RecursionError):
         raise DomainError(f"cannot parse angle expression {expr!r}") from None
     if not math.isfinite(val):
         raise DomainError(f"angle expression {expr!r} is not finite")

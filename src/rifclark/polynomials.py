@@ -44,7 +44,8 @@ CIRCLE_BAND = 1e-3
 # this relative threshold to be certified; genuine zeros land near machine
 # precision while near-circle mirror pairs stall around 1e-8.
 _CERT_REL = 1e-10
-# Leading coefficients below this relative size are treated as zero.
+# A trig polynomial's band shrinks while both extreme coefficients are below
+# this relative size (TrigPoly.as_poly).
 _LEAD_TRIM = 1e-13
 _CERT_NODES = 512
 _EPS = float(np.finfo(float).eps)
@@ -68,6 +69,25 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     for c in coeffs[::-1]:
         out = out * z + c
     return out
+
+
+def _fft_values(coeffs: np.ndarray, low: int, count: int, half: bool = False) -> np.ndarray:
+    """sum_i coeffs[i] * zeta**(low + i) at the count nodes
+    zeta_j = exp(2 pi i (j + s) / count), s = 1/2 if half else 0, by one FFT.
+
+    Powers are folded modulo count first, so any count >= 1 works; half
+    rotates the coefficients instead of the nodes.
+    """
+    count = int(count)
+    if count < 1:
+        raise DomainError("node count must be positive")
+    c = np.asarray(coeffs, dtype=complex)
+    if half:
+        c = c * np.exp(1j * np.pi * np.arange(low, low + c.size) / count)
+    folded = np.zeros(-(-c.size // count) * count, dtype=complex)
+    folded[: c.size] = c
+    folded = folded.reshape(-1, count).sum(axis=0)
+    return np.fft.ifft(np.roll(folded, low), norm="forward")
 
 
 class UniPoly:
@@ -105,6 +125,10 @@ class UniPoly:
         if np.ndim(z) == 0:
             return complex(out)
         return out
+
+    def node_values(self, count: int) -> np.ndarray:
+        """Values at the count-th roots of unity, by one FFT."""
+        return _fft_values(self.coeffs, 0, count)
 
     def derivative(self) -> "UniPoly":
         if self.coeffs.size <= 1:
@@ -326,11 +350,6 @@ def roots(p, tol: float = DEFAULT_TOL, cluster_radius: float = CLUSTER_RADIUS,
     c = q.coeffs
     if not np.isfinite(c).all():
         raise DomainError("polynomial coefficients must be finite")
-    m = float(np.max(np.abs(c)))
-    top = len(c) - 1
-    while top > 0 and abs(c[top]) <= _LEAD_TRIM * m:
-        top -= 1
-    c = c[: top + 1]
     if len(c) == 1:
         return []
     out: list[tuple[complex, int]] = []
@@ -467,11 +486,10 @@ class TrigPoly:
         if a.size == 0:
             return TrigPoly([0.0], 0)
         d = a.size - 1
-        c = np.zeros(2 * d + 1, dtype=complex)
-        for k in range(d + 1):
-            v = np.sum(a[k:] * np.conj(a[: a.size - k]))
-            c[d + k] = v
-            c[d - k] = np.conj(v)
+        c = np.convolve(a, np.conj(a[::-1]))
+        # exact Hermitian symmetry: mirror the nonnegative lags
+        c[:d] = np.conj(c[:d:-1])
+        c[d] = c[d].real
         return TrigPoly(c, d)
 
     @property
@@ -499,6 +517,11 @@ class TrigPoly:
         return out
 
     __call__ = eval
+
+    def node_values(self, count: int, half: bool = False) -> np.ndarray:
+        """Values at the count-th roots of unity, or, with half, at those
+        roots turned by half a spacing, by one FFT."""
+        return _fft_values(self.coeffs, -self.d, count, half)
 
     def real_eval(self, zeta):
         out = self.eval(zeta)
@@ -583,7 +606,7 @@ class TrigPoly:
         return circle
 
     def min_on_circle(self, count: int = _CERT_NODES) -> float:
-        return float(self.eval(_unit_nodes(count)).real.min())
+        return float(self.node_values(count).real.min())
 
     def to_json(self) -> dict:
         return {"d": self.d, "coeffs": [cplx_to_json(c) for c in self.coeffs]}
@@ -668,8 +691,7 @@ def fejer_riesz(t: TrigPoly, tol: float = DEFAULT_TOL) -> UniPoly:
     sc = t.scale()
     if t.hermitian_defect() > max(tol, 1e-10) * sc:
         raise DomainError("not real on the circle")
-    nodes = _unit_nodes(_CERT_NODES)
-    tv = t.eval(nodes).real
+    tv = t.node_values(_CERT_NODES).real
     tmax = max(float(np.abs(tv).max()), 1e-300)
     if float(tv.min()) < -max(tol, 1e-10) * max(1.0, tmax):
         raise DomainError("negative on the circle")
@@ -691,13 +713,13 @@ def fejer_riesz(t: TrigPoly, tol: float = DEFAULT_TOL) -> UniPoly:
     for tau, m in circle:
         q_roots.extend([tau] * (m // 2))
     q0 = UniPoly.from_roots(q_roots, 1.0)
-    q2 = np.abs(q0(nodes)) ** 2
+    q2 = np.abs(q0.node_values(_CERT_NODES)) ** 2
     mask = q2 >= 1e-8 * float(q2.max())
     amp2 = float(np.median(tv[mask] / q2[mask]))
     if not amp2 > 0.0:
         raise NumericError("amplitude fit failed")
     q = math.sqrt(amp2) * q0
-    resid = float(np.max(np.abs(np.abs(q(nodes)) ** 2 - tv)))
+    resid = float(np.max(np.abs(np.abs(q.node_values(_CERT_NODES)) ** 2 - tv)))
     if resid > max(tol, 1e-8) * max(1.0, tmax):
         raise NumericError("factorization certificate failed", residual=resid)
     return q
@@ -728,6 +750,25 @@ class BlaschkeProduct:
     @property
     def degree(self) -> int:
         return len(self.zeros)
+
+    def factors(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, D) = (prod (zeta - a), prod (1 - conj(a) zeta)) over the
+        zeros, in one in-place pass; B = constant * N / D.
+
+        Meant for unimodular zeta, where |N| = |D| and neither product can
+        overflow at the degrees handled here.
+        """
+        zz = np.asarray(zeta, dtype=complex)
+        num = np.ones(zz.shape, dtype=complex)
+        den = np.ones(zz.shape, dtype=complex)
+        tmp = np.empty(zz.shape, dtype=complex)
+        for a in self.zeros:
+            np.subtract(zz, a, out=tmp)
+            num *= tmp
+            np.multiply(zz, -np.conj(a), out=tmp)
+            tmp += 1.0
+            den *= tmp
+        return num, den
 
     def eval(self, z):
         zz = np.asarray(z, dtype=complex)
@@ -767,9 +808,8 @@ def blaschke_from_rational(num, den, tol: float = DEFAULT_TOL) -> BlaschkeProduc
     den = den if isinstance(den, UniPoly) else UniPoly(den)
     if num.is_zero or den.is_zero:
         raise DomainError("zero numerator or denominator")
-    nodes = _unit_nodes(_CERT_NODES)
-    nv = np.abs(num(nodes))
-    dv = np.abs(den(nodes))
+    nv = np.abs(num.node_values(_CERT_NODES))
+    dv = np.abs(den.node_values(_CERT_NODES))
     sc = max(float(nv.max()), float(dv.max()), 1e-300)
     if float(np.max(np.abs(nv - dv))) > 4 * max(tol, 1e-8) * sc:
         raise DomainError("modulus mismatch on the circle")
@@ -784,7 +824,8 @@ def blaschke_from_rational(num, den, tol: float = DEFAULT_TOL) -> BlaschkeProduc
             raise DomainError("denominator zero inside the closed disk")
     zeros.sort(key=lambda w: (w.real, w.imag))
     b0 = BlaschkeProduct(1.0, tuple(zeros))
-    ratio = num2(nodes) / den2(nodes) / b0(nodes)
+    ratio = (num2.node_values(_CERT_NODES) / den2.node_values(_CERT_NODES)
+             / b0(_unit_nodes(_CERT_NODES)))
     gm = complex(ratio.mean())
     if float(np.max(np.abs(ratio - gm))) > 4 * max(tol, 1e-8) * max(1.0, abs(gm)):
         raise DomainError("quotient is not a constant multiple of a Blaschke product")

@@ -4,6 +4,12 @@ The N-node uniform rule integrates zeta**k exactly for 0 < |k| < N and the
 constant exactly, so it is spectrally accurate for integrands analytic in an
 annulus around the circle: the error decays geometrically in N.  All
 integrals in this package reduce to such rules.
+
+The rules nest: the 2N roots of unity are the N roots plus the N roots
+turned by half a spacing, so a doubling keeps the N-node sum and adds the
+new nodes only (clark.integrate does this).  A Laurent polynomial takes its
+values at the N roots of unity from one FFT of its coefficients, folded
+modulo N (TrigPoly.node_values).
 """
 
 from __future__ import annotations

@@ -1,0 +1,49 @@
+"""Smoke test of the benchmark in bench/: every workload's set-up and the
+first two operations of its first round, checked by the benchmark's own
+oracle, and the planted-mass-fault negative control.
+
+The workloads run in-process against the rifclark modules already loaded
+here; nothing under bench/ is written.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import rifclark.cli  # noqa: F401  (the workloads reach verify through cli)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+SEED = 5
+# the relative error bench/run.py --plant-fault puts into every expected mass
+PLANTED_MASS_ERROR = 1e-6
+
+
+def _ready(name: str, mass_fault: float = 0.0):
+    workload = workloads.WORKLOADS[name]()
+    ctx = workloads.Context(spans.program_modules(), SEED, mass_fault)
+    workload.setup(ctx, workload.prepare(SEED))
+    return workload, ctx
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_first_operations_pass_the_oracle(name):
+    workload, ctx = _ready(name)
+    workloads.check_catalog(ctx)
+    ops = workload.round(ctx, 0)[:2]
+    assert len(ops) == 2
+    for op in ops:
+        op.check(op.run())
+
+
+@pytest.mark.parametrize("name", ["degree-ladder", "alpha-sweep"])
+def test_planted_mass_fault_is_caught(name):
+    workload, ctx = _ready(name, PLANTED_MASS_ERROR)
+    op = workload.round(ctx, 0)[0]
+    out = op.run()
+    with pytest.raises(workloads.CheckFailed, match="mass"):
+        op.check(out)

@@ -6,6 +6,7 @@ import pytest
 from rifclark.catalog import get
 from rifclark.clark import (
     AlphaKind,
+    ClarkMeasure,
     ExtremeStatus,
     Unitarity,
     clark_measure,
@@ -118,6 +119,101 @@ def test_weight_positive_on_nodes():
             _z, _z2, w = cm.node_data(4096)
             assert np.min(w) > -1e-12
             assert np.all(np.isfinite(w))
+
+
+# (entry, contact point tau_k, d): alpha = alpha_k e^{id} puts the Blaschke
+# zeros within about 1e-4 of the circle, so the adaptive rule runs to 2^19
+# nodes and the weight's numerator and denominator are both small there
+NEAR_EXCEPTIONAL = (("fave", 1.0, 0.03), ("amy-variant", 1.0, 0.01), ("deg31", 1.0, 0.01))
+
+
+def _near_exceptional_alpha(rif, tau, d):
+    s = next(s for s in rif.singularities if abs(s.tau - tau) < 1e-9)
+    return complex(s.alpha * np.exp(1j * d))
+
+
+def _measure_cases(near_exceptional: bool):
+    for name in ("fave", "amy", "amy-variant", "deg31"):
+        rif = get(name).build()
+        for alpha in (-1.0 + 0.0j, 1.0 + 0.0j, complex(np.exp(0.37j)), complex(np.exp(2.1j))):
+            yield name, clark_measure(rif, alpha)
+    if near_exceptional:
+        for name, tau, d in NEAR_EXCEPTIONAL:
+            rif = get(name).build()
+            yield name, clark_measure(rif, _near_exceptional_alpha(rif, tau, d))
+
+
+def test_node_data_matches_pointwise_evaluation():
+    # 4096 is computed directly, 8192 reuses it at the even nodes, 1000 is
+    # odd.  Near-exceptional alpha is left out: there the weight numerator
+    # nearly vanishes next to the contact and is fixed by its coefficients
+    # only to about 1e-12 relative, by FFT and by Horner alike.
+    for name, cm in _measure_cases(near_exceptional=False):
+        for count in (4096, 8192, 1000):
+            z, z2, w = cm.node_data(count)
+            assert np.array_equal(z, circle_nodes(count))
+            assert np.max(np.abs(z2 - cm.curve_z2(z))) <= 1e-12, name
+            assert np.max(np.abs(w - cm.weight_eval(z))) <= 1e-12 * max(1.0, np.max(w)), name
+
+
+def test_factored_weight_denominator_matches_trigpoly():
+    z = np.exp(2j * np.pi * (np.arange(777) + 0.3) / 777)
+    for name, cm in _measure_cases(near_exceptional=True):
+        zero_prod, _ = cm.balpha.factors(z)
+        factored = abs(cm.u_lead) ** 2 * np.abs(zero_prod) ** 2
+        want = cm.weight_den.eval(z).real
+        assert np.max(np.abs(factored - want)) <= 1e-12 * cm.weight_den.scale(), name
+
+
+def test_adaptive_integrate_reuses_old_nodes(monkeypatch):
+    z0 = (0.2 - 0.1j, 0.3j)
+    f_sizes = []
+
+    def f(u, v):
+        f_sizes.append(u.size)
+        return poisson2(z0, (u, v))
+
+    counts = []
+    node_data = ClarkMeasure.node_data
+
+    def counted(cm, count):
+        counts.append(count)
+        return node_data(cm, count)
+
+    for name, alpha in (("amy", complex(np.exp(0.4j))), ("deg31", -1.0 + 0.0j),
+                        ("fave", _near_exceptional_alpha(get("fave").build(), 1.0, 0.03))):
+        rif = get(name).build()
+        # the rule of a fresh fixed-count integral at each doubling
+        ref = clark_measure(rif, alpha)
+        count = 4096
+        prev = integrate(ref, f, count)
+        while True:
+            count *= 2
+            want = integrate(ref, f, count)
+            if abs(want - prev) <= 1e-9 * max(1.0, abs(want)):
+                break
+            prev = want
+        cm = clark_measure(rif, alpha)
+        counts.clear()
+        f_sizes.clear()
+        monkeypatch.setattr(ClarkMeasure, "node_data", counted)
+        got = integrate(cm, f, None)
+        monkeypatch.setattr(ClarkMeasure, "node_data", node_data)
+        # node_data once per level, up to the count the fresh rules reach
+        assert counts == [4096 * 2 ** k for k in range(len(counts))], name
+        assert counts[-1] == count, name
+        # f sees each node once: 4096 first, then only the new half
+        per_part = 1 + len(cm.lines)
+        assert sum(f_sizes) == count * per_part, name
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), name
+
+
+@pytest.mark.parametrize("name, tau, d", NEAR_EXCEPTIONAL)
+def test_mass_identity_near_exceptional(name, tau, d):
+    rif = get(name).build()
+    cm = clark_measure(rif, _near_exceptional_alpha(rif, tau, d))
+    assert cm.alpha_class.kind is AlphaKind.GENERIC
+    assert abs(cm.total_mass(None) - cm.closed_form_mass()) < 1e-10
 
 
 def test_classify_unitary_matches_exceptional_set():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -133,6 +134,21 @@ def test_analyze_exit_codes(tmp_path, capsys):
 def test_analyze_rejects_non_finite_alpha(capsys):
     assert cli.main(["analyze", "fave", "--alpha=nan"]) == 2
     assert "not finite" in capsys.readouterr().err
+
+
+def test_angle_forms_parse_in_floats(capsys):
+    for text, want in (("pi/2", math.pi / 2), ("-(1+2)*3/4", -2.25), ("+1", 1.0),
+                       ("2*(pi-1)", 2 * (math.pi - 1)), ("pi**2", math.pi ** 2),
+                       ("2**0.5", math.sqrt(2.0)), ("(pi)", math.pi)):
+        assert cli._eval_angle(text) == want
+    for bad in ("1/0", "(-8)**(1/3)", "2pi", "i", "1e3", "0**-1", "1+"):
+        with pytest.raises(DomainError):
+            cli._eval_angle(bad)
+    # an exponent tower overflows in float arithmetic at once
+    t0 = time.perf_counter()
+    assert cli.main(["analyze", "fave", "--alpha=e^{i*9**9**9}"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "cannot parse angle" in capsys.readouterr().err
 
 
 def test_analyze_malformed_json_exit_code(tmp_path, capsys):

@@ -157,6 +157,58 @@ def test_fejer_riesz_random_factorizations():
         assert all(abs(r) <= 1 + 1e-8 for r, _m in roots(q)) or q.degree == 0
 
 
+def _autocorrelation_loop(a):
+    """The lag-by-lag autocorrelation that modulus_squared replaced."""
+    d = a.size - 1
+    c = np.zeros(2 * d + 1, dtype=complex)
+    for k in range(d + 1):
+        v = np.sum(a[k:] * np.conj(a[: a.size - k]))
+        c[d + k] = v
+        c[d - k] = np.conj(v)
+    return c
+
+
+def test_trigpoly_modulus_squared_matches_lag_loop():
+    for n in (0, 1, 2, 5, 17, 64):
+        a = RNG.normal(size=n + 1) + 1j * RNG.normal(size=n + 1)
+        t = TrigPoly.modulus_squared(UniPoly(a))
+        want = _autocorrelation_loop(a)
+        assert t.d == n
+        assert np.max(np.abs(t.coeffs - want)) <= 8 * (n + 1) * EPS * np.sum(np.abs(a) ** 2)
+        assert t.hermitian_defect() == 0.0
+
+
+def test_fft_values_match_horner():
+    # degrees 0 to 256; counts below the degree fold powers modulo count
+    rng = np.random.default_rng(7)
+    for deg in list(range(17)) + [31, 32, 33, 64, 100, 127, 128, 255, 256]:
+        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        p = UniPoly(c)
+        t = TrigPoly(rng.normal(size=2 * deg + 1) + 1j * rng.normal(size=2 * deg + 1), deg)
+        scale_p = np.sum(np.abs(c))
+        scale_t = np.sum(np.abs(t.coeffs))
+        for count in {1, max(1, deg // 3), max(1, deg), deg + 1, 512}:
+            z = np.exp(2j * np.pi * np.arange(count) / count)
+            zh = np.exp(2j * np.pi * (np.arange(count) + 0.5) / count)
+            assert np.max(np.abs(p.node_values(count) - p(z))) <= 1e-13 * scale_p
+            assert np.max(np.abs(t.node_values(count) - t.eval(z))) <= 1e-13 * scale_t
+            got = t.node_values(count, half=True)
+            assert np.max(np.abs(got - t.eval(zh))) <= 1e-13 * scale_t
+
+
+def test_roots_keep_small_leading_coefficients():
+    # coefficient span 1.8e15: the top three coefficients sit below 1e-13
+    # of the largest and belong to the polynomial all the same
+    rng = np.random.default_rng(3)
+    true_roots = rng.uniform(1.05, 1.6, 96) * np.exp(2j * np.pi * rng.uniform(size=96))
+    c = P.polyfromroots(true_roots)
+    assert abs(c[-1]) / np.max(np.abs(c)) < 1e-15
+    found = roots(UniPoly(c))
+    assert sum(m for _r, m in found) == 96
+    for r, _m in found:
+        assert abs(P.polyval(r, c)) <= 1e-12 * P.polyval(abs(r), np.abs(c))
+
+
 def test_fejer_riesz_with_circle_zero():
     g = UniPoly([-1.0, 1.0]) * UniPoly([3.0, 1.0])
     t = TrigPoly.modulus_squared(g)
@@ -179,6 +231,14 @@ def test_blaschke_product_modulus_and_json():
     back = BlaschkeProduct.from_json(b.to_json())
     assert abs(back.constant - b.constant) < 1e-15
     assert np.max(np.abs(np.array(back.zeros) - np.array(b.zeros))) < 1e-15
+
+
+def test_blaschke_factors_match_eval():
+    b = BlaschkeProduct(np.exp(0.3j), (0.2 + 0.1j, -0.5j, 0.0, 0.9 * np.exp(2.0j)))
+    z = np.exp(1j * np.linspace(0, 6.28, 33))
+    num, den = b.factors(z)
+    assert np.max(np.abs(b.constant * num / den - b(z))) < 1e-14
+    assert np.max(np.abs(np.abs(num) - np.abs(den))) < 1e-14
 
 
 def test_blaschke_from_rational_recovers():
@@ -213,8 +273,8 @@ def _ring(rng, n, lo, hi):
 
 def _root_cases():
     """Root sets, one pytest.param each.  Every family keeps the coefficient
-    span below 1e12, since roots() treats leading coefficients under 1e-13
-    of the largest as zero and would then solve a different polynomial."""
+    span below 1e12; test_roots_keep_small_leading_coefficients takes a
+    wider span."""
     rng = np.random.default_rng(2024)
     for n in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128):
         yield pytest.param(_ring(rng, n, 0.5, 1.5), id=f"ring-{n}")
