@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .polynomials import DEFAULT_TOL, TrigPoly, UniPoly, fejer_riesz
-from .clark import AlphaKind, ClarkMeasure, classify_alpha, clark_measure
+from .clark import AlphaKind, clark_measure, reduced_pencil
 from .rif import Rif
 
 
@@ -75,22 +75,6 @@ def compute_Q(rif: Rif, tol: float = DEFAULT_TOL) -> UniPoly:
     return fejer_riesz(t, tol)
 
 
-def _reduced_pencil(rif: Rif, alpha, tol: float):
-    """(alpha_class, u_red, v_red): the Blaschke pencil with matched
-    singular roots deflated out of numerator and denominator."""
-    ac = classify_alpha(rif, alpha, tol)
-    u = rif.pt1 - ac.alpha * rif.p2
-    v = ac.alpha * rif.p1 - rif.pt2
-    sc = max(u.scale(), v.scale(), 1e-300)
-    for k in ac.matched:
-        tau = rif.singularities[k].tau
-        u, ru = u.deflate(tau)
-        v, rv = v.deflate(tau)
-        if max(abs(ru), abs(rv)) > 1e-6 * sc:
-            raise NumericError("pencil deflation left a large remainder")
-    return ac, u, v
-
-
 def exceptional_R(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> list[SosPiece]:
     """Closed-form orthonormal R pieces for an exceptional alpha.
 
@@ -104,7 +88,7 @@ def exceptional_R(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> list[SosPiece]:
     share the z2-root lambda_j, so the Hardy norm is that constant's
     modulus and d_j is computed exactly.
     """
-    ac, b1, b2 = _reduced_pencil(rif, alpha, tol)
+    ac, b1, b2 = reduced_pencil(rif, alpha, tol)
     if ac.kind is not AlphaKind.EXCEPTIONAL:
         raise DomainError("alpha is generic; the closed-form R list is empty there")
     matched = [rif.singularities[k] for k in ac.matched]

@@ -11,7 +11,11 @@ first coordinate plus finitely many vertical lines, and the measure is
 
 where B_alpha = (pt1 - alpha p2) / (alpha p1 - pt2) is a finite Blaschke
 product after the common circle zeros at the matched singularities are
-cancelled, W_alpha is a ratio of trigonometric polynomials obtained from
+cancelled.  The denominator is alpha times the degree-n reflection of the
+numerator u = pt1 - alpha p2, so B_alpha = u_red / (c u_red*) with u_red the
+deflated numerator: its zeros are the roots of u_red, found once, and its
+constant follows from the coefficients.  W_alpha is a ratio of
+trigonometric polynomials obtained from
 (|p1|^2 - |p2|^2) / |pt1 - alpha p2|^2 by removing one factor |zeta - tau_k|^2
 from numerator and denominator per matched singularity, and the line masses
 are c_k = 1 / |d(phi)/dz1| on the line.  alpha is generic when it matches no
@@ -210,32 +214,43 @@ class ClarkMeasure:
         }
 
 
-def clark_measure(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> ClarkMeasure:
-    """Construct sigma_alpha exactly from the singularity data.
+def reduced_pencil(rif: Rif, alpha, tol: float = DEFAULT_TOL):
+    """(alpha_class, u_red, v_red): the pencil u = pt1 - alpha p2,
+    v = alpha p1 - pt2 with every matched tau_k deflated out of both.
 
-    The Blaschke numerator and denominator are u = pt1 - alpha p2 and
-    v = alpha p1 - pt2.  At a matched singularity both vanish at tau_k
-    (simple zeros), so the quotient cancels; the same factor |zeta - tau_k|^2
-    cancels once from the weight numerator |p1|^2 - |p2|^2 and once from the
-    weight denominator |u|^2.  Line masses come from the stored derivative
-    constants, c_k = 1 / |deriv_k|.
+    Both vanish at a matched tau_k (simple zeros); a deflation remainder
+    above 1e-6 of the coefficient scale raises NumericError.
     """
     ac = classify_alpha(rif, alpha, tol)
     u = rif.pt1 - ac.alpha * rif.p2
     v = ac.alpha * rif.p1 - rif.pt2
     if u.is_zero or v.is_zero:
         raise DomainError("degenerate pencil at this alpha")
-    matched = [rif.singularities[k] for k in ac.matched]
     sc = max(u.scale(), v.scale(), 1e-300)
-    u_red, v_red = u, v
-    for s in matched:
-        u_red, ru = u_red.deflate(s.tau)
-        v_red, rv = v_red.deflate(s.tau)
+    for k in ac.matched:
+        tau = rif.singularities[k].tau
+        u, ru = u.deflate(tau)
+        v, rv = v.deflate(tau)
         if max(abs(ru), abs(rv)) > 1e-6 * sc:
             raise NumericError(
                 "matched singular point is not a common zero of the pencil",
                 residual=max(abs(ru), abs(rv)) / sc,
             )
+    return ac, u, v
+
+
+def clark_measure(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> ClarkMeasure:
+    """Construct sigma_alpha exactly from the singularity data.
+
+    B_alpha = u_red / v_red from reduced_pencil; blaschke_from_rational
+    certifies v_red = c u_red* on the coefficients, since the pencil is
+    deflated on each side on its own.  The factor |zeta - tau_k|^2 of a
+    matched singularity cancels once from the weight numerator
+    |p1|^2 - |p2|^2 and once from the weight denominator |u|^2.  Line masses
+    come from the stored derivative constants, c_k = 1 / |deriv_k|.
+    """
+    ac, u_red, v_red = reduced_pencil(rif, alpha, tol)
+    matched = [rif.singularities[k] for k in ac.matched]
     balpha = blaschke_from_rational(u_red, v_red, tol)
     expected = rif.n - len(matched)
     if balpha.degree != expected:

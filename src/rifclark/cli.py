@@ -163,21 +163,6 @@ def _positive_float(text: str) -> float:
     return val
 
 
-def _vanishing_order(cm, tau: complex) -> int:
-    """Observed order of the weight at tau from a two-scale slope fit."""
-    w0 = float(np.max(np.abs(cm.node_data(512)[2])))
-    if w0 <= 0.0:
-        return 0
-    v1 = float(cm.weight_eval(tau * np.exp(1e-2j)))
-    v2 = float(cm.weight_eval(tau * np.exp(1e-3j)))
-    if v1 <= 1e-14 * w0 or v2 <= 1e-14 * w0:
-        return 0
-    if v2 > 0.05 * w0:
-        return 0
-    slope = (math.log(v1) - math.log(v2)) / (math.log(1e-2) - math.log(1e-3))
-    return max(0, round(slope))
-
-
 def cmd_analyze(args) -> int:
     entry = _load_entry(args.input)
     rif = entry.build()
@@ -198,9 +183,11 @@ def cmd_analyze(args) -> int:
     report["extreme"] = decision.status.value
     report["extreme_reason"] = decision.reason
     report["nearest_exceptional_distance"] = dist
+    # W_alpha keeps |zeta - tau|^(mult - 2) of the contact's |Q|^2 at a
+    # matched tau: one factor |zeta - tau|^2 cancels against |u|^2
     report["weight_vanishing_order"] = [
-        {"tau": [t.real, t.imag], "order": _vanishing_order(cm, t)}
-        for t in cm.removable_points
+        {"tau": [t.real, t.imag], "order": rif.singularities[k].mult - 2}
+        for t, k in zip(cm.removable_points, cm.alpha_class.matched)
     ]
     _emit(_dumps(report), args.out)
     return 0
@@ -287,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized checks")
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--json", action="store_true",
-                       help="JSON output (default for non-levelset commands)")
 
     pa = sub.add_parser("analyze", help="Clark measure report for one alpha")
     common(pa)
@@ -306,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(pl)
     pl.add_argument("--alphas", required=True,
                     help="comma-separated unimodular alphas")
-    pl.add_argument("--csv", action="store_true",
-                    help="CSV output (default for levelset)")
     pl.set_defaults(fn=cmd_levelset)
 
     pc = sub.add_parser("catalog", help="list the example catalog")

@@ -13,8 +13,10 @@ matrix fallback, certified by backward-stable residuals.  Each sweep
 evaluates p, p' and the residual scale at all live iterates at once from a
 power table; iterates outside the unit disk go through the reversed
 polynomial at 1/z, so no power exceeds 1, and roots that pass the residual
-test are frozen.  Callers find each polynomial's roots once: circle
-cancellation hands the roots it found to blaschke_from_rational.  Structurally
+test are frozen; Newton steps in extended precision then polish each root
+that is not part of a cluster.  blaschke_from_rational finds the roots of the numerator
+only: the denominator must be a unimodular multiple of the numerator's
+reflection, which it certifies on the coefficients.  Structurally
 multiple roots on the unit circle are a core case here: boundary zeros of
 nonnegative trigonometric polynomials always have even order, and a 2m-fold
 root scatters under coefficient roundoff into a cluster of radius roughly
@@ -58,10 +60,6 @@ def cplx_to_json(z) -> list[float]:
 
 def cplx_from_json(v) -> complex:
     return complex(float(v[0]), float(v[1]))
-
-
-def _unit_nodes(count: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(count) / count)
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -275,11 +273,11 @@ def _eval_scaled(tables: tuple[np.ndarray, np.ndarray], z: np.ndarray):
     if outside.any():
         y = np.where(outside, 1.0 / np.where(outside, z, 1.0), z)
         ay = np.abs(y)
-    pw = np.empty((z.size, coef.shape[0]), dtype=complex)
+    pw = np.empty((z.size, coef.shape[0]), dtype=coef.dtype)
     pw[:, 0] = 1.0
     pw[:, 1:] = y[:, None]
     np.multiply.accumulate(pw, axis=1, out=pw)
-    apw = np.empty(pw.shape, dtype=float)
+    apw = np.empty(pw.shape, dtype=acoef.dtype)
     apw[:, 0] = 1.0
     apw[:, 1:] = ay[:, None]
     np.multiply.accumulate(apw, axis=1, out=apw)
@@ -333,6 +331,53 @@ def _aberth(c: np.ndarray, max_iter: int = 600) -> np.ndarray:
     return z
 
 
+def _polish_lone(c: np.ndarray, z: np.ndarray, radius: float) -> np.ndarray:
+    """Up to three Newton steps at every root farther than radius from all
+    others, each kept only where it lowers that root's backward error.
+
+    Aberth freezes a root once its residual reaches the floor, which can
+    leave an ill-conditioned simple root's forward error far above what its
+    condition allows.  The steps evaluate p in extended precision
+    (numpy.clongdouble, which is plain double on platforms without it),
+    through _eval_scaled so that roots outside the disk go through 1/z; then
+    the roots of a polynomial with a wide coefficient span come out accurate
+    enough that their product reproduces p.  A root never moves by half the
+    distance to its nearest neighbour, so two roots cannot meet, and
+    clusters are left alone: a Newton step would split a multiple root.
+    """
+    gaps = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    nearest = gaps.min(axis=1)
+    lone = np.flatnonzero(nearest > radius)
+    if not lone.size:
+        return z
+    tables = _eval_tables(c.astype(np.clongdouble))
+    zl = z[lone].astype(np.clongdouble)
+    val, slope, scale = _eval_scaled(tables, zl)
+    resid = np.abs(val) / scale
+    reach = 0.5 * nearest[lone]
+    live = np.arange(lone.size)
+    # a step that overflows gives a NaN residual and is not kept
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(3):
+            step = zl[live] * val[live] / slope[live]
+            # steps below the double resolution of the root change nothing
+            moving = np.abs(step) > _EPS * np.abs(zl[live])
+            live, step = live[moving], step[moving]
+            if not live.size:
+                break
+            new = zl[live] - step
+            val2, slope2, scale2 = _eval_scaled(tables, new)
+            resid2 = np.abs(val2) / scale2
+            keep = (resid2 < resid[live]) & (np.abs(new - z[lone[live]]) < reach[live])
+            live = live[keep]
+            zl[live], val[live], slope[live], resid[live] = (
+                new[keep], val2[keep], slope2[keep], resid2[keep])
+    out = z.copy()
+    out[lone] = zl.astype(complex)
+    return out
+
+
 def roots(p, tol: float = DEFAULT_TOL, cluster_radius: float = CLUSTER_RADIUS,
           max_iter: int = 600) -> list[tuple[complex, int]]:
     """All roots of p as (root, multiplicity) pairs, sorted by (re, im).
@@ -364,6 +409,7 @@ def roots(p, tol: float = DEFAULT_TOL, cluster_radius: float = CLUSTER_RADIUS,
         cap = max(tol, 1e-10)
 
         def _certify(cands):
+            cands = _polish_lone(c, np.asarray(cands, dtype=complex), cluster_radius)
             clusters = _cluster_members(cands, cluster_radius)
             centres = np.array([sum(members) / len(members) for members in clusters])
             val, _, scale = _eval_scaled(tables, centres)
@@ -403,29 +449,20 @@ def _circle_matches(ra, rb, tol: float) -> list[complex]:
     return out
 
 
-def unimodular_common_roots(a, b, tol: float = DEFAULT_TOL) -> list[complex]:
-    """Common zeros of a and b lying on the unit circle (within tol).
+def cancel_common_unimodular(num, den, tol: float = DEFAULT_TOL):
+    """Deflate every common circle zero out of the pair.
 
-    Symmetric in the two arguments.  Matching is by proximity of the two
-    root sets; matched points are projected onto the circle.  Each common
-    point is reported once regardless of multiplicities.
+    Returns (num_reduced, den_reduced, cancelled_points); repeated common
+    zeros are removed one layer per pass until none remain.  A deflation
+    remainder above 1e-6 of the coefficient scale raises NumericError since
+    it means the claimed common zero was not actually a zero.
     """
-    pa = a if isinstance(a, UniPoly) else UniPoly(a)
-    pb = b if isinstance(b, UniPoly) else UniPoly(b)
-    if pa.degree < 1 or pb.degree < 1:
-        return []
-    return _circle_matches(roots(pa, tol), roots(pb, tol), tol)
-
-
-def _cancel_common(num: UniPoly, den: UniPoly, tol: float):
-    """cancel_common_unimodular, also returning the roots of the reduced
-    pair: its last pass finds them and finds no common circle zero among
-    them, so callers need not find them again."""
+    num = num if isinstance(num, UniPoly) else UniPoly(num)
+    den = den if isinstance(den, UniPoly) else UniPoly(den)
     cancelled: list[complex] = []
     # terminates: every pass that finds a common zero lowers both degrees
     while True:
-        num_roots, den_roots = _roots_if_any(num, tol), _roots_if_any(den, tol)
-        common = _circle_matches(num_roots, den_roots, tol)
+        common = _circle_matches(_roots_if_any(num, tol), _roots_if_any(den, tol), tol)
         if not common:
             break
         for g in common:
@@ -440,20 +477,7 @@ def _cancel_common(num: UniPoly, den: UniPoly, tol: float):
             num, den = num2, den2
             cancelled.append(g)
     cancelled.sort(key=lambda w: (w.real, w.imag))
-    return num, den, cancelled, num_roots, den_roots
-
-
-def cancel_common_unimodular(num, den, tol: float = DEFAULT_TOL):
-    """Deflate every common circle zero out of the pair.
-
-    Returns (num_reduced, den_reduced, cancelled_points); repeated common
-    zeros are removed one layer per pass until none remain.  A deflation
-    remainder above 1e-6 of the coefficient scale raises NumericError since
-    it means the claimed common zero was not actually a zero.
-    """
-    num = num if isinstance(num, UniPoly) else UniPoly(num)
-    den = den if isinstance(den, UniPoly) else UniPoly(den)
-    return _cancel_common(num, den, tol)[:3]
+    return num, den, cancelled
 
 
 class TrigPoly:
@@ -522,10 +546,6 @@ class TrigPoly:
         """Values at the count-th roots of unity, or, with half, at those
         roots turned by half a spacing, by one FFT."""
         return _fft_values(self.coeffs, -self.d, count, half)
-
-    def real_eval(self, zeta):
-        out = self.eval(zeta)
-        return out.real if isinstance(out, np.ndarray) else out.real
 
     def theta_eval(self, theta: float, order: int = 0) -> complex:
         """order-th derivative of theta |-> t(e^{i theta}) at a single angle."""
@@ -604,9 +624,6 @@ class TrigPoly:
         """Certified zeros of t on the unit circle with multiplicities."""
         circle, _ = _split_circle_roots(self, tol)
         return circle
-
-    def min_on_circle(self, count: int = _CERT_NODES) -> float:
-        return float(self.node_values(count).real.min())
 
     def to_json(self) -> dict:
         return {"d": self.d, "coeffs": [cplx_to_json(c) for c in self.coeffs]}
@@ -798,37 +815,41 @@ class BlaschkeProduct:
 def blaschke_from_rational(num, den, tol: float = DEFAULT_TOL) -> BlaschkeProduct:
     """Blaschke product representing num/den after circle cancellation.
 
-    num and den must have equal modulus on the circle; common circle zeros
-    are cancelled first.  After cancellation the numerator zeros must be
-    strictly inside the disk and the denominator zero free on the closed
-    disk, otherwise the quotient is not a Blaschke product and DomainError
-    is raised.
+    num/den is a constant multiple of a Blaschke product exactly when den is
+    a unimodular multiple c of the degree-m reflection num* of num, m the
+    larger degree, with every zero of num in the closed disk.  That identity
+    is certified on the coefficients, max |den - c num*| <= 4 max(tol, 1e-8)
+    max |den|, and then num is root-found once: its zeros inside the disk are
+    the zeros of the product, and a zero on the circle (within max(tol,
+    1e-8)) is a common zero of num and num*, which cancels and leaves the
+    factor -tau in the constant.  A zero outside the disk, or deg num < m
+    (which puts a zero of den at the origin), raises DomainError.
     """
     num = num if isinstance(num, UniPoly) else UniPoly(num)
     den = den if isinstance(den, UniPoly) else UniPoly(den)
     if num.is_zero or den.is_zero:
         raise DomainError("zero numerator or denominator")
-    nv = np.abs(num.node_values(_CERT_NODES))
-    dv = np.abs(den.node_values(_CERT_NODES))
-    sc = max(float(nv.max()), float(dv.max()), 1e-300)
-    if float(np.max(np.abs(nv - dv))) > 4 * max(tol, 1e-8) * sc:
-        raise DomainError("modulus mismatch on the circle")
-    num2, den2, _, num_roots, den_roots = _cancel_common(num, den, tol)
-    zeros: list[complex] = []
-    for r, m in num_roots:
-        if abs(r) >= 1.0:
-            raise DomainError("numerator zero on or outside the circle after cancellation")
-        zeros.extend([r] * m)
-    for r, _ in den_roots:
-        if abs(r) <= 1.0:
-            raise DomainError("denominator zero inside the closed disk")
-    zeros.sort(key=lambda w: (w.real, w.imag))
-    b0 = BlaschkeProduct(1.0, tuple(zeros))
-    ratio = (num2.node_values(_CERT_NODES) / den2.node_values(_CERT_NODES)
-             / b0(_unit_nodes(_CERT_NODES)))
-    gm = complex(ratio.mean())
-    if float(np.max(np.abs(ratio - gm))) > 4 * max(tol, 1e-8) * max(1.0, abs(gm)):
-        raise DomainError("quotient is not a constant multiple of a Blaschke product")
-    if abs(abs(gm) - 1.0) > 4 * max(tol, 1e-8):
+    m = max(num.degree, den.degree)
+    star = num.conj_reflect(m).padded(m + 1)
+    dc = den.padded(m + 1)
+    j = int(np.argmax(np.abs(dc)))
+    band = max(tol, 1e-8)
+    c = dc[j] / star[j] if star[j] != 0 else 0j
+    if not float(np.max(np.abs(dc - c * star))) <= 4 * band * abs(dc[j]):
+        raise DomainError("denominator is not a multiple of the reflected numerator")
+    if abs(abs(c) - 1.0) > 4 * band:
         raise DomainError("quotient constant is not unimodular")
-    return BlaschkeProduct(gm / abs(gm), tuple(zeros))
+    if num.degree < m:
+        raise DomainError("denominator zero inside the closed disk")
+    lead = num.coeffs[-1]
+    gamma = lead / (c * np.conj(lead))
+    zeros: list[complex] = []
+    for r, mult in roots(num, tol):
+        if abs(abs(r) - 1.0) <= band:
+            gamma *= (-r / abs(r)) ** mult
+        elif abs(r) > 1.0:
+            raise DomainError("numerator zero outside the closed disk")
+        else:
+            zeros.extend([r] * mult)
+    # roots() sorts by (re, im), so the zeros come out sorted
+    return BlaschkeProduct(gamma, tuple(zeros))

@@ -362,10 +362,6 @@ def validation_report(p: BiPolyN1, tol: float = DEFAULT_TOL) -> dict:
     }
 
 
-def singularities(rif: Rif) -> tuple:
-    return rif.singularities
-
-
 def phi_eval(rif: Rif, z) -> complex:
     """phi at a point of the closed bidisk.
 
@@ -380,12 +376,6 @@ def phi_eval(rif: Rif, z) -> complex:
     if abs(den) <= 1e-12 * sc:
         raise DomainError("phi is evaluated at a zero of p")
     return complex(rif.ptilde.eval(z1, z2) / den)
-
-
-def phi_line_derivative(rif: Rif, k: int) -> complex:
-    """Constant value of d(phi)/dz1 along the k-th singular line."""
-    s = rif.singularities[k]
-    return _line_derivative(rif.p, rif.ptilde, s.tau, s.alpha)
 
 
 def is_saturated(rif: Rif, tol: float = DEFAULT_TOL) -> bool:

@@ -47,3 +47,14 @@ def test_planted_mass_fault_is_caught(name):
     out = op.run()
     with pytest.raises(workloads.CheckFailed, match="mass"):
         op.check(out)
+
+
+def test_every_spanned_function_resolves():
+    # the traced run wraps these by name; a rename or deletion in the
+    # program would break bench/run.py --trace 1
+    modules = spans.program_modules()
+    for mod_name, qual in spans.SPANNED:
+        obj = modules[mod_name]
+        for part in qual.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (mod_name, qual)

@@ -259,6 +259,36 @@ def test_blaschke_from_rational_rejects_outer_zero():
         blaschke_from_rational(num, den)
 
 
+def test_blaschke_from_rational_rejects_non_reflected_denominator():
+    num = UniPoly.from_roots([0.3 + 0.2j, -0.4j], leading=1.5)
+    den = num.conj_reflect(2) + UniPoly([0.0, 1e-3])
+    with pytest.raises(DomainError, match="reflected numerator"):
+        blaschke_from_rational(num, den)
+
+
+def test_blaschke_from_rational_folds_common_circle_zero():
+    tau = np.exp(0.9j)
+    num = UniPoly.from_roots([tau, 0.3 + 0.2j, -0.4j], leading=1.5 - 0.5j)
+    den = np.exp(0.4j) * num.conj_reflect(3)
+    got = blaschke_from_rational(num, den)
+    num2, den2, cancelled = polynomials.cancel_common_unimodular(num, den)
+    assert len(cancelled) == 1 and abs(cancelled[0] - tau) < 1e-9
+    want = blaschke_from_rational(num2, den2)
+    assert got.degree == want.degree == 2
+    assert np.max(np.abs(np.array(got.zeros) - np.array(want.zeros))) < 1e-12
+    assert abs(got.constant - want.constant) < 1e-12
+    z = np.exp(1j * np.linspace(0.05, 6.2, 29))
+    assert np.max(np.abs(got(z) - num(z) / den(z))) < 1e-10
+
+
+def test_blaschke_from_rational_rejects_lower_numerator_degree():
+    # den = num reflected in degree 2 is divisible by z: a pole at the origin
+    num = UniPoly([1.0, 0.5])
+    den = num.conj_reflect(2)
+    with pytest.raises(DomainError, match="denominator zero inside the closed disk"):
+        blaschke_from_rational(num, den)
+
+
 def test_unipoly_json_roundtrip():
     p = UniPoly([1.0 + 2.0j, -0.5, 0.25j])
     back = UniPoly.from_json(p.to_json())
@@ -339,18 +369,28 @@ def test_roots_near_circle_multiplicities(n, mult, radius):
         assert abs(P.polyval(r, c)) <= 1e-8 * P.polyval(abs(r), ac)
 
 
-def _generated_rif(n, seed):
+def _wide_ring(rng, count):
+    """Roots at uniformly random angles, half with moduli in [0.45, 0.75] and
+    half in [1.35, 2.2]: the coefficient span grows geometrically with
+    count, and some pencil zeros come close to the circle."""
+    inner = count // 2
+    mod = np.concatenate([rng.uniform(0.45, 0.75, inner), rng.uniform(1.35, 2.2, count - inner)])
+    return mod * np.exp(2j * np.pi * rng.uniform(size=count))
+
+
+def _generated_rif(n, seed, ring=lambda rng, count: _ring(rng, count, 0.6, 0.8)):
     """Stable (n,1) polynomial with order-one contacts at e^{0.7i} and e^{3.9i}.
 
-    p2 and Q have roots at jittered, equally spaced angles with moduli in
-    [0.6, 0.8]; Q also vanishes at the contacts.  p1 is the outer factor of
-    |p2|^2 + |Q|^2, so |p1|^2 - |p2|^2 = |Q|^2 on the circle.
+    p2 and Q have the roots ring(rng, count) gives, by default at jittered,
+    equally spaced angles with moduli in [0.6, 0.8]; Q also vanishes at the
+    contacts.  p1 is the outer factor of |p2|^2 + |Q|^2, so
+    |p1|^2 - |p2|^2 = |Q|^2 on the circle.
     """
     rng = np.random.default_rng([seed, n])
     taus = np.exp(1j * np.array([0.7, 3.9]))
-    q = P.polyfromroots(np.concatenate([taus, _ring(rng, n - 2, 0.6, 0.8)]))
+    q = P.polyfromroots(np.concatenate([taus, ring(rng, n - 2)]))
     q /= np.max(np.abs(q))
-    p2 = P.polyfromroots(_ring(rng, n, 0.6, 0.8))
+    p2 = P.polyfromroots(ring(rng, n))
     p2 *= 0.8 / np.max(np.abs(p2))
     t = np.convolve(p2, np.conj(p2[::-1])) + np.convolve(q, np.conj(q[::-1]))
     r = np.roots(t[::-1])
@@ -363,15 +403,43 @@ def _generated_rif(n, seed):
 
 @pytest.mark.filterwarnings("error")
 def test_validate_and_clark_measure_at_degree_128():
-    poly, taus = _generated_rif(128, 0)
-    rif = validate(poly)
-    assert [s.mult for s in rif.singularities] == [2, 2]
-    for s in rif.singularities:
-        assert min(abs(s.tau - taus)) < 1e-6
-    for alpha in (1j, rif.singularities[0].alpha):
-        cm = clark_measure(rif, alpha)
-        assert cm.balpha.degree == 128 - len(cm.lines)
-        assert abs(cm.total_mass() - cm.closed_form_mass()) < 1e-8
+    # seed 7 has a pencil coefficient span at which a fixed threshold on
+    # the quotient u / v / B rejected correct Blaschke data
+    for seed in (0, 7):
+        poly, taus = _generated_rif(128, seed)
+        rif = validate(poly)
+        assert [s.mult for s in rif.singularities] == [2, 2]
+        for s in rif.singularities:
+            assert min(abs(s.tau - taus)) < 1e-6
+        for alpha in (1j,) + tuple(s.alpha for s in rif.singularities):
+            cm = clark_measure(rif, alpha)
+            assert cm.balpha.degree == 128 - len(cm.lines)
+            assert abs(cm.total_mass() - cm.closed_form_mass()) < 1e-8
+
+
+def test_wide_span_generic_measures_lie_on_the_level_set():
+    # every generic alpha on a 32-point grid that clark_measure accepts
+    # must put its curve (zeta, conj B_alpha(zeta)) on ptilde - alpha p = 0;
+    # the residual is computed with numpy from the input coefficients
+    zeta = np.exp(2j * np.pi * (np.arange(256) + 0.5) / 256)
+    accepted = 0
+    for seed in (1, 2, 3):
+        poly, _taus = _generated_rif(64, seed, _wide_ring)
+        rif = validate(poly)
+        p1, p2 = poly.p1.padded(65), poly.p2.padded(65)
+        pt1, pt2 = np.conj(p1[::-1]), np.conj(p2[::-1])
+        for alpha in np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32):
+            try:
+                cm = clark_measure(rif, alpha)
+            except (DomainError, NumericError):
+                continue
+            accepted += 1
+            z2 = cm.curve_z2(zeta)
+            pt = P.polyval(zeta, pt2) + z2 * P.polyval(zeta, pt1)
+            pv = P.polyval(zeta, p1) + z2 * P.polyval(zeta, p2)
+            resid = np.max(np.abs(pt - alpha * pv)) / np.max(np.abs(pt) + np.abs(pv))
+            assert resid <= 1e-9, (seed, alpha, resid)
+    assert accepted >= 48
 
 
 def test_one_root_find_per_polynomial(monkeypatch):
@@ -392,5 +460,6 @@ def test_one_root_find_per_polynomial(monkeypatch):
     for alpha in (1j, rif.singularities[0].alpha):
         found.clear()
         clark_measure(rif, alpha)
-        # numerator and denominator of B_alpha, once each
-        assert len(found) == 2
+        # the reduced pencil numerator u_red only: the denominator is its
+        # reflection, certified on the coefficients
+        assert len(found) == 1
