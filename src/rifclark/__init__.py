@@ -45,7 +45,6 @@ from .polynomials import (
     roots,
 )
 from .quadrature import (
-    CircleRule,
     circle_integral,
     circle_nodes,
     h2_boundary_norm,
@@ -73,7 +72,6 @@ __all__ = [
     "BiPolyN1",
     "BlaschkeProduct",
     "CatalogEntry",
-    "CircleRule",
     "ClarkMeasure",
     "DomainError",
     "ExtremeDecision",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .polynomials import DEFAULT_TOL, TrigPoly, UniPoly, fejer_riesz
+from .polynomials import UniPoly, fejer_riesz
 from .clark import AlphaKind, clark_measure, reduced_pencil
 from .rif import Rif
 
@@ -65,17 +65,17 @@ class AglerPieces:
         }
 
 
-def compute_Q(rif: Rif, tol: float = DEFAULT_TOL) -> UniPoly:
-    """The one-variable square: |Q|^2 = |p1|^2 - |p2|^2 on the circle.
+def compute_Q(rif: Rif) -> UniPoly:
+    """The one-variable square: |Q|^2 = rif.t = |p1|^2 - |p2|^2 on the
+    circle.
 
     Normalized with a positive real leading coefficient; any unimodular
     multiple satisfies the same identity.
     """
-    t = TrigPoly.modulus_squared(rif.p1) - TrigPoly.modulus_squared(rif.p2)
-    return fejer_riesz(t, tol)
+    return fejer_riesz(rif.t)
 
 
-def exceptional_R(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> list[SosPiece]:
+def exceptional_R(rif: Rif, alpha) -> list[SosPiece]:
     """Closed-form orthonormal R pieces for an exceptional alpha.
 
     With b1 / b2 the reduced pencil (numerator / denominator of B_alpha
@@ -88,7 +88,7 @@ def exceptional_R(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> list[SosPiece]:
     share the z2-root lambda_j, so the Hardy norm is that constant's
     modulus and d_j is computed exactly.
     """
-    ac, b1, b2 = reduced_pencil(rif, alpha, tol)
+    ac, b1, b2 = reduced_pencil(rif, alpha)
     if ac.kind is not AlphaKind.EXCEPTIONAL:
         raise DomainError("alpha is generic; the closed-form R list is empty there")
     matched = [rif.singularities[k] for k in ac.matched]
@@ -162,8 +162,7 @@ class GramReport:
     max_abs_deviation: float
 
 
-def gram_isometry_check(rif: Rif, alpha, points, count: int = 4096,
-                        tol: float = DEFAULT_TOL) -> GramReport:
+def gram_isometry_check(rif: Rif, alpha, points, count: int = 4096) -> GramReport:
     """Compare Gram matrices of kernel functions under the Clark embedding.
 
     For interior points w_i, the embedding sends the kernel k_{w_i} to
@@ -176,7 +175,7 @@ def gram_isometry_check(rif: Rif, alpha, points, count: int = 4096,
     """
     from .rif import phi_eval
 
-    cm = clark_measure(rif, alpha, tol)
+    cm = clark_measure(rif, alpha)
     pts = [(complex(w[0]), complex(w[1])) for w in points]
     for w1, w2 in pts:
         if abs(w1) >= 1.0 or abs(w2) >= 1.0:
@@ -213,8 +212,7 @@ def gram_isometry_check(rif: Rif, alpha, points, count: int = 4096,
     return GramReport(alpha, tuple(pts), target, measured, dev)
 
 
-def orthonormality_check(rif: Rif, alpha, R_list, count: int = 4096,
-                         tol: float = DEFAULT_TOL) -> np.ndarray:
+def orthonormality_check(rif: Rif, alpha, R_list, count: int = 4096) -> np.ndarray:
     """Gram matrix of {R_j / p} in L^2(sigma_alpha); identity when the list
     is orthonormal.
 
@@ -225,7 +223,7 @@ def orthonormality_check(rif: Rif, alpha, R_list, count: int = 4096,
     spacing so that curve-line crossing points, which sit at circle zeros
     of p, never coincide with quadrature nodes.
     """
-    cm = clark_measure(rif, alpha, tol)
+    cm = clark_measure(rif, alpha)
     pieces = list(R_list)
     count = int(count)
     sc = max(rif.p.scale(), 1e-300)

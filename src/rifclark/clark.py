@@ -46,15 +46,14 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .polynomials import (
-    DEFAULT_TOL,
+    TOL,
     BlaschkeProduct,
     TrigPoly,
-    UniPoly,
     blaschke_from_rational,
     cplx_to_json,
 )
 from .quadrature import circle_nodes
-from .rif import Rif
+from .rif import Rif, is_saturated
 
 _MAX_ADAPTIVE_NODES = 2 ** 20
 
@@ -91,8 +90,8 @@ class ExtremeDecision:
     reason: str
 
 
-def classify_alpha(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> AlphaClass:
-    """Match alpha against the singular values alpha_k within max(tol, 1e-8).
+def classify_alpha(rif: Rif, alpha) -> AlphaClass:
+    """Match alpha against the singular values alpha_k within TOL.
 
     alpha within 1e-6 of the circle is projected onto it; anything farther
     out is rejected.
@@ -101,9 +100,8 @@ def classify_alpha(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> AlphaClass:
     if not abs(abs(a) - 1.0) <= 1e-6:
         raise DomainError("alpha must be unimodular")
     a /= abs(a)
-    radius = max(tol, 1e-8)
     matched = tuple(
-        k for k, s in enumerate(rif.singularities) if abs(a - s.alpha) <= radius
+        k for k, s in enumerate(rif.singularities) if abs(a - s.alpha) <= TOL
     )
     dist = None
     if rif.singularities:
@@ -214,14 +212,14 @@ class ClarkMeasure:
         }
 
 
-def reduced_pencil(rif: Rif, alpha, tol: float = DEFAULT_TOL):
+def reduced_pencil(rif: Rif, alpha):
     """(alpha_class, u_red, v_red): the pencil u = pt1 - alpha p2,
     v = alpha p1 - pt2 with every matched tau_k deflated out of both.
 
     Both vanish at a matched tau_k (simple zeros); a deflation remainder
     above 1e-6 of the coefficient scale raises NumericError.
     """
-    ac = classify_alpha(rif, alpha, tol)
+    ac = classify_alpha(rif, alpha)
     u = rif.pt1 - ac.alpha * rif.p2
     v = ac.alpha * rif.p1 - rif.pt2
     if u.is_zero or v.is_zero:
@@ -239,19 +237,20 @@ def reduced_pencil(rif: Rif, alpha, tol: float = DEFAULT_TOL):
     return ac, u, v
 
 
-def clark_measure(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> ClarkMeasure:
+def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
     """Construct sigma_alpha exactly from the singularity data.
 
     B_alpha = u_red / v_red from reduced_pencil; blaschke_from_rational
     certifies v_red = c u_red* on the coefficients, since the pencil is
     deflated on each side on its own.  The factor |zeta - tau_k|^2 of a
-    matched singularity cancels once from the weight numerator
-    |p1|^2 - |p2|^2 and once from the weight denominator |u|^2.  Line masses
-    come from the stored derivative constants, c_k = 1 / |deriv_k|.
+    matched singularity cancels once from the weight numerator, the
+    boundary polynomial rif.t = |p1|^2 - |p2|^2, and once from the weight
+    denominator |u|^2.  Line masses come from the stored derivative
+    constants, c_k = 1 / |deriv_k|.
     """
-    ac, u_red, v_red = reduced_pencil(rif, alpha, tol)
+    ac, u_red, v_red = reduced_pencil(rif, alpha)
     matched = [rif.singularities[k] for k in ac.matched]
-    balpha = blaschke_from_rational(u_red, v_red, tol)
+    balpha = blaschke_from_rational(u_red, v_red)
     expected = rif.n - len(matched)
     if balpha.degree != expected:
         hint = ""
@@ -264,7 +263,7 @@ def clark_measure(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> ClarkMeasure:
         raise NumericError(
             f"Blaschke degree {balpha.degree} instead of {expected}{hint}"
         )
-    wnum = TrigPoly.modulus_squared(rif.p1) - TrigPoly.modulus_squared(rif.p2)
+    wnum = rif.t
     for s in matched:
         wnum = wnum.divide_circle_factor(s.tau)
     wden = TrigPoly.modulus_squared(u_red)
@@ -325,15 +324,15 @@ def _rule_value(cm: ClarkMeasure, sums: np.ndarray, count: int) -> complex:
     return total
 
 
-def classify_unitary(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> Unitarity:
+def classify_unitary(rif: Rif, alpha) -> Unitarity:
     """The Clark embedding J_alpha is unitary exactly for generic alpha."""
-    ac = classify_alpha(rif, alpha, tol)
+    ac = classify_alpha(rif, alpha)
     if ac.kind is AlphaKind.GENERIC:
         return Unitarity.UNITARY
     return Unitarity.NOT_UNITARY
 
 
-def classify_extreme(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> ExtremeDecision:
+def classify_extreme(rif: Rif, alpha) -> ExtremeDecision:
     """Extreme-point status of the normalized sigma_alpha among positive
     pluriharmonic probability measures.
 
@@ -345,23 +344,18 @@ def classify_extreme(rif: Rif, alpha, tol: float = DEFAULT_TOL) -> ExtremeDecisi
     certified criteria and return Undetermined.
     """
     phi0 = rif.phi_at_origin
-    if abs(phi0) > max(tol, 1e-10):
+    if abs(phi0) > TOL:
         return ExtremeDecision(
             ExtremeStatus.UNDETERMINED,
             "criteria require phi(0) = 0, which fails here",
         )
-    ac = classify_alpha(rif, alpha, tol)
+    ac = classify_alpha(rif, alpha)
     if ac.kind is AlphaKind.EXCEPTIONAL:
         return ExtremeDecision(
             ExtremeStatus.NOT_EXTREME,
             "exceptional alpha: the line part splits off sigma_alpha",
         )
-    try:
-        saturated = rif.saturated(tol)
-    except NumericError:
-        return ExtremeDecision(
-            ExtremeStatus.UNDETERMINED, "saturation test did not certify"
-        )
+    saturated = is_saturated(rif)
     deg_p = max(rif.p1.degree, rif.p2.degree)
     deg_pt = max(rif.pt1.degree, rif.pt2.degree)
     if saturated and deg_p == deg_pt:
@@ -389,9 +383,8 @@ class LevelSetSample:
     line_abscissae: tuple
 
 
-def level_set_sample(rif: Rif, alpha, n_points: int = 512,
-                     tol: float = DEFAULT_TOL) -> LevelSetSample:
-    cm = clark_measure(rif, alpha, tol)
+def level_set_sample(rif: Rif, alpha, n_points: int = 512) -> LevelSetSample:
+    cm = clark_measure(rif, alpha)
     theta1 = 2.0 * np.pi * np.arange(int(n_points)) / int(n_points)
     z = np.exp(1j * theta1)
     theta2 = np.mod(np.angle(cm.curve_z2(z)), 2.0 * np.pi)

@@ -30,8 +30,7 @@ from .clark import (
     level_set_sample,
 )
 from .errors import DomainError, NumericError
-from .polynomials import DEFAULT_TOL
-from .rif import BiPolyN1, validate
+from .rif import BiPolyN1
 from .verification import run_suites, suite_names
 
 _ALPHA_LITERALS = {
@@ -41,7 +40,9 @@ _ALPHA_LITERALS = {
 _POLAR_RE = re.compile(
     r"^(?:e\^\{?i\*?(?P<a>[^}]+)\}?|exp\(i\*?(?P<b>.+)\))$"
 )
-_ANGLE_CHARS = re.compile(r"^[0-9pi+\-*/(). ]+$")
+# e and E admit float exponents such as 1e-4; a bare name e is refused by
+# _angle_value
+_ANGLE_CHARS = re.compile(r"^[0-9eEpi+\-*/(). ]+$")
 
 
 _ANGLE_OPS = {
@@ -153,22 +154,12 @@ def _dumps(obj) -> str:
         raise NumericError("report contains a non-finite value") from None
 
 
-def _positive_float(text: str) -> float:
-    try:
-        val = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(val) and val > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
-    return val
-
-
 def cmd_analyze(args) -> int:
     entry = _load_entry(args.input)
     rif = entry.build()
     alpha = parse_alpha(args.alpha)
     dist = min((abs(alpha - s.alpha) for s in rif.singularities), default=None)
-    ac = classify_alpha(rif, alpha, args.tol)
+    ac = classify_alpha(rif, alpha)
     if dist is not None and not ac.matched and dist < 1e-4:
         # warn before construction: in this regime the curve data may be
         # numerically inseparable from the exceptional measure
@@ -176,10 +167,10 @@ def cmd_analyze(args) -> int:
             f"warning: alpha is within {dist:.3g} of an exceptional value; "
             "the weight is nearly singular", file=sys.stderr,
         )
-    cm = clark_measure(rif, alpha, args.tol)
+    cm = clark_measure(rif, alpha)
     report = cm.to_json(count=args.nodes)
-    report["unitary"] = classify_unitary(rif, alpha, args.tol) is Unitarity.UNITARY
-    decision = classify_extreme(rif, alpha, args.tol)
+    report["unitary"] = classify_unitary(rif, alpha) is Unitarity.UNITARY
+    decision = classify_extreme(rif, alpha)
     report["extreme"] = decision.status.value
     report["extreme_reason"] = decision.reason
     report["nearest_exceptional_distance"] = dist
@@ -198,8 +189,7 @@ def cmd_verify(args) -> int:
     names = None
     if args.suite:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
-    results = run_suites(entry, names, seed=args.seed, count=args.nodes,
-                         tol=args.tol)
+    results = run_suites(entry, names, seed=args.seed, count=args.nodes)
     report = {
         "input": entry.name,
         "seed": args.seed,
@@ -215,8 +205,8 @@ def _alpha_tag(alpha: complex) -> str:
     return f"{alpha.real:+.6f}{alpha.imag:+.6f}i"
 
 
-def _levelset_csv(rif, alpha, n_points: int, tol: float) -> str:
-    sample = level_set_sample(rif, alpha, n_points, tol)
+def _levelset_csv(rif, alpha, n_points: int) -> str:
+    sample = level_set_sample(rif, alpha, n_points)
     rows = ["theta1,theta2,branch"]
     for theta1, theta2 in sample.curve:
         rows.append(f"{theta1:.12f},{theta2:.12f},curve")
@@ -237,7 +227,7 @@ def cmd_levelset(args) -> int:
         stem = f"levelset_{entry.name}"
     written = []
     for alpha in alphas:
-        text = _levelset_csv(rif, alpha, args.nodes, args.tol)
+        text = _levelset_csv(rif, alpha, args.nodes)
         if args.out and args.out.endswith(".csv") and len(alphas) == 1:
             path = args.out
         else:
@@ -267,12 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("input", help="catalog name or polynomial JSON path")
-        p.add_argument("--nodes", type=int, default=4096,
-                       help="quadrature node count (default 4096)")
-        p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
-                       help="numeric tolerance (default 1e-8)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks")
+            p.add_argument("--nodes", type=int, default=4096,
+                           help="quadrature node count (default 4096)")
         p.add_argument("--out", default=None, help="output file path")
 
     pa = sub.add_parser("analyze", help="Clark measure report for one alpha")
@@ -282,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run invariant suites")
     common(pv)
+    pv.add_argument("--seed", type=int, default=0,
+                    help="seed for randomized checks")
     pv.add_argument("--suite", default=None,
                     help="comma-separated suite names (default: all); "
                          f"available: {', '.join(suite_names())}")

@@ -6,7 +6,9 @@ Conventions used across the package:
 
 * ``UniPoly`` coefficients are ascending, ``coeffs[k]`` multiplies ``z**k``.
 * Complex scalars serialize to JSON as two-element arrays ``[re, im]``.
-* "Unimodular within tol" means ``abs(abs(z) - 1) <= tol``.
+* One tolerance, ``TOL = 1e-8``, bounds root residuals and coefficient
+  identities; callers pass none.  A root is on the circle when
+  ``abs(abs(z) - 1) <= TOL``.
 
 The root finder is a simultaneous Aberth-Ehrlich iteration with a companion
 matrix fallback, certified by backward-stable residuals.  Each sweep
@@ -36,8 +38,9 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 
-# Default residual tolerance used by root certification.
-DEFAULT_TOL = 1e-8
+# Relative bound of root residuals and coefficient identities, and the
+# distance from the circle within which a root counts as on it.
+TOL = 1e-8
 # Two roots closer than this are reported as one root with multiplicity.
 CLUSTER_RADIUS = 1e-6
 # Roots within this band of the unit circle are circle-zero candidates.
@@ -288,7 +291,7 @@ def _eval_scaled(tables: tuple[np.ndarray, np.ndarray], z: np.ndarray):
             np.where(outside, b[:, 1], b[:, 0]))
 
 
-def _aberth(c: np.ndarray, max_iter: int = 600) -> np.ndarray:
+def _aberth(c: np.ndarray) -> np.ndarray:
     """Simultaneous Aberth-Ehrlich iteration on ascending coefficients.
 
     Assumes c[0] != 0 and c[-1] != 0.  Multiple roots converge linearly to a
@@ -311,7 +314,7 @@ def _aberth(c: np.ndarray, max_iter: int = 600) -> np.ndarray:
     floor = 8.0 * _EPS * (n + 1)
     tables = _eval_tables(c)
     active = k
-    for _ in range(max_iter):
+    for _ in range(600):
         za = z[active]
         val, slope, scale = _eval_scaled(tables, za)
         live = ~(np.abs(val) <= floor * scale)
@@ -378,13 +381,12 @@ def _polish_lone(c: np.ndarray, z: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def roots(p, tol: float = DEFAULT_TOL, cluster_radius: float = CLUSTER_RADIUS,
-          max_iter: int = 600) -> list[tuple[complex, int]]:
+def roots(p, cluster_radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]]:
     """All roots of p as (root, multiplicity) pairs, sorted by (re, im).
 
     Roots closer than cluster_radius merge into one entry whose location is
     the cluster centroid.  Every reported root r is certified against the
-    backward-stable residual bound |p(r)| <= max(tol, 1e-10) * sum |c_k||r|^k;
+    backward-stable residual bound |p(r)| <= TOL * sum |c_k||r|^k;
     if the primary iteration cannot certify, a companion-matrix fallback is
     tried, and failure of both raises NumericError.  Non-finite coefficients
     raise DomainError.
@@ -406,7 +408,6 @@ def roots(p, tol: float = DEFAULT_TOL, cluster_radius: float = CLUSTER_RADIUS,
         c = c[k0:]
     if len(c) > 1:
         tables = _eval_tables(c)
-        cap = max(tol, 1e-10)
 
         def _certify(cands):
             cands = _polish_lone(c, np.asarray(cands, dtype=complex), cluster_radius)
@@ -416,25 +417,24 @@ def roots(p, tol: float = DEFAULT_TOL, cluster_radius: float = CLUSTER_RADIUS,
             worst = float(np.max(np.abs(val) / np.maximum(scale, 1e-300)))
             return [(complex(r), len(members)) for r, members in zip(centres, clusters)], worst
 
-        found, worst = _certify(_aberth(c, max_iter))
-        if not worst <= cap:
+        found, worst = _certify(_aberth(c))
+        if not worst <= TOL:
             found, worst = _certify(np.roots(c[::-1]))
-            if not worst <= cap:
+            if not worst <= TOL:
                 raise NumericError("root finding did not converge", residual=worst)
         out.extend(found)
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 
 
-def _roots_if_any(p: UniPoly, tol: float) -> list[tuple[complex, int]]:
-    return roots(p, tol) if p.degree >= 1 else []
+def _roots_if_any(p: UniPoly) -> list[tuple[complex, int]]:
+    return roots(p) if p.degree >= 1 else []
 
 
-def _circle_matches(ra, rb, tol: float) -> list[complex]:
-    """Points on the unit circle (within tol) that appear in both root lists."""
-    band = max(tol, 1e-8)
-    ra = [r for r, _ in ra if abs(abs(r) - 1.0) <= band]
-    rb = [r for r, _ in rb if abs(abs(r) - 1.0) <= band]
+def _circle_matches(ra, rb) -> list[complex]:
+    """Points on the unit circle (within TOL) that appear in both root lists."""
+    ra = [r for r, _ in ra if abs(abs(r) - 1.0) <= TOL]
+    rb = [r for r, _ in rb if abs(abs(r) - 1.0) <= TOL]
     hits = []
     for u in ra:
         for v in rb:
@@ -449,7 +449,7 @@ def _circle_matches(ra, rb, tol: float) -> list[complex]:
     return out
 
 
-def cancel_common_unimodular(num, den, tol: float = DEFAULT_TOL):
+def cancel_common_unimodular(num, den):
     """Deflate every common circle zero out of the pair.
 
     Returns (num_reduced, den_reduced, cancelled_points); repeated common
@@ -462,7 +462,7 @@ def cancel_common_unimodular(num, den, tol: float = DEFAULT_TOL):
     cancelled: list[complex] = []
     # terminates: every pass that finds a common zero lowers both degrees
     while True:
-        common = _circle_matches(_roots_if_any(num, tol), _roots_if_any(den, tol), tol)
+        common = _circle_matches(_roots_if_any(num), _roots_if_any(den))
         if not common:
             break
         for g in common:
@@ -620,9 +620,9 @@ class TrigPoly:
         arr = 0.5 * (arr + np.conj(arr[::-1]))
         return TrigPoly(arr, self.d - 1)
 
-    def circle_zeros(self, tol: float = DEFAULT_TOL) -> list[tuple[complex, int]]:
+    def circle_zeros(self) -> list[tuple[complex, int]]:
         """Certified zeros of t on the unit circle with multiplicities."""
-        circle, _ = _split_circle_roots(self, tol)
+        circle, _ = _split_circle_roots(self)
         return circle
 
     def to_json(self) -> dict:
@@ -655,7 +655,7 @@ def _polish_circle_zero(t: TrigPoly, theta0: float, m: int) -> float | None:
     return th
 
 
-def _split_circle_roots(t: TrigPoly, tol: float):
+def _split_circle_roots(t: TrigPoly):
     """(certified circle zeros, remaining roots) of z**d_eff * t(z).
 
     Near-circle roots are clustered by angle inside CIRCLE_BAND; each cluster
@@ -670,7 +670,7 @@ def _split_circle_roots(t: TrigPoly, tol: float):
     if d_eff == 0 or P.degree < 1:
         return [], []
     flat: list[complex] = []
-    for r, mult in roots(P, tol, cluster_radius=1e-12):
+    for r, mult in roots(P, cluster_radius=1e-12):
         flat.extend([r] * mult)
     near = [r for r in flat if abs(abs(r) - 1.0) <= CIRCLE_BAND]
     far = [r for r in flat if abs(abs(r) - 1.0) > CIRCLE_BAND]
@@ -695,7 +695,7 @@ def _split_circle_roots(t: TrigPoly, tol: float):
     return circle, far
 
 
-def fejer_riesz(t: TrigPoly, tol: float = DEFAULT_TOL) -> UniPoly:
+def fejer_riesz(t: TrigPoly) -> UniPoly:
     """Spectral factor Q with |Q(zeta)|^2 = t(zeta) on the unit circle.
 
     Requires t real and nonnegative on the circle.  Q collects the strictly
@@ -706,11 +706,11 @@ def fejer_riesz(t: TrigPoly, tol: float = DEFAULT_TOL) -> UniPoly:
     if t.is_zero:
         raise DomainError("cannot factor the zero polynomial")
     sc = t.scale()
-    if t.hermitian_defect() > max(tol, 1e-10) * sc:
+    if t.hermitian_defect() > TOL * sc:
         raise DomainError("not real on the circle")
     tv = t.node_values(_CERT_NODES).real
     tmax = max(float(np.abs(tv).max()), 1e-300)
-    if float(tv.min()) < -max(tol, 1e-10) * max(1.0, tmax):
+    if float(tv.min()) < -TOL * max(1.0, tmax):
         raise DomainError("negative on the circle")
     P, d_eff = t.as_poly()
     if d_eff == 0:
@@ -718,7 +718,7 @@ def fejer_riesz(t: TrigPoly, tol: float = DEFAULT_TOL) -> UniPoly:
         if c0 <= 0.0:
             raise DomainError("negative on the circle")
         return UniPoly([math.sqrt(c0)])
-    circle, far = _split_circle_roots(t, tol)
+    circle, far = _split_circle_roots(t)
     for _, m in circle:
         if m % 2:
             raise NumericError("odd-order circle zero in a nonnegative trig polynomial")
@@ -737,7 +737,7 @@ def fejer_riesz(t: TrigPoly, tol: float = DEFAULT_TOL) -> UniPoly:
         raise NumericError("amplitude fit failed")
     q = math.sqrt(amp2) * q0
     resid = float(np.max(np.abs(np.abs(q.node_values(_CERT_NODES)) ** 2 - tv)))
-    if resid > max(tol, 1e-8) * max(1.0, tmax):
+    if resid > TOL * max(1.0, tmax):
         raise NumericError("factorization certificate failed", residual=resid)
     return q
 
@@ -812,16 +812,16 @@ class BlaschkeProduct:
         )
 
 
-def blaschke_from_rational(num, den, tol: float = DEFAULT_TOL) -> BlaschkeProduct:
+def blaschke_from_rational(num, den) -> BlaschkeProduct:
     """Blaschke product representing num/den after circle cancellation.
 
     num/den is a constant multiple of a Blaschke product exactly when den is
     a unimodular multiple c of the degree-m reflection num* of num, m the
     larger degree, with every zero of num in the closed disk.  That identity
-    is certified on the coefficients, max |den - c num*| <= 4 max(tol, 1e-8)
-    max |den|, and then num is root-found once: its zeros inside the disk are
-    the zeros of the product, and a zero on the circle (within max(tol,
-    1e-8)) is a common zero of num and num*, which cancels and leaves the
+    is certified on the coefficients, max |den - c num*| <= 4 TOL max |den|,
+    and then num is root-found once: its zeros inside the disk are the
+    zeros of the product, and a zero on the circle (within TOL) is a
+    common zero of num and num*, which cancels and leaves the
     factor -tau in the constant.  A zero outside the disk, or deg num < m
     (which puts a zero of den at the origin), raises DomainError.
     """
@@ -833,19 +833,18 @@ def blaschke_from_rational(num, den, tol: float = DEFAULT_TOL) -> BlaschkeProduc
     star = num.conj_reflect(m).padded(m + 1)
     dc = den.padded(m + 1)
     j = int(np.argmax(np.abs(dc)))
-    band = max(tol, 1e-8)
     c = dc[j] / star[j] if star[j] != 0 else 0j
-    if not float(np.max(np.abs(dc - c * star))) <= 4 * band * abs(dc[j]):
+    if not float(np.max(np.abs(dc - c * star))) <= 4 * TOL * abs(dc[j]):
         raise DomainError("denominator is not a multiple of the reflected numerator")
-    if abs(abs(c) - 1.0) > 4 * band:
+    if abs(abs(c) - 1.0) > 4 * TOL:
         raise DomainError("quotient constant is not unimodular")
     if num.degree < m:
         raise DomainError("denominator zero inside the closed disk")
     lead = num.coeffs[-1]
     gamma = lead / (c * np.conj(lead))
     zeros: list[complex] = []
-    for r, mult in roots(num, tol):
-        if abs(abs(r) - 1.0) <= band:
+    for r, mult in roots(num):
+        if abs(abs(r) - 1.0) <= TOL:
             gamma *= (-r / abs(r)) ** mult
         elif abs(r) > 1.0:
             raise DomainError("numerator zero outside the closed disk")

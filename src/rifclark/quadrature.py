@@ -14,8 +14,6 @@ modulo N (TrigPoly.node_values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, NumericError
@@ -47,20 +45,6 @@ def circle_integral(f, count: int = 4096) -> complex:
     """
     vals = np.asarray(f(circle_nodes(count)))
     return complex(vals.mean())
-
-
-@dataclass(frozen=True)
-class CircleRule:
-    """A fixed uniform rule; convenient when one node set is reused."""
-
-    count: int = 4096
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return circle_nodes(self.count)
-
-    def integrate(self, f) -> complex:
-        return circle_integral(f, self.count)
 
 
 def poisson2(z, zeta) -> np.ndarray:

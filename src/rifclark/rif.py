@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .polynomials import (
-    DEFAULT_TOL,
     TrigPoly,
     UniPoly,
     cplx_from_json,
@@ -134,15 +133,16 @@ class Rif:
 
     Construct through validate(); the constructor does not re-run the
     stability analysis.  pt1 and pt2 name the reflection parts so that
-    ptilde = pt2 + z2 * pt1 mirrors p = p1 + z2 * p2.
+    ptilde = pt2 + z2 * pt1 mirrors p = p1 + z2 * p2.  t is the boundary
+    polynomial |p1|^2 - |p2|^2 whose circle zeros validate certified as the
+    singularities; everything downstream reads it from here.
     """
 
     p: BiPolyN1
     ptilde: BiPolyN1
     singularities: tuple
     phi_at_origin: complex
-    _saturation: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    t: TrigPoly = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -168,12 +168,6 @@ class Rif:
 
     def to_json(self) -> dict:
         return self.p.to_json()
-
-    def saturated(self, tol: float = DEFAULT_TOL) -> bool:
-        """is_saturated(self, tol), computed once per tolerance."""
-        if tol not in self._saturation:
-            self._saturation[tol] = is_saturated(self, tol)
-        return self._saturation[tol]
 
 
 def _disk_mesh(count: int = 257) -> np.ndarray:
@@ -233,8 +227,7 @@ def _stability_violation(p: BiPolyN1, p1_roots: list) -> str | None:
     return None
 
 
-def _coprime_violation(p: BiPolyN1, pt: BiPolyN1, p1_roots: list,
-                       tol: float) -> str | None:
+def _coprime_violation(p: BiPolyN1, pt: BiPolyN1, p1_roots: list) -> str | None:
     """None if p and ptilde share no factor, else a reason string.
 
     A common factor is either all of p (ptilde a unimodular multiple of p)
@@ -252,7 +245,7 @@ def _coprime_violation(p: BiPolyN1, pt: BiPolyN1, p1_roots: list,
             return "not coprime: the reflection is a scalar multiple of p"
     if p.p1.degree >= 1 and p.p2.degree >= 1 and not p.p2.is_zero:
         r1 = [r for r, _ in p1_roots]
-        r2 = [r for r, _ in roots(p.p2, tol)]
+        r2 = [r for r, _ in roots(p.p2)]
         common = []
         for u in r1:
             for v in r2:
@@ -292,13 +285,12 @@ def _line_derivative(p: BiPolyN1, pt: BiPolyN1, tau: complex, alpha: complex) ->
     return complex((vals[0] + vals[1]) / 2.0)
 
 
-def _detect_singularities(p: BiPolyN1, pt: BiPolyN1, tol: float) -> tuple:
-    t = TrigPoly.modulus_squared(p.p1) - TrigPoly.modulus_squared(p.p2)
+def _detect_singularities(p: BiPolyN1, pt: BiPolyN1, t: TrigPoly) -> tuple:
     if t.is_zero:
         raise DomainError("degenerate: |p1| = |p2| on the whole circle")
     sc = max(p.scale(), 1e-300)
     sings = []
-    for tau, mult in t.circle_zeros(tol):
+    for tau, mult in t.circle_zeros():
         if mult % 2:
             raise NumericError("odd-order boundary contact; t must be nonnegative")
         p2v = p.p2(tau)
@@ -320,32 +312,33 @@ def _detect_singularities(p: BiPolyN1, pt: BiPolyN1, tol: float) -> tuple:
     return tuple(sings)
 
 
-def validate(p: BiPolyN1, tol: float = DEFAULT_TOL) -> Rif:
+def validate(p: BiPolyN1) -> Rif:
     """Check stability and coprimality and assemble the inner function.
 
     Raises DomainError with a reason ("not stable: ..." or "not coprime:
     ...") when p does not define a rational inner function of the supported
     shape.  On success returns a Rif carrying the reflection, the sorted
-    singularity list, and phi(0, 0).
+    singularity list, phi(0, 0) and the boundary polynomial t.
     """
-    p1_roots = roots(p.p1, tol) if p.p1.degree >= 1 else []
+    p1_roots = roots(p.p1) if p.p1.degree >= 1 else []
     reason = _stability_violation(p, p1_roots)
     if reason is not None:
         raise DomainError(reason)
     pt = reflect(p)
-    reason = _coprime_violation(p, pt, p1_roots, tol)
+    reason = _coprime_violation(p, pt, p1_roots)
     if reason is not None:
         raise DomainError(reason)
-    sings = _detect_singularities(p, pt, tol)
+    t = TrigPoly.modulus_squared(p.p1) - TrigPoly.modulus_squared(p.p2)
+    sings = _detect_singularities(p, pt, t)
     phi0 = pt.p1(0.0) / p.p1(0.0)
-    return Rif(p, pt, sings, complex(phi0))
+    return Rif(p, pt, sings, complex(phi0), t)
 
 
-def validation_report(p: BiPolyN1, tol: float = DEFAULT_TOL) -> dict:
+def validation_report(p: BiPolyN1) -> dict:
     """JSON-ready summary of validate(): stability, coprimality, and the
     singularity list, or the failure reason."""
     try:
-        rif = validate(p, tol)
+        rif = validate(p)
     except (DomainError, NumericError) as exc:
         msg = str(exc)
         return {
@@ -378,28 +371,18 @@ def phi_eval(rif: Rif, z) -> complex:
     return complex(rif.ptilde.eval(z1, z2) / den)
 
 
-def is_saturated(rif: Rif, tol: float = DEFAULT_TOL) -> bool:
+def is_saturated(rif: Rif) -> bool:
     """Whether the z2-resultant of p and ptilde has degree exactly 2n with
     every root on the unit circle.
 
-    The resultant of the pencil is p2 * pt2 - p1 * pt1, and on the circle it
-    equals -z1**n (|p1|^2 - |p2|^2), so its roots split into the boundary
-    zeros tau_k (with their even multiplicities) and mirror pairs across the
-    circle.  Requires p to have full bidegree (n, 1).
+    The resultant p2 * pt2 - p1 * pt1 has the coefficients of -z1**n t, t the
+    boundary polynomial, so it has degree 2n exactly when t has band n with
+    a nonnegligible top coefficient, and its circle roots are the boundary
+    zeros tau_k with their multiplicities; the rest come in mirror pairs
+    across the circle.  So the answer is read off rif.t and the singularity
+    list, with no new root-find.
     """
-    n = rif.n
-    if rif.p2.is_zero:
-        raise DomainError("saturation needs z2-degree exactly 1")
-    if max(rif.p1.degree, rif.p2.degree) != n:
-        raise DomainError("saturation needs z1-degree exactly n")
-    res = rif.p2 * rif.pt2 - rif.p1 * rif.pt1
-    if res.is_zero:
-        raise NumericError("resultant vanished identically")
-    sc = res.scale()
-    if res.degree != 2 * n or abs(res.coeffs[-1]) <= 1e-12 * sc:
+    t = rif.t
+    if t.d != rif.n or not abs(t.coeffs[-1]) > 1e-12 * t.scale():
         return False
-    t = TrigPoly(-res.padded(2 * n + 1), n)
-    if t.hermitian_defect() > 1e-9 * sc:
-        raise NumericError("resultant is not circle-symmetric")
-    total = sum(m for _, m in t.circle_zeros(tol))
-    return total == 2 * n
+    return sum(s.mult for s in rif.singularities) == 2 * rif.n

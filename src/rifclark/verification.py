@@ -41,7 +41,7 @@ from .clark import (
     level_set_sample,
 )
 from .errors import DomainError
-from .polynomials import DEFAULT_TOL, TrigPoly, roots
+from .polynomials import TOL, roots
 from .quadrature import circle_nodes, pointmass_probe, poisson2
 from .rif import Rif, phi_eval, reflect
 
@@ -143,12 +143,11 @@ def _torus_grid(n1: int, n2: int):
 class _Ctx:
     """Shared state handed to every suite."""
 
-    def __init__(self, entry: CatalogEntry, seed: int, count: int, tol: float):
+    def __init__(self, entry: CatalogEntry, seed: int, count: int):
         self.entry = entry
         self.rif = entry.build()
         self.seed = seed
         self.count = count
-        self.tol = tol
         self._sweep = None
         self._measures: dict = {}
 
@@ -189,8 +188,7 @@ def _suite_reflect(ctx: _Ctx) -> SuiteResult:
 def _suite_fejer(ctx: _Ctx) -> SuiteResult:
     rif = ctx.rif
     q = compute_Q(rif)
-    t = (TrigPoly.modulus_squared(rif.p1)
-         - TrigPoly.modulus_squared(rif.p2))
+    t = rif.t
     z = circle_nodes(2048)
     resid = np.abs(np.abs(q(z)) ** 2 - np.real(t.eval(z)))
     scale = max(1.0, float(np.max(np.abs(t.eval(z)))))
@@ -210,9 +208,8 @@ def _suite_blaschke(ctx: _Ctx) -> SuiteResult:
         dev = max(dev, abs(abs(b.constant) - 1.0))
         if any(abs(w) >= 1.0 for w in b.zeros):
             zeros_inside = False
-    tol = max(ctx.tol, 1e-10)
-    return SuiteResult("blaschke_modulus", zeros_inside and dev <= tol, dev,
-                       tol, details={"zeros_inside": zeros_inside})
+    return SuiteResult("blaschke_modulus", zeros_inside and dev <= TOL, dev,
+                       TOL, details={"zeros_inside": zeros_inside})
 
 
 def _suite_lambda_match(ctx: _Ctx) -> SuiteResult:
@@ -347,8 +344,7 @@ def _suite_sos_fixture(ctx: _Ctx) -> SuiteResult:
     rif = ctx.rif
     resid = sos_residual(rif, fx.Q, list(fx.R), seed=ctx.seed)
     z = circle_nodes(1024)
-    t = (TrigPoly.modulus_squared(rif.p1)
-         - TrigPoly.modulus_squared(rif.p2))
+    t = rif.t
     qdev = float(np.max(np.abs(np.abs(fx.Q(z)) ** 2 - np.real(t.eval(z)))))
     qscale = max(1.0, float(np.max(np.abs(t.eval(z)))))
     vanish = _sospiece_vanishing(rif, fx.R)
@@ -553,7 +549,7 @@ def suite_names() -> list[str]:
 
 
 def run_suites(entry: CatalogEntry, names=None, seed: int = 0,
-               count: int = 4096, tol: float = DEFAULT_TOL) -> list[SuiteResult]:
+               count: int = 4096) -> list[SuiteResult]:
     if names is None:
         names = suite_names()
     unknown = [n for n in names if n not in _SUITES]
@@ -562,7 +558,7 @@ def run_suites(entry: CatalogEntry, names=None, seed: int = 0,
             f"unknown suite(s) {', '.join(unknown)}; "
             f"available: {', '.join(suite_names())}"
         )
-    ctx = _Ctx(entry, seed, count, tol)
+    ctx = _Ctx(entry, seed, count)
     out = []
     for name in names:
         t0 = time.perf_counter()

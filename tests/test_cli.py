@@ -139,9 +139,13 @@ def test_analyze_rejects_non_finite_alpha(capsys):
 def test_angle_forms_parse_in_floats(capsys):
     for text, want in (("pi/2", math.pi / 2), ("-(1+2)*3/4", -2.25), ("+1", 1.0),
                        ("2*(pi-1)", 2 * (math.pi - 1)), ("pi**2", math.pi ** 2),
-                       ("2**0.5", math.sqrt(2.0)), ("(pi)", math.pi)):
+                       ("2**0.5", math.sqrt(2.0)), ("(pi)", math.pi),
+                       ("1e3", 1000.0), ("pi+1e-4", math.pi + 1e-4)):
         assert cli._eval_angle(text) == want
-    for bad in ("1/0", "(-8)**(1/3)", "2pi", "i", "1e3", "0**-1", "1+"):
+    for text, theta in (("e^{i*(pi+1e-4)}", math.pi + 1e-4), ("exp(i*2.5e-1)", 0.25),
+                        ("e^{i*1E-3}", 1e-3)):
+        assert cli.parse_alpha(text) == complex(math.cos(theta), math.sin(theta))
+    for bad in ("1/0", "(-8)**(1/3)", "2pi", "i", "e", "2*e", "1e", "0**-1", "1+"):
         with pytest.raises(DomainError):
             cli._eval_angle(bad)
     # an exponent tower overflows in float arithmetic at once
@@ -167,12 +171,34 @@ def test_analyze_malformed_json_exit_code(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_tol_must_be_positive_and_finite(capsys):
-    for bad in ("-1", "0", "nan", "inf", "tiny"):
+def test_subcommands_take_only_the_options_they_read(capsys):
+    for argv in (["analyze", "fave", "--alpha=1", "--seed", "3"],
+                 ["analyze", "fave", "--alpha=1", "--tol", "1e-9"],
+                 ["levelset", "fave", "--alphas=1", "--seed", "3"],
+                 ["verify", "fave", "--tol", "1e-9"],
+                 ["catalog", "--nodes", "64"],
+                 ["catalog", "--seed", "3"]):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["analyze", "fave", "--alpha=1", "--tol", bad])
-        assert exc.value.code == 2
-    assert cli.main(["analyze", "fave", "--alpha=1", "--tol", "1e-9"]) == 0
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_analyze_unsaturable_input_is_undetermined(tmp_path, capsys):
+    # the declared n exceeds the degree, or p2 vanishes: the resultant
+    # cannot reach degree 2n, so the extreme status is undetermined
+    cases = {
+        "padded.json": {"n": 2, "p1": {"coeffs": [[2.0, 0.0], [-1.0, 0.0]]},
+                        "p2": {"coeffs": [[-1.0, 0.0]]}},
+        "no_z2.json": {"n": 1, "p1": {"coeffs": [[2.0, 0.0], [-1.0, 0.0]]},
+                       "p2": {"coeffs": [[0.0, 0.0]]}},
+    }
+    for name, obj in cases.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        assert cli.main(["analyze", str(path), "--alpha=1"]) == 0, name
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["extreme"] == "undetermined", name
 
 
 def test_report_rejects_non_finite_values():
@@ -207,7 +233,7 @@ def test_verify_unknown_suite_is_input_error(capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from rifclark.verification import SuiteResult
 
-    def fake(entry, names=None, seed=0, count=4096, tol=1e-8):
+    def fake(entry, names=None, seed=0, count=4096):
         return [SuiteResult("reflect", False, 1.0, 1e-10)]
 
     monkeypatch.setattr(cli, "run_suites", fake)
@@ -217,7 +243,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_numeric_error_exit_code(monkeypatch, capsys):
-    def boom(entry, names=None, seed=0, count=4096, tol=1e-8):
+    def boom(entry, names=None, seed=0, count=4096):
         raise NumericError("synthetic failure", residual=1.0)
 
     monkeypatch.setattr(cli, "run_suites", boom)

@@ -1,0 +1,66 @@
+"""Documented surface: the README's python examples, the doctests of every
+rifclark module, and the signatures of the public callables."""
+
+import doctest
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import rifclark
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = sorted(m.name for m in pkgutil.iter_modules(rifclark.__path__))
+
+
+def _readme_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_has_python_examples():
+    assert len(_readme_blocks()) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(_readme_blocks())))
+def test_readme_python_block_runs(index):
+    exec(compile(_readme_blocks()[index], f"README.md block {index}", "exec"), {})
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    module = importlib.import_module(f"rifclark.{name}")
+    result = doctest.testmod(module, optionflags=doctest.ELLIPSIS)
+    assert result.failed == 0
+
+
+def test_doctests_exist():
+    finder = doctest.DocTestFinder()
+    found = sum(len(t.examples) for name in MODULES
+                for t in finder.find(importlib.import_module(f"rifclark.{name}")))
+    assert found >= 2
+
+
+def _public_callables():
+    """Public functions and methods; a class's own fields are data (the tol
+    of SuiteResult reports a suite's bound), so constructors are left out."""
+    for name in rifclark.__all__:
+        obj = getattr(rifclark, name)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and callable(member):
+                    yield f"{name}.{attr}", member
+        elif callable(obj):
+            yield name, obj
+
+
+def test_public_callables_take_no_tolerance():
+    # one tolerance, polynomials.TOL, serves the whole package
+    for name, obj in _public_callables():
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        assert "tol" not in params and "max_iter" not in params, name

@@ -6,7 +6,6 @@ import pytest
 from rifclark.catalog import get
 from rifclark.errors import DomainError, NumericError
 from rifclark.quadrature import (
-    CircleRule,
     circle_integral,
     circle_nodes,
     h2_boundary_norm,
@@ -35,12 +34,6 @@ def test_circle_integral_geometric_series():
     a = 0.7 - 0.1j
     val = circle_integral(lambda z: 1.0 / (1.0 - a * z), count=256)
     assert abs(val - 1.0) < 1e-13
-
-
-def test_circle_rule_matches_function():
-    rule = CircleRule(512)
-    f = lambda z: z ** 2 + 3.0
-    assert abs(rule.integrate(f) - circle_integral(f, 512)) < 1e-15
 
 
 def test_poisson2_normalization_and_positivity():

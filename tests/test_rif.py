@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from rifclark.catalog import entries, get
 from rifclark.errors import DomainError
@@ -177,6 +178,59 @@ def test_is_saturated_matches_documented():
     for name, flag in (("fave", True), ("amy", True),
                        ("amy-variant", False), ("deg31", True)):
         assert is_saturated(get(name).build()) is flag
+
+
+def _saturated_reference(p: BiPolyN1) -> bool:
+    """numpy only: the z2-resultant p2 * pt2 - p1 * pt1 has degree 2n and
+    every root of it lies within 1e-3 of the circle.
+
+    The band is wider than the scatter of a quadruple contact under
+    numpy.roots (2.2e-4 for amy) and far narrower than the 0.2 that keeps
+    the other roots of the draws below off the circle.
+    """
+    n = p.n
+    p1, p2 = (np.pad(q.coeffs, (0, n + 1 - q.coeffs.size)) for q in (p.p1, p.p2))
+    res = np.convolve(p2, np.conj(p2[::-1])) - np.convolve(p1, np.conj(p1[::-1]))
+    if not abs(res[-1]) > 1e-12 * np.max(np.abs(res)):
+        return False
+    return bool(np.all(np.abs(np.abs(np.roots(res[::-1])) - 1.0) < 1e-3))
+
+
+def _contact_draw(rng, n: int, contacts: int) -> BiPolyN1:
+    """Stable p with |p1|^2 - |p2|^2 = |Q|^2, Q with `contacts` simple zeros
+    on the circle and the rest, like the zeros of p2, inside at modulus
+    0.6 to 0.8; p1 is the outer spectral factor of |p2|^2 + |Q|^2."""
+    def ring(count):
+        k = np.arange(count)
+        angle = 2 * np.pi * (k + rng.uniform(-0.3, 0.3, count)) / max(count, 1)
+        return rng.uniform(0.6, 0.8, count) * np.exp(1j * (angle + 2 * np.pi * rng.uniform()))
+
+    k = np.arange(contacts)
+    taus = np.exp(2j * np.pi * (k + rng.uniform(0.25, 0.75, contacts)) / max(contacts, 1))
+    q = P.polyfromroots(np.concatenate([taus, ring(n - contacts)]))
+    p2 = P.polyfromroots(ring(n))
+    q, p2 = q / np.max(np.abs(q)), 0.8 * p2 / np.max(np.abs(p2))
+    c = np.convolve(p2, np.conj(p2[::-1])) + np.convolve(q, np.conj(q[::-1]))
+    r = np.roots(c[::-1])
+    p1 = P.polyfromroots(r[np.abs(r) > 1.0])
+    z = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    t = np.real(P.polyval(z, c) * z ** (-n))
+    p1 *= np.sqrt(np.median(t / np.abs(P.polyval(z, p1)) ** 2))
+    return _poly(p1, p2, n)
+
+
+def test_is_saturated_matches_numpy_resultant():
+    rng = np.random.default_rng(17)
+    polys = [e.poly for e in entries().values()]
+    for n in range(2, 9):
+        for contacts in sorted({0, 1, n // 2, n}):
+            polys.append(_contact_draw(rng, n, contacts))
+    flags = []
+    for p in polys:
+        want = _saturated_reference(p)
+        assert is_saturated(validate(p)) is want, p
+        flags.append(want)
+    assert 5 <= sum(flags) < len(flags)
 
 
 def test_validation_report_keys():
