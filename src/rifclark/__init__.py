@@ -47,7 +47,6 @@ from .polynomials import (
 from .quadrature import (
     circle_integral,
     circle_nodes,
-    h2_boundary_norm,
     pointmass_probe,
     poisson2,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "fejer_riesz",
     "get",
     "gram_isometry_check",
-    "h2_boundary_norm",
     "integrate",
     "is_saturated",
     "level_set_sample",

@@ -11,9 +11,12 @@ by |Q|^2 = |p1|^2 - |p2|^2 on the circle, a nonnegative trigonometric
 polynomial, so it comes from spectral factorization.  For an exceptional
 alpha matching singularities tau_1..tau_l, the first l members of an
 orthonormal R-family can be written down in closed form from the reduced
-Blaschke pencil; they vanish on the graph part of the level set and are
-supported on the lines, which is what the orthonormality check verifies
-against the Clark measure.  The closed-form list is a partial family
+Blaschke pencil that the Clark measure sigma_alpha keeps; they vanish on
+the graph part of the level set and are supported on the lines, which is
+what the orthonormality check verifies against that measure.  The
+measure-side functions here (exceptional_R, gram_isometry_check,
+orthonormality_check) take the ClarkMeasure and never build one.  The
+closed-form list is a partial family
 (l of n pieces), so it is checked by orthonormality, not by the full
 two-squares identity; complete documented decompositions are checked by
 sos_residual.
@@ -27,8 +30,10 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .polynomials import UniPoly, fejer_riesz
-from .clark import AlphaKind, clark_measure, reduced_pencil
-from .rif import Rif
+from .clark import AlphaKind, ClarkMeasure
+from .rif import Rif, phi_eval
+
+_SOS_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -75,11 +80,12 @@ def compute_Q(rif: Rif) -> UniPoly:
     return fejer_riesz(rif.t)
 
 
-def exceptional_R(rif: Rif, alpha) -> list[SosPiece]:
-    """Closed-form orthonormal R pieces for an exceptional alpha.
+def exceptional_R(cm: ClarkMeasure) -> list[SosPiece]:
+    """Closed-form orthonormal R pieces for the exceptional measure cm.
 
-    With b1 / b2 the reduced pencil (numerator / denominator of B_alpha
-    before normalization) and tau_1..tau_l the matched points,
+    With b1 / b2 = cm.u_red / cm.v_red the reduced pencil (numerator /
+    denominator of B_alpha before normalization) and tau_1..tau_l the
+    matched points,
 
         R_j = d_j * (b2(z1) - z2 * b1(z1)) * prod_{k != j} (z1 - tau_k),
 
@@ -88,7 +94,7 @@ def exceptional_R(rif: Rif, alpha) -> list[SosPiece]:
     share the z2-root lambda_j, so the Hardy norm is that constant's
     modulus and d_j is computed exactly.
     """
-    ac, b1, b2 = reduced_pencil(rif, alpha)
+    rif, ac, b1, b2 = cm.rif, cm.alpha_class, cm.u_red, cm.v_red
     if ac.kind is not AlphaKind.EXCEPTIONAL:
         raise DomainError("alpha is generic; the closed-form R list is empty there")
     matched = [rif.singularities[k] for k in ac.matched]
@@ -116,11 +122,10 @@ def exceptional_R(rif: Rif, alpha) -> list[SosPiece]:
     return out
 
 
-def sos_residual(rif: Rif, Q: UniPoly, R_list, sample_count: int = 200,
-                 seed: int = 0) -> float:
+def sos_residual(rif: Rif, Q: UniPoly, R_list, seed: int = 0) -> float:
     """Largest defect of the two-squares identity on random bidisk pairs.
 
-    Draws sample_count pairs (z, w) from the closed bidisk (one quarter of
+    Draws 200 pairs (z, w) from the closed bidisk (one quarter of
     the coordinates pushed to the boundary circle), evaluates both sides,
     and returns the maximum absolute defect normalized by the largest
     |p(z) conj(p(w))| seen.  A complete decomposition drives this to
@@ -135,8 +140,8 @@ def sos_residual(rif: Rif, Q: UniPoly, R_list, sample_count: int = 200,
         pts = radius * np.exp(1j * angle)
         return pts[:, 0], pts[:, 1]
 
-    z1, z2 = draw(sample_count)
-    w1, w2 = draw(sample_count)
+    z1, z2 = draw(_SOS_SAMPLES)
+    w1, w2 = draw(_SOS_SAMPLES)
     pz = rif.p.eval(z1, z2)
     pw = rif.p.eval(w1, w2)
     ptz = rif.ptilde.eval(z1, z2)
@@ -162,59 +167,47 @@ class GramReport:
     max_abs_deviation: float
 
 
-def gram_isometry_check(rif: Rif, alpha, points, count: int = 4096) -> GramReport:
+def gram_isometry_check(cm: ClarkMeasure, points, count: int = 4096) -> GramReport:
     """Compare Gram matrices of kernel functions under the Clark embedding.
 
     For interior points w_i, the embedding sends the kernel k_{w_i} to
-    (1 - alpha conj(phi(w_i))) C_{w_i} on the level set, with C_w the
+    (1 - alpha conj(phi(w_i))) C_{w_i} on the level set of cm, with C_w the
     two-variable Cauchy kernel.  The measured matrix integrates those
     images pairwise against sigma_alpha; the target is the kernel matrix
     k(w_j, w_i).  Agreement at quadrature accuracy for every alpha is the
     isometry property; for exceptional alpha the embedding is still an
     isometry (the defect shows up in surjectivity, not in these Grams).
     """
-    from .rif import phi_eval
-
-    cm = clark_measure(rif, alpha)
     pts = [(complex(w[0]), complex(w[1])) for w in points]
     for w1, w2 in pts:
         if abs(w1) >= 1.0 or abs(w2) >= 1.0:
             raise DomainError("Gram points must lie in the open bidisk")
-    count_pts = len(pts)
-    phis = np.array([phi_eval(rif, w) for w in pts])
-    target = np.empty((count_pts, count_pts), dtype=complex)
-    for i, wi in enumerate(pts):
-        for j, wj in enumerate(pts):
-            target[i, j] = (1.0 - np.conj(phis[i]) * phis[j]) / (
-                (1.0 - wj[0] * np.conj(wi[0])) * (1.0 - wj[1] * np.conj(wi[1]))
-            )
-    alpha = cm.alpha
-    pref = 1.0 - alpha * np.conj(phis)
+    phis = np.array([phi_eval(cm.rif, w) for w in pts])
+    w = np.array(pts)
+    # conjugated coordinates as columns, so row i belongs to w_i
+    cw1, cw2 = np.conj(w[:, :1]), np.conj(w[:, 1:])
+    target = (1.0 - np.conj(phis)[:, None] * phis) / (
+        (1.0 - cw1 * w[:, 0]) * (1.0 - cw2 * w[:, 1])
+    )
+    pref = 1.0 - cm.alpha * np.conj(phis)
     z, z2c, wvals = cm.node_data(count)
-    cauchy_curve = [
-        1.0 / ((1.0 - np.conj(w1) * z) * (1.0 - np.conj(w2) * z2c)) for w1, w2 in pts
-    ]
-    cauchy_lines = [
-        [
-            1.0 / ((1.0 - np.conj(w1) * tau) * (1.0 - np.conj(w2) * z))
-            for w1, w2 in pts
-        ]
-        for tau, _ in cm.lines
-    ]
-    measured = np.empty_like(target)
-    for i in range(count_pts):
-        for j in range(count_pts):
-            acc = complex(np.mean(cauchy_curve[i] * np.conj(cauchy_curve[j]) * wvals))
-            for (tau, mass), cl in zip(cm.lines, cauchy_lines):
-                acc += mass * complex(np.mean(cl[i] * np.conj(cl[j])))
-            measured[i, j] = pref[i] * np.conj(pref[j]) * acc
+    acc = _weighted_gram(1.0 / ((1.0 - cw1 * z) * (1.0 - cw2 * z2c)), wvals)
+    for tau, mass in cm.lines:
+        acc += mass * _weighted_gram(1.0 / ((1.0 - cw1 * tau) * (1.0 - cw2 * z)))
+    measured = np.outer(pref, np.conj(pref)) * acc
     dev = float(np.max(np.abs(measured - target)))
-    return GramReport(alpha, tuple(pts), target, measured, dev)
+    return GramReport(cm.alpha, tuple(pts), target, measured, dev)
 
 
-def orthonormality_check(rif: Rif, alpha, R_list, count: int = 4096) -> np.ndarray:
-    """Gram matrix of {R_j / p} in L^2(sigma_alpha); identity when the list
-    is orthonormal.
+def _weighted_gram(vals: np.ndarray, weights=1.0) -> np.ndarray:
+    """Mean over the nodes of vals_i conj(vals_j) weights: (V w) V^H / N
+    for the rows V of vals."""
+    return (vals * weights) @ vals.conj().T / vals.shape[1]
+
+
+def orthonormality_check(cm: ClarkMeasure, R_list, count: int = 4096) -> np.ndarray:
+    """Gram matrix of {R_j / p} in L^2(cm); identity when the list is
+    orthonormal.
 
     The line contributions are exact: (R_i / p)(tau_k, .) is the constant
     q_i(tau_k) / p2(tau_k) whenever R_i(tau_k, lambda_k) = 0, which is
@@ -223,18 +216,14 @@ def orthonormality_check(rif: Rif, alpha, R_list, count: int = 4096) -> np.ndarr
     spacing so that curve-line crossing points, which sit at circle zeros
     of p, never coincide with quadrature nodes.
     """
-    cm = clark_measure(rif, alpha)
+    rif = cm.rif
     pieces = list(R_list)
     count = int(count)
     sc = max(rif.p.scale(), 1e-300)
     m = len(pieces)
     gram = np.zeros((m, m), dtype=complex)
-    for tau, mass in cm.lines:
-        k = next(
-            idx
-            for idx in cm.alpha_class.matched
-            if abs(rif.singularities[idx].tau - tau) <= 1e-9
-        )
+    # cm.lines follows the order of the matched singularities
+    for (tau, mass), k in zip(cm.lines, cm.alpha_class.matched):
         lam = rif.singularities[k].lam
         p2t = rif.p2(tau)
         vals = []
@@ -249,14 +238,10 @@ def orthonormality_check(rif: Rif, alpha, R_list, count: int = 4096) -> np.ndarr
         gram += mass * np.outer(v, np.conj(v))
     z = np.exp(2j * np.pi * (np.arange(count) + 0.5) / count)
     z2 = cm.curve_z2(z)
-    wvals = cm.weight_eval(z)
     pv = rif.p.eval(z, z2)
     live = np.abs(pv) > 1e-12 * sc
-    ratios = [
+    ratios = np.array([
         np.where(live, piece.eval(z, z2) / np.where(live, pv, 1.0), 0.0)
         for piece in pieces
-    ]
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] += complex(np.mean(ratios[i] * np.conj(ratios[j]) * wvals))
-    return gram
+    ], dtype=complex).reshape(m, count)
+    return gram + _weighted_gram(ratios, cm.weight_eval(z))

@@ -23,7 +23,11 @@ singular value alpha_k (no lines, B_alpha of full degree n) and exceptional
 otherwise (one line per matched singularity, B_alpha of degree n - l).
 
 Everything here is exact modulo root finding: no quadrature enters the
-construction, only the verification-side integrals.
+construction, only the verification-side integrals.  The measure keeps its
+reduced pencil (u_red, v_red), and the measure-side checks
+(agler.exceptional_R, gram_isometry_check, orthonormality_check and
+level_set_sample) take the measure instead of rebuilding it from
+(rif, alpha).
 
 Those integrals are uniform rules over the curve's node data: the N-th
 roots of unity zeta, conj(B_alpha(zeta)) and W_alpha(zeta).  One in-place
@@ -49,6 +53,7 @@ from .polynomials import (
     TOL,
     BlaschkeProduct,
     TrigPoly,
+    UniPoly,
     blaschke_from_rational,
     cplx_to_json,
 )
@@ -114,23 +119,25 @@ def classify_alpha(rif: Rif, alpha) -> AlphaClass:
 class ClarkMeasure:
     """Closed-form Clark measure: curve part plus line part.
 
-    weight_num / weight_den evaluate to W_alpha on the circle after the
-    matched singular factors have been cancelled, so both are finite there;
-    removable_points records which tau_k were cancelled.  lines holds
-    (tau_k, c_k) pairs.  weight_den is |u_red|^2 for the reduced pencil
-    numerator u_red, whose roots are exactly the zeros a_k of balpha, so on
-    the circle it equals |u_lead|^2 prod |zeta - a_k|^2 with u_lead the
-    leading coefficient of u_red; curve values and weights are computed in
-    that factored form.  Node data for quadrature is cached per node count.
+    The measure keeps the reduced pencil it was built from: u_red and v_red
+    are u = pt1 - alpha p2 and v = alpha p1 - pt2 with every matched tau_k
+    deflated out, so B_alpha = u_red / v_red, and the closed-form Agler
+    pieces of agler.exceptional_R come from the same pair.  lines holds
+    (tau_k, c_k) pairs, one per matched singularity.  W_alpha is
+    weight_num / |u_red|^2 on the circle with the matched singular factors
+    cancelled, so both are finite there.  The roots of u_red are exactly
+    the zeros a_k of balpha, so on the circle |u_red|^2 equals
+    |lead(u_red)|^2 prod |zeta - a_k|^2; curve values and weights are
+    computed in that factored form.  Node data for quadrature is cached per
+    node count.
     """
 
     rif: Rif
     alpha_class: AlphaClass
     balpha: BlaschkeProduct
     weight_num: TrigPoly
-    weight_den: TrigPoly
-    u_lead: complex
-    removable_points: tuple
+    u_red: UniPoly
+    v_red: UniPoly
     lines: tuple
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -138,9 +145,14 @@ class ClarkMeasure:
     def alpha(self) -> complex:
         return self.alpha_class.alpha
 
+    @property
+    def removable_points(self) -> tuple:
+        """The matched tau_k, whose factors were cancelled from the weight."""
+        return tuple(tau for tau, _mass in self.lines)
+
     def _weight(self, num, zero_prod) -> np.ndarray:
         """W_alpha from the weight numerator's values and prod (zeta - a_k)."""
-        den = abs(self.u_lead) ** 2 * (zero_prod.real ** 2 + zero_prod.imag ** 2)
+        den = abs(self.u_red.coeffs[-1]) ** 2 * (zero_prod.real ** 2 + zero_prod.imag ** 2)
         if not (np.min(den) > 0.0 and np.max(den) < math.inf):
             raise NumericError("weight denominator is not positive on the circle")
         return num.real / den
@@ -203,7 +215,10 @@ class ClarkMeasure:
             "alpha": cplx_to_json(self.alpha),
             "kind": self.alpha_class.kind.value,
             "blaschke": self.balpha.to_json(),
-            "weight": {"num": self.weight_num.to_json(), "den": self.weight_den.to_json()},
+            "weight": {
+                "num": self.weight_num.to_json(),
+                "den": TrigPoly.modulus_squared(self.u_red).to_json(),
+            },
             "removable_points": [cplx_to_json(t) for t in self.removable_points],
             "lines": [
                 {"tau": cplx_to_json(t), "mass": float(c)} for t, c in self.lines
@@ -212,35 +227,13 @@ class ClarkMeasure:
         }
 
 
-def reduced_pencil(rif: Rif, alpha):
-    """(alpha_class, u_red, v_red): the pencil u = pt1 - alpha p2,
-    v = alpha p1 - pt2 with every matched tau_k deflated out of both.
-
-    Both vanish at a matched tau_k (simple zeros); a deflation remainder
-    above 1e-6 of the coefficient scale raises NumericError.
-    """
-    ac = classify_alpha(rif, alpha)
-    u = rif.pt1 - ac.alpha * rif.p2
-    v = ac.alpha * rif.p1 - rif.pt2
-    if u.is_zero or v.is_zero:
-        raise DomainError("degenerate pencil at this alpha")
-    sc = max(u.scale(), v.scale(), 1e-300)
-    for k in ac.matched:
-        tau = rif.singularities[k].tau
-        u, ru = u.deflate(tau)
-        v, rv = v.deflate(tau)
-        if max(abs(ru), abs(rv)) > 1e-6 * sc:
-            raise NumericError(
-                "matched singular point is not a common zero of the pencil",
-                residual=max(abs(ru), abs(rv)) / sc,
-            )
-    return ac, u, v
-
-
 def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
     """Construct sigma_alpha exactly from the singularity data.
 
-    B_alpha = u_red / v_red from reduced_pencil; blaschke_from_rational
+    The pencil u = pt1 - alpha p2, v = alpha p1 - pt2 vanishes at each
+    matched tau_k (simple zeros), which is deflated out of both; a
+    deflation remainder above 1e-6 of the coefficient scale raises
+    NumericError.  B_alpha = u_red / v_red; blaschke_from_rational
     certifies v_red = c u_red* on the coefficients, since the pencil is
     deflated on each side on its own.  The factor |zeta - tau_k|^2 of a
     matched singularity cancels once from the weight numerator, the
@@ -248,35 +241,50 @@ def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
     denominator |u|^2.  Line masses come from the stored derivative
     constants, c_k = 1 / |deriv_k|.
     """
-    ac, u_red, v_red = reduced_pencil(rif, alpha)
+    ac = classify_alpha(rif, alpha)
+    u_red = rif.pt1 - ac.alpha * rif.p2
+    v_red = ac.alpha * rif.p1 - rif.pt2
+    if u_red.is_zero or v_red.is_zero:
+        raise DomainError("degenerate pencil at this alpha")
+    sc = max(u_red.scale(), v_red.scale(), 1e-300)
     matched = [rif.singularities[k] for k in ac.matched]
+    for s in matched:
+        u_red, ru = u_red.deflate(s.tau)
+        v_red, rv = v_red.deflate(s.tau)
+        if max(abs(ru), abs(rv)) > 1e-6 * sc:
+            raise NumericError(
+                "matched singular point is not a common zero of the pencil",
+                residual=max(abs(ru), abs(rv)) / sc,
+            )
     balpha = blaschke_from_rational(u_red, v_red)
     expected = rif.n - len(matched)
     if balpha.degree != expected:
-        hint = ""
-        if ac.matched == () and ac.distance_to_exceptional < 1e-3:
-            hint = (
-                "; alpha is within "
-                f"{ac.distance_to_exceptional:.3g} of an exceptional value "
+        # blaschke_from_rational folds a root of u_red within TOL of the
+        # circle into the constant, one degree per root
+        reason = (
+            f"; the reduced pencil numerator has {u_red.degree - balpha.degree} "
+            f"zero(s) within {TOL:g} of the unit circle"
+        )
+        dist = ac.distance_to_exceptional
+        if not ac.matched and dist is not None and dist < 1e-3:
+            reason += (
+                f"; alpha is within {dist:.3g} of an exceptional value "
                 "and the curve data is numerically inseparable from it"
             )
         raise NumericError(
-            f"Blaschke degree {balpha.degree} instead of {expected}{hint}"
+            f"Blaschke degree {balpha.degree} instead of {expected}{reason}"
         )
     wnum = rif.t
     for s in matched:
         wnum = wnum.divide_circle_factor(s.tau)
-    wden = TrigPoly.modulus_squared(u_red)
-    lines = tuple((s.tau, 1.0 / abs(s.deriv)) for s in matched)
     return ClarkMeasure(
         rif=rif,
         alpha_class=ac,
         balpha=balpha,
         weight_num=wnum,
-        weight_den=wden,
-        u_lead=complex(u_red.coeffs[-1]),
-        removable_points=tuple(s.tau for s in matched),
-        lines=lines,
+        u_red=u_red,
+        v_red=v_red,
+        lines=tuple((s.tau, 1.0 / abs(s.deriv)) for s in matched),
     )
 
 
@@ -383,8 +391,9 @@ class LevelSetSample:
     line_abscissae: tuple
 
 
-def level_set_sample(rif: Rif, alpha, n_points: int = 512) -> LevelSetSample:
-    cm = clark_measure(rif, alpha)
+def level_set_sample(cm: ClarkMeasure, n_points: int = 512) -> LevelSetSample:
+    """Sample the level set of cm: the curve at n_points equally spaced
+    theta1, and the abscissa of each line."""
     theta1 = 2.0 * np.pi * np.arange(int(n_points)) / int(n_points)
     z = np.exp(1j * theta1)
     theta2 = np.mod(np.angle(cm.curve_z2(z)), 2.0 * np.pi)

@@ -158,8 +158,8 @@ def cmd_analyze(args) -> int:
     entry = _load_entry(args.input)
     rif = entry.build()
     alpha = parse_alpha(args.alpha)
-    dist = min((abs(alpha - s.alpha) for s in rif.singularities), default=None)
     ac = classify_alpha(rif, alpha)
+    dist = ac.distance_to_exceptional
     if dist is not None and not ac.matched and dist < 1e-4:
         # warn before construction: in this regime the curve data may be
         # numerically inseparable from the exceptional measure
@@ -206,7 +206,7 @@ def _alpha_tag(alpha: complex) -> str:
 
 
 def _levelset_csv(rif, alpha, n_points: int) -> str:
-    sample = level_set_sample(rif, alpha, n_points)
+    sample = level_set_sample(clark_measure(rif, alpha), n_points)
     rows = ["theta1,theta2,branch"]
     for theta1, theta2 in sample.curve:
         rows.append(f"{theta1:.12f},{theta2:.12f},curve")

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
+from .rif import phi_eval
 
 _NODE_CACHE: dict[int, np.ndarray] = {}
 
@@ -67,21 +68,6 @@ def poisson2(z, zeta) -> np.ndarray:
     return k1 * k2
 
 
-def h2_boundary_norm(g, count: int = 4096) -> float:
-    """Hardy-space norm from boundary samples: sqrt(mean |g|^2 on nodes).
-
-    Matches the H^2 norm when g is analytic across the circle.  Sample
-    magnitudes above 1e12 indicate an uncancelled boundary pole, for which
-    the norm is infinite; that raises NumericError rather than returning a
-    huge float.
-    """
-    vals = np.asarray(g(circle_nodes(count)), dtype=complex)
-    peak = float(np.abs(vals).max())
-    if not np.isfinite(peak) or peak > 1e12:
-        raise NumericError("boundary samples blow up; uncancelled pole on the circle")
-    return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
-
-
 def pointmass_probe(rif, alpha, direction, radii=(0.9, 0.99, 0.999, 0.9999)) -> list[float]:
     """Radial point-mass detector along a torus direction.
 
@@ -93,8 +79,6 @@ def pointmass_probe(rif, alpha, direction, radii=(0.9, 0.99, 0.999, 0.9999)) -> 
     instead decays like 1 - r, since Clark measures of nonconstant inner
     functions carry no atoms.
     """
-    from .rif import phi_eval
-
     a = complex(alpha)
     if abs(abs(a) - 1.0) > 1e-6:
         raise DomainError("alpha must be unimodular")

@@ -170,10 +170,11 @@ class Rif:
         return self.p.to_json()
 
 
-def _disk_mesh(count: int = 257) -> np.ndarray:
-    """Deterministic low-discrepancy mesh of the open unit disk."""
-    i = np.arange(count)
-    r = np.sqrt((i + 0.5) / count)
+def _disk_mesh() -> np.ndarray:
+    """Deterministic low-discrepancy mesh of 257 points in the open unit
+    disk."""
+    i = np.arange(257)
+    r = np.sqrt((i + 0.5) / 257)
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     theta = 2.0 * np.pi * i / golden
     return r * np.exp(1j * theta)

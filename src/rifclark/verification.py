@@ -87,18 +87,18 @@ def _zero_distance(rif: Rif, alpha: complex) -> float:
     return 1.0 - max(abs(r) for r, _m in rr)
 
 
-def alpha_sweep(rif: Rif, total: int = SWEEP_SIZE, seed: int = 0,
-                min_distance: float = SWEEP_MIN_DISTANCE) -> list[complex]:
-    """All exceptional values plus random well-conditioned generic ones.
+def alpha_sweep(rif: Rif, seed: int = 0) -> list[complex]:
+    """SWEEP_SIZE alphas: all exceptional values plus random
+    well-conditioned generic ones.
 
     Generic draws are rejected while the nearest zero of B_alpha sits
-    within min_distance of the circle; when qualifying angles are too rare
-    the fallback scans a fixed half-offset grid and keeps the best.
+    within SWEEP_MIN_DISTANCE of the circle; when qualifying angles are too
+    rare the fallback scans a fixed half-offset grid and keeps the best.
     """
     exc = _distinct_exceptional(rif)
-    need = total - len(exc)
+    need = SWEEP_SIZE - len(exc)
     if need <= 0:
-        return exc[:total]
+        return exc[:SWEEP_SIZE]
     rng = np.random.default_rng([seed, 0x5eed])
     picked: list[complex] = []
     attempts = 0
@@ -107,7 +107,7 @@ def alpha_sweep(rif: Rif, total: int = SWEEP_SIZE, seed: int = 0,
         a = complex(np.exp(2j * np.pi * rng.uniform()))
         if any(abs(a - b) <= 1e-6 for b in exc + picked):
             continue
-        if _zero_distance(rif, a) >= min_distance:
+        if _zero_distance(rif, a) >= SWEEP_MIN_DISTANCE:
             picked.append(a)
     if len(picked) < need:
         grid = np.exp(2j * np.pi * (np.arange(192) + 0.5) / 192)
@@ -124,12 +124,13 @@ def alpha_sweep(rif: Rif, total: int = SWEEP_SIZE, seed: int = 0,
     return exc + picked
 
 
-def _interior_points(rng, count: int, radius: float = POINT_RADIUS):
+def _interior_points(rng, count: int):
+    r = POINT_RADIUS
     pts = []
     while len(pts) < count:
-        z1 = rng.uniform(-radius, radius) + 1j * rng.uniform(-radius, radius)
-        z2 = rng.uniform(-radius, radius) + 1j * rng.uniform(-radius, radius)
-        if abs(z1) < radius and abs(z2) < radius:
+        z1 = rng.uniform(-r, r) + 1j * rng.uniform(-r, r)
+        z2 = rng.uniform(-r, r) + 1j * rng.uniform(-r, r)
+        if abs(z1) < r and abs(z2) < r:
             pts.append((complex(z1), complex(z2)))
     return pts
 
@@ -225,11 +226,9 @@ def _suite_lambda_match(ctx: _Ctx) -> SuiteResult:
 
 def _suite_support(ctx: _Ctx) -> SuiteResult:
     rif = ctx.rif
-    z = circle_nodes(ctx.count)
     dev = 0.0
     for a in ctx.sweep():
-        cm = ctx.measure(a)
-        z2 = cm.curve_z2(z)
+        z, z2, _w = ctx.measure(a).node_data(ctx.count)
         num = rif.ptilde.eval(z, z2) - a * rif.p.eval(z, z2)
         scale = max(1.0, float(np.max(np.abs(rif.p.eval(z, z2)))))
         dev = max(dev, float(np.max(np.abs(num))) / scale)
@@ -279,7 +278,7 @@ def _suite_gram(ctx: _Ctx) -> SuiteResult:
     pts = _interior_points(ctx.rng(2), 5)
     dev = 0.0
     for a in ctx.sweep():
-        rep = gram_isometry_check(ctx.rif, a, pts, count=ctx.count)
+        rep = gram_isometry_check(ctx.measure(a), pts, count=ctx.count)
         dev = max(dev, rep.max_abs_deviation)
     tol = 1e-7
     return SuiteResult("gram", dev <= tol, dev, tol,
@@ -366,8 +365,9 @@ def _suite_ortho(ctx: _Ctx) -> SuiteResult:
     dev = 0.0
     vanish = 0.0
     for a in exc:
-        pieces = exceptional_R(rif, a)
-        gram = orthonormality_check(rif, a, pieces, count=ctx.count)
+        cm = ctx.measure(a)
+        pieces = exceptional_R(cm)
+        gram = orthonormality_check(cm, pieces, count=ctx.count)
         dev = max(dev, float(np.max(np.abs(gram - np.eye(len(pieces))))))
         vanish = max(vanish, _sospiece_vanishing(rif, pieces))
     tol = 1e-7
@@ -456,7 +456,7 @@ def _suite_levelset(ctx: _Ctx) -> SuiteResult:
     dev = 0.0
     lines_ok = True
     for a in chosen:
-        sample = level_set_sample(rif, a, n_points=256)
+        sample = level_set_sample(ctx.measure(a), n_points=256)
         z1 = np.exp(1j * sample.curve[:, 0])
         z2 = np.exp(1j * sample.curve[:, 1])
         num = np.abs(rif.ptilde.eval(z1, z2) - a * rif.p.eval(z1, z2))

@@ -140,8 +140,9 @@ def test_criterion_7_agler_fixtures():
             if any(abs(s.alpha - a) < 1e-9 for a in seen):
                 continue
             seen.append(s.alpha)
-            pieces = exceptional_R(rif, s.alpha)
-            gram = orthonormality_check(rif, s.alpha, pieces)
+            cm = clark_measure(rif, s.alpha)
+            pieces = exceptional_R(cm)
+            gram = orthonormality_check(cm, pieces)
             ortho_dev = max(ortho_dev, float(np.max(np.abs(
                 gram - np.eye(len(pieces))))))
     ok = fixture_dev < 1e-10 and q_dev < 1e-8 and ortho_dev < 1e-7

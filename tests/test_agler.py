@@ -14,10 +14,11 @@ from rifclark.agler import (
     sos_residual,
 )
 from rifclark.catalog import get
+from rifclark.clark import clark_measure
 from rifclark.errors import DomainError
 from rifclark.polynomials import TrigPoly, UniPoly
 from rifclark.quadrature import circle_nodes
-from rifclark.rif import BiPolyN1, validate
+from rifclark.rif import BiPolyN1, phi_eval, validate
 
 RNG = np.random.default_rng(404)
 SQ2 = math.sqrt(2.0)
@@ -63,12 +64,12 @@ def test_sos_residual_detects_wrong_pieces():
 def test_exceptional_r_requires_exceptional_alpha():
     rif = get("amy").build()
     with pytest.raises(DomainError):
-        exceptional_R(rif, complex(np.exp(0.3j)))
+        exceptional_R(clark_measure(rif, complex(np.exp(0.3j))))
 
 
 def test_exceptional_r_fave_closed_form():
     rif = get("fave").build()
-    (piece,) = exceptional_R(rif, -1.0)
+    (piece,) = exceptional_R(clark_measure(rif, -1.0))
     # sqrt(2) * (1 - z2) up to unimodular scaling
     z1 = 0.3 + 0.1j
     ratio = piece.eval(z1, 0.25j) / (SQ2 * (1 - 0.25j))
@@ -80,7 +81,7 @@ def test_exceptional_r_fave_closed_form():
 
 def test_exceptional_r_amy_closed_form():
     rif = get("amy").build()
-    (piece,) = exceptional_R(rif, -1.0)
+    (piece,) = exceptional_R(clark_measure(rif, -1.0))
     # 2 sqrt(2) (1 - z1 z2) up to unimodular scaling
     ref = lambda z1, z2: 2 * SQ2 * (1 - z1 * z2)
     ratio = piece.eval(0.2, 0.3) / ref(0.2, 0.3)
@@ -94,7 +95,7 @@ def test_exceptional_r_vanishes_at_singular_points():
                          ("deg31", (-1.0, 1.0))):
         rif = get(name).build()
         for a in alphas:
-            for piece in exceptional_R(rif, a):
+            for piece in exceptional_R(clark_measure(rif, a)):
                 for s in rif.singularities:
                     assert abs(piece.eval(s.tau, s.lam)) < 1e-10
 
@@ -104,8 +105,9 @@ def test_orthonormality_single_piece():
                          ("amy-variant", (-1.0,)), ("deg31", (-1.0, 1.0))):
         rif = get(name).build()
         for a in alphas:
-            pieces = exceptional_R(rif, a)
-            gram = orthonormality_check(rif, a, pieces)
+            cm = clark_measure(rif, a)
+            pieces = exceptional_R(cm)
+            gram = orthonormality_check(cm, pieces)
             dev = np.max(np.abs(gram - np.eye(len(pieces))))
             assert dev < 1e-7, (name, a, dev)
 
@@ -118,9 +120,10 @@ def test_orthonormality_two_lines_same_alpha():
     alphas = {complex(round(s.alpha.real, 9)) for s in rif.singularities}
     assert len(alphas) == 1
     a = rif.singularities[0].alpha
-    pieces = exceptional_R(rif, a)
+    cm = clark_measure(rif, a)
+    pieces = exceptional_R(cm)
     assert len(pieces) == 2
-    gram = orthonormality_check(rif, a, pieces)
+    gram = orthonormality_check(cm, pieces)
     assert np.max(np.abs(gram - np.eye(2))) < 1e-7
 
 
@@ -128,16 +131,56 @@ def test_gram_isometry_generic_and_exceptional():
     rif = get("amy").build()
     pts = [(0.2 + 0.1j, -0.3j), (0.0j, 0.4), (-0.25, 0.1 + 0.2j)]
     for alpha in (complex(np.exp(0.6j)), -1.0 + 0.0j):
-        rep = gram_isometry_check(rif, alpha, pts)
+        rep = gram_isometry_check(clark_measure(rif, alpha), pts)
         assert rep.max_abs_deviation < 1e-8
         g = np.array(rep.measured)
         assert np.max(np.abs(g - g.conj().T)) < 1e-12
 
 
+def test_weighted_products_match_loop_reference():
+    # the weighted products sum in another order than the per-pair node
+    # means they replaced; both stay within N eps of each other at N nodes
+    count = 1024
+    bound = count * np.finfo(float).eps
+    rif = get("deg31").build()
+    pts = [(0.2 + 0.1j, -0.3j), (0.0j, 0.4), (-0.25, 0.1 + 0.2j)]
+    for alpha in (complex(np.exp(0.6j)), -1.0 + 0.0j):
+        cm = clark_measure(rif, alpha)
+        rep = gram_isometry_check(cm, pts, count=count)
+        z, z2, w = cm.node_data(count)
+
+        def image(p, u, v):
+            pref = 1.0 - cm.alpha * np.conj(phi_eval(rif, p))
+            return pref / ((1.0 - np.conj(p[0]) * u) * (1.0 - np.conj(p[1]) * v))
+
+        for i, p_i in enumerate(pts):
+            for j, p_j in enumerate(pts):
+                want = np.mean(image(p_i, z, z2) * np.conj(image(p_j, z, z2)) * w)
+                for tau, mass in cm.lines:
+                    want += mass * np.mean(image(p_i, tau, z) * np.conj(image(p_j, tau, z)))
+                assert abs(rep.measured[i, j] - want) <= bound * max(1.0, abs(want))
+    # two lines at one exceptional value, two pieces
+    rif = validate(BiPolyN1(UniPoly([2.0, 0.0, -1.0]), UniPoly([-1.0]), 2))
+    cm = clark_measure(rif, rif.singularities[0].alpha)
+    pieces = exceptional_R(cm)
+    gram = orthonormality_check(cm, pieces, count=count)
+    z = np.exp(2j * np.pi * (np.arange(count) + 0.5) / count)
+    z2 = cm.curve_z2(z)
+    w = cm.weight_eval(z)
+    ratios = [piece.eval(z, z2) / rif.p.eval(z, z2) for piece in pieces]
+    for i, ri in enumerate(pieces):
+        for j, rj in enumerate(pieces):
+            want = np.mean(ratios[i] * np.conj(ratios[j]) * w)
+            for tau, mass in cm.lines:
+                p2t = rif.p2(tau)
+                want += mass * ri.q(tau) / p2t * np.conj(rj.q(tau) / p2t)
+            assert abs(gram[i, j] - want) <= bound * max(1.0, abs(want))
+
+
 def test_gram_isometry_rejects_boundary_point():
     rif = get("fave").build()
     with pytest.raises(DomainError):
-        gram_isometry_check(rif, 1.0, [(1.0 + 0.0j, 0.0j)])
+        gram_isometry_check(clark_measure(rif, 1.0), [(1.0 + 0.0j, 0.0j)])
 
 
 def test_sos_residual_normalized_and_seeded():

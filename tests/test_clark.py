@@ -16,8 +16,8 @@ from rifclark.clark import (
     integrate,
     level_set_sample,
 )
-from rifclark.errors import DomainError
-from rifclark.polynomials import UniPoly
+from rifclark.errors import DomainError, NumericError
+from rifclark.polynomials import TOL, TrigPoly, UniPoly
 from rifclark.quadrature import circle_nodes, poisson2
 from rifclark.rif import BiPolyN1, phi_eval, validate
 
@@ -160,9 +160,10 @@ def test_factored_weight_denominator_matches_trigpoly():
     z = np.exp(2j * np.pi * (np.arange(777) + 0.3) / 777)
     for name, cm in _measure_cases(near_exceptional=True):
         zero_prod, _ = cm.balpha.factors(z)
-        factored = abs(cm.u_lead) ** 2 * np.abs(zero_prod) ** 2
-        want = cm.weight_den.eval(z).real
-        assert np.max(np.abs(factored - want)) <= 1e-12 * cm.weight_den.scale(), name
+        factored = abs(cm.u_red.coeffs[-1]) ** 2 * np.abs(zero_prod) ** 2
+        den = TrigPoly.modulus_squared(cm.u_red)
+        want = den.eval(z).real
+        assert np.max(np.abs(factored - want)) <= 1e-12 * den.scale(), name
 
 
 def test_adaptive_integrate_reuses_old_nodes(monkeypatch):
@@ -263,7 +264,7 @@ def test_classify_extreme_is_not_stale_across_objects():
 def test_level_set_sample_satisfies_equation():
     rif = get("deg31").build()
     for alpha in (1.0 + 0.0j, complex(np.exp(0.5j))):
-        s = level_set_sample(rif, alpha, n_points=128)
+        s = level_set_sample(clark_measure(rif, alpha), n_points=128)
         z1 = np.exp(1j * s.curve[:, 0])
         z2 = np.exp(1j * s.curve[:, 1])
         num = np.abs(rif.ptilde.eval(z1, z2) - alpha * rif.p.eval(z1, z2))
@@ -272,10 +273,10 @@ def test_level_set_sample_satisfies_equation():
 
 def test_level_set_lines_match_exceptional():
     rif = get("deg31").build()
-    s_exc = level_set_sample(rif, 1.0)
+    s_exc = level_set_sample(clark_measure(rif, 1.0))
     assert len(s_exc.line_abscissae) == 1
     assert abs(s_exc.line_abscissae[0] - np.pi) < 1e-10
-    s_gen = level_set_sample(rif, complex(np.exp(0.5j)))
+    s_gen = level_set_sample(clark_measure(rif, complex(np.exp(0.5j))))
     assert s_gen.line_abscissae == ()
 
 
@@ -296,3 +297,15 @@ def test_near_exceptional_is_still_generic():
     ac = classify_alpha(rif, a)
     assert ac.kind is AlphaKind.GENERIC
     assert ac.distance_to_exceptional < 2e-5
+
+
+@pytest.mark.parametrize("name, d, hint", [("amy", 1e-2, False), ("fave", 1e-4, True)])
+def test_refused_generic_alpha_names_the_cause(name, d, hint):
+    # a zero of the reduced pencil numerator within TOL of the circle folds
+    # into the Blaschke constant and costs one degree; amy at d = 0.01 lies
+    # outside the near-exceptional hint's 1e-3 band
+    with pytest.raises(NumericError) as info:
+        clark_measure(get(name).build(), complex(-np.exp(1j * d)))
+    msg = str(info.value)
+    assert f"has 1 zero(s) within {TOL:g} of the unit circle" in msg
+    assert ("of an exceptional value" in msg) is hint

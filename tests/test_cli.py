@@ -287,12 +287,12 @@ def test_levelset_curve_closes_continuously():
     # the curve branch is smooth: refining the sampling shrinks the
     # largest jump between neighbors (amy at alpha = i has a steep but
     # continuous branch, slope about 30)
-    from rifclark.clark import level_set_sample
+    from rifclark.clark import clark_measure, level_set_sample
     from rifclark.catalog import get
-    rif = get("amy").build()
+    cm = clark_measure(get("amy").build(), 1j)
     gaps = {}
     for n in (256, 1024):
-        s = level_set_sample(rif, 1j, n_points=n)
+        s = level_set_sample(cm, n_points=n)
         t2 = s.curve[:, 1]
         step = np.abs(np.exp(1j * t2[1:]) - np.exp(1j * t2[:-1]))
         gaps[n] = np.max(step)

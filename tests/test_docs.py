@@ -1,16 +1,19 @@
-"""Documented surface: the README's python examples, the doctests of every
-rifclark module, and the signatures of the public callables."""
+"""Documented surface: the README's python and command-line examples, the
+doctests of every rifclark module, and the signatures of the public
+callables."""
 
 import doctest
 import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import rifclark
+from rifclark import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rifclark.__path__))
@@ -27,6 +30,22 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("index", range(len(_readme_blocks())))
 def test_readme_python_block_runs(index):
     exec(compile(_readme_blocks()[index], f"README.md block {index}", "exec"), {})
+
+
+def _readme_commands() -> list[str]:
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("rifclark ")]
+
+
+def test_readme_has_command_examples():
+    assert len(_readme_commands()) >= 7
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", MODULES)

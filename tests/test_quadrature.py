@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from rifclark.catalog import get
-from rifclark.errors import DomainError, NumericError
+from rifclark.errors import DomainError
 from rifclark.quadrature import (
     circle_integral,
     circle_nodes,
-    h2_boundary_norm,
     pointmass_probe,
     poisson2,
 )
@@ -50,17 +49,6 @@ def test_poisson2_normalization_and_positivity():
 def test_poisson2_rejects_boundary_point():
     with pytest.raises(DomainError):
         poisson2((1.0 + 0.0j, 0.0j), (1.0 + 0.0j, 1.0 + 0.0j))
-
-
-def test_h2_boundary_norm_finite_for_bounded():
-    val = h2_boundary_norm(lambda z: 1.0 / (1.0 - 0.5 * z))
-    want = (1.0 / (1.0 - 0.25)) ** 0.5
-    assert abs(val - want) < 1e-10
-
-
-def test_h2_boundary_norm_flags_uncancelled_pole():
-    with pytest.raises(NumericError):
-        h2_boundary_norm(lambda z: 1.0 / (z - 1.0 - 1e-17))
 
 
 def test_pointmass_probe_decays_like_one_minus_r():

@@ -1,9 +1,12 @@
 """Suite engine: sweep construction, registry, determinism."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from rifclark.catalog import get
+from rifclark import agler, clark, verification
+from rifclark.catalog import get, names
 from rifclark.errors import DomainError
 from rifclark.polynomials import roots
 from rifclark.verification import (
@@ -93,3 +96,21 @@ def test_weakstar_runs_trend_for_degree_one():
     assert res.passed
     trend = res.details.get("trend")
     assert trend is not None and trend[0] > trend[-1]
+
+
+@pytest.mark.parametrize("name", names())
+def test_run_suites_builds_one_measure_per_alpha(name, monkeypatch):
+    # every measure-side check reads the measure the suites share
+    built = clark.clark_measure
+    calls = Counter()
+
+    def counted(rif, alpha):
+        calls[complex(alpha)] += 1
+        return built(rif, alpha)
+
+    for module in (clark, agler, verification):
+        monkeypatch.setattr(module, "clark_measure", counted, raising=False)
+    results = run_suites(get(name), seed=5)
+    assert all(r.passed for r in results)
+    assert len(calls) >= verification.SWEEP_SIZE
+    assert set(calls.values()) == {1}, calls.most_common(3)
