@@ -92,7 +92,9 @@ def exceptional_R(cm: ClarkMeasure) -> list[SosPiece]:
     where d_j > 0 makes c_j * ||(R_j / p)(tau_j, .)||^2 = 1.  The trace of
     R_j / p on its own line is constant because numerator and denominator
     share the z2-root lambda_j, so the Hardy norm is that constant's
-    modulus and d_j is computed exactly.
+    modulus and d_j is computed exactly.  Constancy is checked by comparing
+    the trace's values at z2 = 0 and z2 = infinity, which fix a ratio of
+    two polynomials of degree one in z2.
     """
     rif, ac, b1, b2 = cm.rif, cm.alpha_class, cm.u_red, cm.v_red
     if ac.kind is not AlphaKind.EXCEPTIONAL:
@@ -108,13 +110,11 @@ def exceptional_R(cm: ClarkMeasure) -> list[SosPiece]:
         p2t = rif.p2(s.tau)
         if abs(b1t) <= 1e-10 * sc or abs(p2t) <= 1e-10 * max(rif.p.scale(), 1e-300):
             raise NumericError("degenerate pencil value on a matched line")
-        # (R_j0 / p)(tau_j, z2) is the constant -b1(tau_j) extra(tau_j) / p2(tau_j)
-        trace = -b1t * extra(s.tau) / p2t
-        # cross-check constancy at one off-root point
-        z2_probe = -0.5 if abs(s.lam + 0.5) > 0.2 else 0.5j
-        num = (b2(s.tau) - z2_probe * b1t) * extra(s.tau)
-        den = rif.p.eval(s.tau, z2_probe)
-        if abs(num / den - trace) > 1e-8 * max(1.0, abs(trace)):
+        # values at z2 = infinity and z2 = 0; |p1(tau_j)| = |p2(tau_j)|, so
+        # the guard on p2 covers both ends
+        ex = extra(s.tau)
+        trace = -b1t * ex / p2t
+        if abs(b2(s.tau) * ex / rif.p1(s.tau) - trace) > 1e-8 * max(1.0, abs(trace)):
             raise NumericError("line trace of R/p is not constant")
         c_j = 1.0 / abs(s.deriv)
         d_j = 1.0 / (np.sqrt(c_j) * abs(trace))

@@ -2,8 +2,8 @@
 
 Output is byte-deterministic for fixed input, flags, and seed: JSON is
 emitted with sorted keys and repr-exact floats, CSV rows in a fixed order.
-Exit codes: 0 ok, 2 input or validation error, 3 numeric error, 4 suite
-failure.
+Exit codes: 0 ok, 2 input or validation error (a file that cannot be read
+or written included), 3 numeric error, 4 suite failure.
 """
 
 from __future__ import annotations
@@ -293,7 +293,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
+        # an unreadable input path or an unwritable --out is an input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -700,8 +700,10 @@ def fejer_riesz(t: TrigPoly) -> UniPoly:
 
     Requires t real and nonnegative on the circle.  Q collects the strictly
     inside roots of z**d * t(z) plus half of each (necessarily even-order)
-    circle zero; the leading coefficient is normalized positive real.  The
-    factorization is certified against t on a node grid before returning.
+    circle zero; the leading coefficient is normalized positive real, its
+    square fixed by Parseval's identity (the mean of |Q|^2 on the circle is
+    t's constant coefficient).  The factorization is certified against t
+    on a node grid before returning.
     """
     if t.is_zero:
         raise DomainError("cannot factor the zero polynomial")
@@ -730,11 +732,11 @@ def fejer_riesz(t: TrigPoly) -> UniPoly:
     for tau, m in circle:
         q_roots.extend([tau] * (m // 2))
     q0 = UniPoly.from_roots(q_roots, 1.0)
-    q2 = np.abs(q0.node_values(_CERT_NODES)) ** 2
-    mask = q2 >= 1e-8 * float(q2.max())
-    amp2 = float(np.median(tv[mask] / q2[mask]))
+    # Parseval: the mean of |Q|^2 on the circle is both t's constant
+    # coefficient and amp2 times the sum of |q0_k|^2
+    amp2 = float(t.coeffs[t.d].real) / float(np.sum(np.abs(q0.coeffs) ** 2))
     if not amp2 > 0.0:
-        raise NumericError("amplitude fit failed")
+        raise NumericError("spectral factor amplitude is not positive")
     q = math.sqrt(amp2) * q0
     resid = float(np.max(np.abs(np.abs(q.node_values(_CERT_NODES)) ** 2 - tv)))
     if resid > TOL * max(1.0, tmax):

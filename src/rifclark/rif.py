@@ -170,25 +170,19 @@ class Rif:
         return self.p.to_json()
 
 
-def _disk_mesh() -> np.ndarray:
-    """Deterministic low-discrepancy mesh of 257 points in the open unit
-    disk."""
-    i = np.arange(257)
-    r = np.sqrt((i + 0.5) / 257)
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    theta = 2.0 * np.pi * i / golden
-    return r * np.exp(1j * theta)
-
-
 def _stability_violation(p: BiPolyN1, p1_roots: list) -> str | None:
     """None if stable, else a short reason string; p1_roots are the roots
     of p1 (empty when p1 is constant).
 
-    Checks, in order: p1 zero free off the circle (zeros of p1 inside the
-    disk are zeros of p at z2 = 0), no unimodular proportionality p1 = c p2
-    (which would put a whole zero line on a face or inside), and the z2-root
-    w = -p1/p2 staying outside the open disk on an interior mesh and a
-    circle sample.
+    Checks, in order: p1 zero free on the closed disk (zeros of p1 inside
+    the disk are zeros of p at z2 = 0, and a zero on the circle is a zero on
+    a distinguished face, or a factor p shares with its reflection when p2
+    vanishes there too), no unimodular proportionality p1 = c p2 (which
+    would put a whole zero line on a face or inside), and |p2 / p1| <= 1 on
+    a circle sample.  Once p1 has no zero on the closed disk, p2 / p1 is
+    analytic there and by the maximum modulus principle takes its largest
+    modulus on the circle, so the circle sample bounds it on the whole disk:
+    the z2-root w = -p1 / p2 stays outside the open disk.
     """
     p1, p2 = p.p1, p.p2
     sc = max(p.scale(), 1e-300)
@@ -199,9 +193,10 @@ def _stability_violation(p: BiPolyN1, p1_roots: list) -> str | None:
     for r, _ in p1_roots:
         if abs(r) < 1.0 - 1e-9:
             return "not stable: zero inside the disk at z2 = 0"
+        # 5e-7 also catches a factor shared just outside the circle
+        if abs(abs(r) - 1.0) <= 5e-7 and abs(p2(r)) <= 1e-8 * sc:
+            return "not coprime: simultaneous circle zero of p1 and p2"
         if abs(abs(r) - 1.0) <= 1e-9:
-            if abs(p2(r)) <= 1e-8 * sc:
-                return "not coprime: simultaneous circle zero of p1 and p2"
             return "not stable: zero on a distinguished face"
     if not p2.is_zero and p1.degree == p2.degree:
         j = int(np.argmax(np.abs(p2.coeffs)))
@@ -212,9 +207,12 @@ def _stability_violation(p: BiPolyN1, p1_roots: list) -> str | None:
                 return "not stable: z2-root is constant on the closed disk"
     if p2.is_zero:
         return None
-    samples = np.concatenate(
-        [_disk_mesh(), np.exp(2j * np.pi * (np.arange(512) + 0.5) / 512)]
-    )
+    # a zero of p1 just outside the circle makes |p2 / p1| peak narrower
+    # than the node spacing, at the circle point nearest that zero
+    samples = np.concatenate([
+        np.exp(2j * np.pi * (np.arange(512) + 0.5) / 512),
+        [r / abs(r) for r, _ in p1_roots],
+    ])
     p1v = p1(samples)
     p2v = p2(samples)
     tiny = 1e-13 * sc
@@ -228,12 +226,15 @@ def _stability_violation(p: BiPolyN1, p1_roots: list) -> str | None:
     return None
 
 
-def _coprime_violation(p: BiPolyN1, pt: BiPolyN1, p1_roots: list) -> str | None:
+def _coprime_violation(p: BiPolyN1, pt: BiPolyN1) -> str | None:
     """None if p and ptilde share no factor, else a reason string.
 
-    A common factor is either all of p (ptilde a unimodular multiple of p)
-    or a z1-only factor, which requires a common zero set of p1 and p2 that
-    is closed under reflection through the circle.
+    With p stable, the only common factor possible is all of p, which makes
+    ptilde a unimodular multiple of p.  A factor in z1 alone would divide p1
+    and p2, and through the reflection their reflections too, so its zeros
+    would be closed under z -> 1 / conj(z); with p1 zero free on the open
+    disk they would lie on the circle, where _stability_violation already
+    refuses every zero that p1 shares with p2.
     """
     width = p.n + 1
     a = np.concatenate([p.p1.padded(width), p.p2.padded(width)])
@@ -244,18 +245,6 @@ def _coprime_violation(p: BiPolyN1, pt: BiPolyN1, p1_roots: list) -> str | None:
         c = b[j] / a[j]
         if float(np.max(np.abs(b - c * a))) <= 1e-10 * sc:
             return "not coprime: the reflection is a scalar multiple of p"
-    if p.p1.degree >= 1 and p.p2.degree >= 1 and not p.p2.is_zero:
-        r1 = [r for r, _ in p1_roots]
-        r2 = [r for r, _ in roots(p.p2)]
-        common = []
-        for u in r1:
-            for v in r2:
-                if abs(u - v) <= 1e-6:
-                    common.append((u + v) / 2.0)
-        for u in common:
-            for v in common:
-                if abs(u) > 1e-9 and abs(v - 1.0 / np.conj(u)) <= 1e-6:
-                    return "not coprime: common z1-only factor"
     return None
 
 
@@ -326,7 +315,7 @@ def validate(p: BiPolyN1) -> Rif:
     if reason is not None:
         raise DomainError(reason)
     pt = reflect(p)
-    reason = _coprime_violation(p, pt, p1_roots)
+    reason = _coprime_violation(p, pt)
     if reason is not None:
         raise DomainError(reason)
     t = TrigPoly.modulus_squared(p.p1) - TrigPoly.modulus_squared(p.p2)

@@ -171,6 +171,20 @@ def test_analyze_malformed_json_exit_code(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_unreadable_input_path_is_input_error(tmp_path, capsys):
+    # a directory passes the existence test but cannot be opened as a file
+    assert cli.main(["analyze", str(tmp_path), "--alpha=1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_out_path_is_input_error(tmp_path, capsys):
+    assert cli.main(["analyze", "fave", "--alpha=1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    missing = tmp_path / "missing" / "x.csv"
+    assert cli.main(["levelset", "fave", "--alphas=1", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_subcommands_take_only_the_options_they_read(capsys):
     for argv in (["analyze", "fave", "--alpha=1", "--seed", "3"],
                  ["analyze", "fave", "--alpha=1", "--tol", "1e-9"],

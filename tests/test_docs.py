@@ -1,13 +1,15 @@
 """Documented surface: the README's python and command-line examples, the
-doctests of every rifclark module, and the signatures of the public
-callables."""
+doctests of every rifclark module, the signatures of the public callables,
+and no definition that nothing names."""
 
+import ast
 import doctest
 import importlib
 import inspect
 import pkgutil
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ import pytest
 import rifclark
 from rifclark import cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rifclark.__path__))
 
 
@@ -83,3 +86,19 @@ def test_public_callables_take_no_tolerance():
         except (TypeError, ValueError):
             continue
         assert "tol" not in params and "max_iter" not in params, name
+
+
+def test_every_definition_is_named_elsewhere():
+    # a function, class or method that only its own definition names is dead
+    # code; src/, tests/, bench/ and the README count as uses
+    texts = [f.read_text(encoding="utf-8") for d in ("src", "tests", "bench")
+             for f in sorted((ROOT / d).rglob("*.py"))]
+    words = Counter(re.findall(r"\w+", "\n".join(texts + [README.read_text(encoding="utf-8")])))
+    defined = Counter(
+        node.name
+        for path in sorted((ROOT / "src" / "rifclark").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    assert sorted(name for name, count in defined.items() if words[name] <= count) == []

@@ -454,8 +454,10 @@ def test_one_root_find_per_polynomial(monkeypatch):
     monkeypatch.setattr(rif_module, "roots", counted)
     poly, _taus = _generated_rif(8, 0)
     rif = validate(poly)
-    # p1 (shared by the stability and coprimality checks), p2, |p1|^2 - |p2|^2
-    assert len(found) == 3
+    # p1 and |p1|^2 - |p2|^2 only: stability reads |p2 / p1| off the circle
+    # once p1 is zero free on the closed disk, and a factor p1 shares with
+    # p2 shows at p1's roots, so p2 is never root-found
+    assert len(found) == 2
     assert sum(p == poly.p1 for p in found) == 1
     for alpha in (1j, rif.singularities[0].alpha):
         found.clear()

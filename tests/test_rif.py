@@ -139,11 +139,69 @@ def test_z1_only_factor_without_mirror_is_valid():
 
 
 def test_validate_detects_circle_z1_factor():
-    # p = (1 + z1)(2 - z1 - z2) vanishes identically on z1 = -1
-    p1 = UniPoly([1.0, 1.0]) * UniPoly([2.0, -1.0])
-    p2 = UniPoly([1.0, 1.0]) * UniPoly([-1.0])
-    with pytest.raises(DomainError, match="not coprime"):
-        validate(BiPolyN1(p1, p2, 2))
+    # p = (z1 - r)(2 - z1 - z2) vanishes identically on z1 = r; for r just
+    # outside the circle the mirror 1 / r is within roundoff of a zero of
+    # the reflection, so p and ptilde share a factor to working accuracy
+    for r in (-1.0, 1.0 + 4e-7, 1.0 + 1e-7):
+        p1 = UniPoly([-r, 1.0]) * UniPoly([2.0, -1.0])
+        p2 = UniPoly([-r, 1.0]) * UniPoly([-1.0])
+        with pytest.raises(DomainError, match="not coprime"):
+            validate(BiPolyN1(p1, p2, 2))
+
+
+def _stability_draw(rng):
+    """Random (n, p1, p2) with n <= 4: p1 from zeros at modulus 0.6 to 3,
+    p2 scaled so that max |p2| on the circle is 0.2 to 1.5 times min |p1|;
+    about half the draws are stable."""
+    n = int(rng.integers(1, 5))
+    d1, d2 = (int(d) for d in rng.integers(0, n + 1, 2))
+    zeros = rng.uniform(0.6, 3.0, d1) * np.exp(2j * np.pi * rng.uniform(size=d1))
+    p1 = P.polyfromroots(zeros) * (rng.normal() + 1j * rng.normal())
+    p2 = rng.normal(size=d2 + 1) + 1j * rng.normal(size=d2 + 1)
+    z = np.exp(2j * np.pi * np.arange(256) / 256)
+    p2 *= (rng.uniform(0.2, 1.5) * np.min(np.abs(P.polyval(z, p1)))
+           / np.max(np.abs(P.polyval(z, p2))))
+    return n, p1, p2
+
+
+# powers z**k, k <= 4, on a 201 x 720 polar grid of the closed disk
+_DISK_POWERS = (np.linspace(0.0, 1.0, 201)[:, None]
+                * np.exp(2j * np.pi * np.arange(720) / 720)).ravel() ** np.arange(5)[:, None]
+
+
+def _dense_ratio(p1, p2, p1_zeros) -> float:
+    """numpy only: max |p2 / p1| on the disk grid and on circle windows
+    around the angle of each zero r of p1, 401 points spanning 40 (|r| - 1)
+    radians, since a zero just outside the circle makes |p2 / p1| peak there
+    over that width."""
+    grid = np.abs(p2 @ _DISK_POWERS[:p2.size]) / np.abs(p1 @ _DISK_POWERS[:p1.size])
+    windows = [np.exp(1j * (np.angle(r) + (abs(r) - 1.0) * np.linspace(-20.0, 20.0, 401)))
+               for r in p1_zeros if abs(r) > 1.0]
+    peaks = [np.max(np.abs(P.polyval(z, p2) / P.polyval(z, p1))) for z in windows]
+    return float(max([grid.max(), *peaks]))
+
+
+def test_stability_verdict_matches_dense_grid():
+    # p is stable when p1 has no zero in the closed disk and |p2| < |p1| on
+    # the closed disk; draws within 1e-4 of either boundary are left out
+    verdicts = []
+    for i in range(320):
+        n, p1, p2 = _stability_draw(np.random.default_rng([11, i]))
+        zeros = np.roots(p1[::-1])
+        ratio = _dense_ratio(p1, p2, zeros)
+        if np.any(np.abs(np.abs(zeros) - 1.0) < 1e-4) or abs(ratio - 1.0) < 1e-4:
+            continue
+        want = bool(np.all(np.abs(zeros) > 1.0) and ratio < 1.0)
+        try:
+            validate(_poly(p1, p2, n))
+            got = True
+        except DomainError as exc:
+            if not str(exc).startswith("not stable"):
+                raise
+            got = False
+        assert got is want, i
+        verdicts.append(got)
+    assert len(verdicts) >= 300 and 0.25 < np.mean(verdicts) < 0.75
 
 
 def test_singularity_data_all_entries():
