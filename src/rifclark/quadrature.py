@@ -20,6 +20,8 @@ from .errors import DomainError
 from .rif import phi_eval
 
 _NODE_CACHE: dict[int, np.ndarray] = {}
+# ||w| - 1| <= 1e-6 read on |w|^2
+_TORUS_BAND = ((1.0 - 1e-6) ** 2, (1.0 + 1e-6) ** 2)
 
 
 def circle_nodes(count: int) -> np.ndarray:
@@ -49,23 +51,53 @@ def circle_integral(f, count: int = 4096) -> complex:
 
 
 def poisson2(z, zeta) -> np.ndarray:
-    """Two-variable Poisson kernel P(z, zeta) for z in the open bidisk.
+    """Two-variable Poisson kernel P(z, zeta) for points z in the open bidisk.
 
-    zeta may be a pair of scalars or a pair of equal-length arrays of
-    unimodular points; the kernel is the product of the one-variable
-    kernels (1 - |z_i|^2) / |zeta_i - z_i|^2.
+    z is one point (a pair of complex numbers) or P points as a (P, 2)
+    array; zeta is a pair of scalars or a pair of equal-length arrays of N
+    unimodular points.  The kernel is the product of the one-variable
+    kernels (1 - |z_i|^2) / |zeta_i - z_i|^2, shaped like zeta for one
+    point and (P, N) for P points, so one call gives the integrands of P
+    Poisson integrals at once.
+
+    Each denominator is the expanded square |zeta_i|^2 + |z_i|^2
+    - 2 Re(conj(z_i) zeta_i), an identity for any zeta_i, formed as one
+    real (P, 4) @ (4, N) product: no complex temporary and no modulus.
+    Against the direct |zeta_i - z_i|^2 the expansion loses about
+    eps (1 + |z_i|)^2 / (1 - |z_i|)^2 relative: 2e-15 at |z_i| = 0.5,
+    9e-12 at |z_i| = 0.99.
+
+    >>> pts = np.array([(0.3 + 0.2j, -0.4j), (0.0, 0.5)])
+    >>> zeta = (circle_nodes(64), circle_nodes(64) ** 3)
+    >>> poisson2(pts, zeta).shape
+    (2, 64)
+    >>> bool(np.allclose(poisson2(pts, zeta)[1], poisson2((0.0, 0.5), zeta)))
+    True
     """
-    z1, z2 = complex(z[0]), complex(z[1])
-    if abs(z1) >= 1.0 or abs(z2) >= 1.0:
+    pts = np.asarray(z, dtype=complex)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+        raise DomainError("Poisson kernel points must be pairs, one per row")
+    if not np.all(np.abs(pts) < 1.0):
         raise DomainError("Poisson kernel point must lie in the open bidisk")
-    w1 = np.asarray(zeta[0], dtype=complex)
-    w2 = np.asarray(zeta[1], dtype=complex)
-    for w in (w1, w2):
-        if np.max(np.abs(np.abs(w) - 1.0)) > 1e-6:
+    rows = pts.reshape(-1, 2)
+    ws = np.broadcast_arrays(*(np.atleast_1d(np.asarray(w, dtype=complex)) for w in zeta))
+    num = 1.0
+    dens = []
+    for zi, w in zip(rows.T, ws):
+        ww = w.real ** 2 + w.imag ** 2
+        if not np.all((ww >= _TORUS_BAND[0]) & (ww <= _TORUS_BAND[1])):
             raise DomainError("Poisson kernel is sampled on the torus only")
-    k1 = (1.0 - abs(z1) ** 2) / np.abs(w1 - z1) ** 2
-    k2 = (1.0 - abs(z2) ** 2) / np.abs(w2 - z2) ** 2
-    return k1 * k2
+        zz = zi.real ** 2 + zi.imag ** 2
+        num = num * (1.0 - zz)
+        dens.append(
+            np.stack([-2.0 * zi.real, -2.0 * zi.imag, np.ones_like(zz), zz], axis=1)
+            @ np.stack([w.real, w.imag, ww, np.ones_like(ww)])
+        )
+    den, den2 = dens
+    den *= den2
+    kernel = np.divide(num[:, None], den, out=den)
+    shape = np.broadcast_shapes(np.shape(zeta[0]), np.shape(zeta[1]))
+    return kernel.reshape(pts.shape[:-1] + shape)
 
 
 def pointmass_probe(rif, alpha, direction, radii=(0.9, 0.99, 0.999, 0.9999)) -> list[float]:

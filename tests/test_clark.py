@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rifclark.catalog import get
+from rifclark import clark
 from rifclark.clark import (
     AlphaKind,
     ClarkMeasure,
@@ -95,6 +96,57 @@ def test_integrate_splits_curve_and_lines():
     # |z - 1|^2 has mean 2 against the flat curve weight 1/2
     assert abs(total - 1.0) < 1e-12
     assert abs(notau - 1.0) < 1e-12
+
+
+def _counting_node_data(monkeypatch):
+    counts = []
+    node_data = ClarkMeasure.node_data
+
+    def counted(cm, count):
+        counts.append(count)
+        return node_data(cm, count)
+
+    monkeypatch.setattr(ClarkMeasure, "node_data", counted)
+    return counts
+
+
+def test_family_integrate_equals_scalar_calls(monkeypatch):
+    # rows near the boundary of either coordinate need more nodes than the
+    # rest, so the adaptive family runs on to the count of its slowest row
+    pts = np.array([(0.2 - 0.1j, 0.3j), (0.0, 0.0), (0.99, -0.2j),
+                    (0.3j, 0.995), (-0.4 + 0.1j, 0.45)])
+    counts = _counting_node_data(monkeypatch)
+    for name, alpha in (("amy", complex(np.exp(0.4j))), ("deg31", -1.0 + 0.0j),
+                        ("amy-variant", 1.0 + 0.0j)):
+        rif = get(name).build()
+        for count in (4096, None):
+            counts.clear()
+            got = integrate(clark_measure(rif, alpha),
+                            lambda u, v: poisson2(pts, (u, v)), count)
+            family_count = max(counts)
+            want, alone = [], []
+            for z in pts:
+                counts.clear()
+                want.append(integrate(clark_measure(rif, alpha),
+                                      lambda u, v: poisson2(z, (u, v)), count))
+                alone.append(max(counts))
+            assert isinstance(want[0], complex)
+            assert got.shape == (len(pts),) and got.dtype == complex
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, (name, count)
+            assert family_count >= max(alone), (name, count)
+
+
+def test_adaptive_family_raises_when_one_component_does_not_settle(monkeypatch):
+    # a jump in z1 keeps the rule's error of order 1/N, far above 1e-9
+    monkeypatch.setattr(clark, "_MAX_ADAPTIVE_NODES", 2 ** 15)
+    cm = clark_measure(get("amy").build(), np.exp(0.4j))
+    smooth = lambda u, v: np.ones_like(u)
+    jump = lambda u, v: (np.angle(u) > 0.5).astype(float)
+    assert abs(integrate(cm, smooth, None) - cm.closed_form_mass()) < 1e-9
+    with pytest.raises(NumericError):
+        integrate(cm, jump, None)
+    with pytest.raises(NumericError, match="did not settle"):
+        integrate(cm, lambda u, v: np.stack([smooth(u, v), jump(u, v)]), None)
 
 
 def test_poisson_identity_spot_checks():

@@ -114,3 +114,23 @@ def test_run_suites_builds_one_measure_per_alpha(name, monkeypatch):
     assert all(r.passed for r in results)
     assert len(calls) >= verification.SWEEP_SIZE
     assert set(calls.values()) == {1}, calls.most_common(3)
+
+
+def test_poisson_integrals_take_one_pass_per_measure(monkeypatch):
+    # poisson integrates all its points in one call per sweep alpha, and
+    # weakstar all its points in one call per exceptional alpha plus the
+    # three scalar trend calls of the order-one contact
+    calls = Counter()
+    integrate = verification.integrate
+
+    def counted(cm, f, count=4096):
+        calls[suite] += 1
+        return integrate(cm, f, count)
+
+    monkeypatch.setattr(verification, "integrate", counted)
+    entry = get("fave")
+    rif = entry.build()
+    for suite in ("poisson", "weakstar"):
+        assert run_suites(entry, names=[suite], seed=5)[0].passed
+    assert calls["poisson"] == len(alpha_sweep(rif, seed=5)) == verification.SWEEP_SIZE
+    assert calls["weakstar"] == len(verification._distinct_exceptional(rif)) + 3
