@@ -193,7 +193,8 @@ def gram_isometry_check(cm: ClarkMeasure, points, count: int = 4096) -> GramRepo
     z, z2c, wvals = cm.node_data(count)
     acc = _weighted_gram(1.0 / ((1.0 - cw1 * z) * (1.0 - cw2 * z2c)), wvals)
     for tau, mass in cm.lines:
-        acc += mass * _weighted_gram(1.0 / ((1.0 - cw1 * tau) * (1.0 - cw2 * z)))
+        acc += mass * _weighted_gram(1.0 / ((1.0 - cw1 * tau) * (1.0 - cw2 * z)),
+                                     cm.jacobian(z))
     measured = np.outer(pref, np.conj(pref)) * acc
     dev = float(np.max(np.abs(measured - target)))
     return GramReport(cm.alpha, tuple(pts), target, measured, dev)

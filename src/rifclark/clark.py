@@ -29,15 +29,32 @@ reduced pencil (u_red, v_red), and the measure-side checks
 level_set_sample) take the measure instead of rebuilding it from
 (rif, alpha).
 
-Those integrals are uniform rules over the curve's node data: the N-th
-roots of unity zeta, conj(B_alpha(zeta)) and W_alpha(zeta).  One in-place
-pass over the Blaschke zeros a_k gives N(zeta) = prod (zeta - a_k) and
+Those integrals are rules over the curve's node data: nodes zeta,
+conj(B_alpha(zeta)) and quadrature weights.  One in-place pass over the
+Blaschke zeros a_k gives N(zeta) = prod (zeta - a_k) and
 D(zeta) = prod (1 - conj(a_k) zeta), hence conj(B_alpha) = conj(gamma N / D)
 and the weight denominator |u_red|^2 = |lead(u_red)|^2 |N|^2 (the zeros of
-B_alpha are exactly the roots of u_red); the weight numerator is one FFT of
-its coefficients.  Adaptive integration doubles N with nested rules: the
-old sums are kept, and node data and integrand are evaluated only at the N
-new nodes.
+B_alpha are exactly the roots of u_red).  Adaptive integration doubles N
+with nested rules: the old sums are kept, and node data and integrand are
+evaluated only at the N new nodes.
+
+The nodes are the images zeta_j = M_b(omega_j) = (omega_j + b) /
+(1 + conj(b) omega_j) of the N-th roots of unity under one Moebius map of
+the disk, chosen once per measure (Hale & Trefethen, "New quadrature
+formulas from conformal maps", SIAM J. Numer. Anal. 46, 2008).  The rule
+integrates g against arclength as the uniform rule integrates
+g(M_b(omega)) J_b(omega), with J_b = (1 - |b|^2) / |1 + conj(b) omega|^2
+the map's Jacobian on the circle, so it converges as fast as the
+singularities of the integrand, pulled back by M_b, lie far from the
+circle.  Those of the curve data are the Blaschke zeros a_k and their
+reflections.  A zero at distance delta from the circle costs the uniform
+rule about 36 / delta nodes; when it is closer than ln(1e9) / 4096 (the
+uniform rule cannot settle to 1e-9 within one doubling of its 4096 start),
+the centre b moves towards it until its pull-back balances the other zeros
+and the interior points of modulus 1/2 where the test functions of the
+verification suites have their poles.  Otherwise b = 0: the nodes are the
+roots of unity and the weight numerator comes from one FFT of its
+coefficients.
 """
 
 from __future__ import annotations
@@ -60,7 +77,15 @@ from .polynomials import (
 from .quadrature import circle_nodes
 from .rif import Rif, is_saturated
 
+_START_NODES = 4096
+_SETTLE = 1e-9
 _MAX_ADAPTIVE_NODES = 2 ** 20
+# a Blaschke zero closer than this to the circle keeps the uniform rule's
+# error exp(-N delta) above _SETTLE after one doubling of _START_NODES
+_MAP_DISTANCE = math.log(1.0 / _SETTLE) / _START_NODES
+# the Poisson and Gram test points of the verification suites lie within
+# this radius; the node map must not push them onto the circle either
+_PROBE_RADIUS = 0.5
 
 
 class AlphaKind(enum.Enum):
@@ -128,8 +153,10 @@ class ClarkMeasure:
     cancelled, so both are finite there.  The roots of u_red are exactly
     the zeros a_k of balpha, so on the circle |u_red|^2 equals
     |lead(u_red)|^2 prod |zeta - a_k|^2; curve values and weights are
-    computed in that factored form.  Node data for quadrature is cached per
-    node count.
+    computed in that factored form.  center is the centre b of the node
+    map M_b, chosen from the Blaschke zeros on construction (0 unless a
+    zero lies near the circle; see the module docstring).  Node data for
+    quadrature is cached per node count.
     """
 
     rif: Rif
@@ -139,7 +166,11 @@ class ClarkMeasure:
     u_red: UniPoly
     v_red: UniPoly
     lines: tuple
+    center: complex = field(init=False)
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.center = _map_center(self.balpha.zeros)
 
     @property
     def alpha(self) -> complex:
@@ -176,27 +207,56 @@ class ClarkMeasure:
         z2 *= self.balpha.constant
         return np.conj(z2, out=z2), w
 
-    def node_data(self, count: int):
-        """(nodes, curve z2 values, weight values) at the count-th roots of
-        unity, cached per node count.
+    def jacobian(self, zeta) -> np.ndarray:
+        """J_b = (1 - |b|^2) / |1 + conj(b) omega|^2 at mapped nodes
+        zeta = M_b(omega), read off zeta as |1 - conj(b) zeta|^2 /
+        (1 - |b|^2); exactly 1 when b = 0."""
+        b = self.center
+        d = 1.0 - np.conj(b) * np.asarray(zeta)
+        return (d.real ** 2 + d.imag ** 2) / (1.0 - abs(b) ** 2)
 
-        The weight numerator comes from one FFT.  When the data for count/2
-        is cached it fills the even nodes, and only the odd nodes (the
-        count/2 roots turned by half a spacing) are computed.
+    def _mapped_data(self, omega: np.ndarray, count: int, half: bool):
+        """(zeta, conj(B_alpha), W_alpha J_b) at zeta = M_b(omega), omega
+        the count-th roots of unity, turned by half a spacing with half.
+        With b = 0, zeta is omega and the weight numerator one FFT;
+        otherwise it is evaluated at zeta directly."""
+        b = self.center
+        if not b:
+            return (omega,) + self._curve_data(
+                omega, self.weight_num.node_values(count, half))
+        z = (omega + b) / (1.0 + np.conj(b) * omega)
+        z2, w = self._curve_data(z, self.weight_num.eval(z))
+        w *= self.jacobian(z)
+        return z, z2, w
+
+    def node_data(self, count: int):
+        """(nodes, curve z2 values, quadrature weights) of the count-node
+        rule, cached per node count.
+
+        The nodes are zeta_j = M_b(omega_j), the images of the count-th
+        roots of unity omega_j under the measure's node map (the roots
+        themselves when center is 0), the z2 values conj(B_alpha(zeta_j)),
+        and the weights W_alpha(zeta_j) J_b(omega_j), so the mean of
+        g(zeta_j) w_j approximates the integral of g against the curve
+        part.  When the data for count/2 is cached it fills the even
+        nodes, and only the odd nodes (the count/2 roots turned by half a
+        spacing, and their images) are computed.
         """
         data = self._cache.get(count)
         if data is None:
-            z = circle_nodes(count)
+            omega = circle_nodes(count)
             coarse = self._cache.get(count // 2) if count % 2 == 0 else None
             if coarse is None:
-                z2, w = self._curve_data(z, self.weight_num.node_values(count))
+                data = self._mapped_data(omega, count, False)
             else:
-                z2 = np.empty(count, dtype=complex)
-                w = np.empty(count)
+                z, z2, w = omega, np.empty(count, dtype=complex), np.empty(count)
+                z_odd, z2[1::2], w[1::2] = self._mapped_data(
+                    omega[1::2], count // 2, True)
                 z2[::2], w[::2] = coarse[1], coarse[2]
-                z2[1::2], w[1::2] = self._curve_data(
-                    z[1::2], self.weight_num.node_values(count // 2, half=True))
-            data = (z, z2, w)
+                if self.center:
+                    z = np.empty(count, dtype=complex)
+                    z[::2], z[1::2] = coarse[0], z_odd
+                data = (z, z2, w)
             self._cache[count] = data
         return data
 
@@ -225,6 +285,43 @@ class ClarkMeasure:
             ],
             "total_mass": self.total_mass(count),
         }
+
+
+def _pullback_gap(b, x):
+    """1 - |M_b^{-1}(x)|^2 = (1 - |b|^2)(1 - |x|^2) / |1 - conj(b) x|^2,
+    about twice the distance of the pulled-back point to the circle."""
+    d = 1.0 - np.conj(b) * x
+    return ((1.0 - np.abs(b) ** 2) * (1.0 - np.abs(x) ** 2)
+            / (d.real ** 2 + d.imag ** 2))
+
+
+def _map_center(zeros) -> complex:
+    """Centre b of the node map for a measure with these Blaschke zeros.
+
+    b = 0 unless the nearest zero a lies within _MAP_DISTANCE of the
+    circle.  Then b runs along the ray through a, b = (1 - eps) a / |a|
+    with eps log-spaced from 1 - |a| to 1, and takes the place where the
+    smallest pull-back gap of the zeros and of the interior point
+    -_PROBE_RADIUS a / |a| (the one the map pushes nearest the circle) is
+    largest.  b stays 0 when that does not increase the smallest pull-back
+    gap of the zeros.
+    """
+    if not zeros:
+        return 0j
+    a = np.array(zeros)
+    near = a[np.argmax(np.abs(a))]
+    delta = 1.0 - abs(near)
+    if not delta < _MAP_DISTANCE:
+        return 0j
+    unit = near / abs(near)
+    eps = np.geomspace(delta, 1.0, 64)
+    b = (1.0 - eps)[:, None] * unit
+    gaps = _pullback_gap(b, a).min(axis=1)
+    worst = np.minimum(gaps, _pullback_gap(b[:, 0], -_PROBE_RADIUS * unit))
+    best = int(np.argmax(worst))
+    if not gaps[best] > _pullback_gap(0.0, a).min():
+        return 0j
+    return complex(b[best, 0])
 
 
 def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
@@ -295,12 +392,12 @@ def integrate(cm: ClarkMeasure, f, count: int | None = 4096) -> complex | np.nda
     returns N values, and the integral is a complex number; or it returns a
     family of integrands as a (..., N) array, and the integrals come back
     as a complex (...) array from the same pass over the nodes.  The curve
-    part is a uniform rule against the weight; each line adds c_k times a
-    uniform rule in the second coordinate.  With count=None the node count
-    doubles from 4096 until two successive values agree to 1e-9 (relative)
-    in every component, up to 2**20 nodes.  The rules are nested: a
-    doubling keeps the sums over the old nodes and evaluates f only at the
-    new, odd ones.
+    part is the rule of cm.node_data against the weight; each line adds c_k
+    times the same rule in the second coordinate (uniform when the node map
+    is the identity).  With count=None the node count doubles from 4096
+    until two successive values agree to 1e-9 (relative) in every
+    component, up to 2**20 nodes.  The rules are nested: a doubling keeps
+    the sums over the old nodes and evaluates f only at the new, odd ones.
 
     Poisson integrals at P points, one row of poisson2 each:
 
@@ -315,7 +412,7 @@ def integrate(cm: ClarkMeasure, f, count: int | None = 4096) -> complex | np.nda
     if count is not None:
         count = int(count)
         return _rule_value(cm, _node_sums(cm, f, *cm.node_data(count)), count)
-    count = 4096
+    count = _START_NODES
     sums = _node_sums(cm, f, *cm.node_data(count))
     prev = _rule_value(cm, sums, count)
     while count < _MAX_ADAPTIVE_NODES:
@@ -323,7 +420,7 @@ def integrate(cm: ClarkMeasure, f, count: int | None = 4096) -> complex | np.nda
         z, z2, w = cm.node_data(count)
         sums += _node_sums(cm, f, z[1::2], z2[1::2], w[1::2])
         cur = _rule_value(cm, sums, count)
-        if np.all(np.abs(cur - prev) <= 1e-9 * np.maximum(1.0, np.abs(cur))):
+        if np.all(np.abs(cur - prev) <= _SETTLE * np.maximum(1.0, np.abs(cur))):
             return cur
         prev = cur
     raise NumericError("adaptive quadrature did not settle",
@@ -332,10 +429,14 @@ def integrate(cm: ClarkMeasure, f, count: int | None = 4096) -> complex | np.nda
 
 def _node_sums(cm: ClarkMeasure, f, z, z2, w) -> np.ndarray:
     """Sums of f over the given nodes, shaped (1 + lines, ...): weighted
-    along the curve, then along each line."""
+    along the curve, then along each line, where the second coordinate
+    runs over the same mapped nodes and carries the Jacobian J_b."""
     sums = [np.asarray(f(z, z2)) @ w]
     for tau, _mass in cm.lines:
-        sums.append(np.asarray(f(np.full_like(z, tau), z)).sum(axis=-1))
+        vals = np.asarray(f(np.full_like(z, tau), z))
+        if cm.center:
+            vals = vals * cm.jacobian(z)
+        sums.append(vals.sum(axis=-1))
     return np.array(sums, dtype=complex)
 
 

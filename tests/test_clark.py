@@ -5,6 +5,7 @@ import pytest
 
 from rifclark.catalog import get
 from rifclark import clark
+from rifclark.agler import gram_isometry_check
 from rifclark.clark import (
     AlphaKind,
     ClarkMeasure,
@@ -173,9 +174,10 @@ def test_weight_positive_on_nodes():
             assert np.all(np.isfinite(w))
 
 
-# (entry, contact point tau_k, d): alpha = alpha_k e^{id} puts the Blaschke
-# zeros within about 1e-4 of the circle, so the adaptive rule runs to 2^19
-# nodes and the weight's numerator and denominator are both small there
+# (entry, contact point tau_k, d): alpha = alpha_k e^{id} puts a Blaschke
+# zero within about 1e-4 of the circle; the node map concentrates the nodes
+# there, so the adaptive rule settles at 8192 nodes (2^19 uniform ones),
+# and the weight's numerator and denominator are both small there
 NEAR_EXCEPTIONAL = (("fave", 1.0, 0.03), ("amy-variant", 1.0, 0.01), ("deg31", 1.0, 0.01))
 
 
@@ -199,13 +201,65 @@ def test_node_data_matches_pointwise_evaluation():
     # 4096 is computed directly, 8192 reuses it at the even nodes, 1000 is
     # odd.  Near-exceptional alpha is left out: there the weight numerator
     # nearly vanishes next to the contact and is fixed by its coefficients
-    # only to about 1e-12 relative, by FFT and by Horner alike.
+    # only to about 1e-12 relative, by FFT and by Horner alike.  deg31 at
+    # e^{0.37i} has a Blaschke zero 7e-5 from the circle and a mapped rule.
+    mapped = set()
     for name, cm in _measure_cases(near_exceptional=False):
+        b = cm.center
+        if b:
+            mapped.add(name)
         for count in (4096, 8192, 1000):
             z, z2, w = cm.node_data(count)
-            assert np.array_equal(z, circle_nodes(count))
+            omega = circle_nodes(count)
+            if b:
+                assert np.max(np.abs(z - (omega + b) / (1 + np.conj(b) * omega))) <= 1e-15
+            else:
+                assert np.array_equal(z, omega)
+            jac = (1 - abs(b) ** 2) / np.abs(1 + np.conj(b) * omega) ** 2
             assert np.max(np.abs(z2 - cm.curve_z2(z))) <= 1e-12, name
-            assert np.max(np.abs(w - cm.weight_eval(z))) <= 1e-12 * max(1.0, np.max(w)), name
+            want = cm.weight_eval(z) * jac
+            assert np.max(np.abs(w - want)) <= 1e-12 * max(1.0, np.max(w)), name
+    assert mapped == {"deg31"}
+
+
+# Blaschke zeros from 1e-4 down to 1.2e-7 from the circle: of these the
+# uniform rule settles by 2^20 nodes only at d = 1e-2 on amy-variant and
+# deg31; the mapped rule settles on all of them
+@pytest.mark.parametrize("name, tau, d", [
+    ("fave", 1.0, 1e-2), ("fave", 1.0, 1e-3),
+    ("amy-variant", 1.0, 1e-2), ("amy-variant", 1.0, 1e-3),
+    ("deg31", 1.0, 1e-2), ("deg31", 1.0, 1e-3),
+    ("amy", 1.0, 0.1),
+])
+def test_near_exceptional_mass_settles(name, tau, d):
+    rif = get(name).build()
+    cm = clark_measure(rif, _near_exceptional_alpha(rif, tau, d))
+    assert cm.alpha_class.kind is AlphaKind.GENERIC and cm.center != 0
+    want = cm.closed_form_mass()
+    assert abs(cm.total_mass(None) - want) <= 1e-9 * want
+
+
+def test_nonzero_center_matches_identity_map(monkeypatch):
+    # exceptional measures with lines: the mapped rule, lines included,
+    # integrates what the uniform rule does
+    pts = np.array([(0.2 - 0.1j, 0.3j), (0.0, 0.0), (-0.4 + 0.1j, 0.45)])
+    f = lambda u, v: poisson2(pts, (u, v))
+    for name in ("fave", "deg31"):
+        rif = get(name).build()
+        plain = clark_measure(rif, -1.0)
+        assert plain.center == 0 and plain.lines
+        monkeypatch.setattr(clark, "_map_center", lambda zeros: 0.6 * np.exp(0.4j))
+        moved = clark_measure(rif, -1.0)
+        monkeypatch.undo()
+        assert moved.center == 0.6 * np.exp(0.4j)
+        for count in (16384, None):
+            want = integrate(plain, f, count)
+            got = integrate(moved, f, count)
+            assert np.max(np.abs(got - want)) <= 1e-12, (name, count)
+        assert abs(moved.total_mass(None) - plain.total_mass(None)) <= 1e-12, name
+        gram = gram_isometry_check(moved, pts, 16384)
+        want = gram_isometry_check(plain, pts, 16384)
+        assert np.max(np.abs(gram.measured - want.measured)) <= 1e-12, name
 
 
 def test_factored_weight_denominator_matches_trigpoly():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from rifclark import cli
-from rifclark.catalog import names
+from rifclark.catalog import get, names
+from rifclark.clark import clark_measure
 from rifclark.errors import DomainError, NumericError
 from rifclark.rif import BiPolyN1, validate
 
@@ -84,6 +85,17 @@ def test_analyze_deg31_alpha_one(capsys):
     orders = {round(o["tau"][0]): o["order"] for o in rep["weight_vanishing_order"]}
     assert orders[-1] >= 2  # the weight vanishes at the contact point
     assert abs(rep["total_mass"] - 0.6) < 1e-8
+
+
+def test_analyze_mass_next_to_a_near_circle_zero(capsys):
+    # B_alpha has a zero 7e-5 from the circle here, where the fixed
+    # 4096-node uniform rule reported 0.6022483, 1.8 % off
+    assert cli.main(["analyze", "deg31", "--alpha=exp(i*0.37)"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    rif = get("deg31").build()
+    want = clark_measure(rif, np.exp(0.37j)).closed_form_mass()
+    assert abs(want - 0.6132807) < 1e-7
+    assert abs(rep["total_mass"] - want) <= 1e-9 * want
 
 
 def test_analyze_deg31_alpha_minus_one_weight_order(capsys):

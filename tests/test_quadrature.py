@@ -94,6 +94,19 @@ def test_poisson2_batched_matches_direct_formula():
     assert np.allclose(poisson2(pts[3], (w1, w2)), got[3], rtol=1e-15, atol=0.0)
 
 
+def test_poisson2_workspace_gives_the_same_kernel():
+    rng = np.random.default_rng(13)
+    pts = 0.5 * np.sqrt(rng.uniform(size=(7, 2))) * np.exp(2j * np.pi * rng.uniform(size=(7, 2)))
+    w1, w2 = _torus_samples(pts, rng)
+    work = np.empty((2, 7, w1.size))
+    for rows in (pts, pts[::-1]):
+        got = poisson2(rows, (w1, w2), out=work)
+        assert np.shares_memory(got, work[0])
+        assert np.array_equal(got, poisson2(rows, (w1, w2)))
+    one = poisson2(pts[2], (w1, w2), out=work[:, :1])
+    assert np.array_equal(one, poisson2(pts[2], (w1, w2)))
+
+
 def test_poisson2_expanded_square_bound_near_the_boundary():
     # the expanded square |w|^2 + |z|^2 - 2 Re(conj(z) w) carries rounding
     # of order eps (1 + |z|)^2 against its value, at least (1 - |z|)^2

@@ -116,6 +116,21 @@ def test_run_suites_builds_one_measure_per_alpha(name, monkeypatch):
     assert set(calls.values()) == {1}, calls.most_common(3)
 
 
+def test_fave_suites_stay_below_16384_nodes(monkeypatch):
+    # the weakstar trend's measures have Blaschke zeros down to 1.1e-4 from
+    # the circle, where uniform nodes ran to 2^19
+    counts = []
+    node_data = clark.ClarkMeasure.node_data
+
+    def counted(cm, count):
+        counts.append(count)
+        return node_data(cm, count)
+
+    monkeypatch.setattr(clark.ClarkMeasure, "node_data", counted)
+    assert all(r.passed for r in run_suites(get("fave"), seed=5))
+    assert counts and max(counts) <= 16384
+
+
 def test_poisson_integrals_take_one_pass_per_measure(monkeypatch):
     # poisson integrates all its points in one call per sweep alpha, and
     # weakstar all its points in one call per exceptional alpha plus the
