@@ -217,6 +217,20 @@ def test_fejer_riesz_with_circle_zero():
     assert np.max(np.abs(np.abs(q(z)) ** 2 - t.eval(z).real)) < 1e-8
 
 
+@pytest.mark.parametrize("extra", [[], [0.5, -0.3j]], ids=["alone", "with-two-roots"])
+@pytest.mark.parametrize("gap", [5e-4, 2e-4, 5e-5])
+def test_fejer_riesz_root_next_to_the_circle(gap, extra):
+    # t = |q|^2 with a root of q just outside the circle: t's mirror pair
+    # straddles the circle inside the candidate band, fails certification
+    # as a circle zero and must go back to the roots with its own moduli
+    q = UniPoly.from_roots([(1 + gap) * np.exp(0.7j)] + extra)
+    t = TrigPoly.modulus_squared(q)
+    f = fejer_riesz(t)
+    z = np.exp(2j * np.pi * np.arange(512) / 512)
+    assert np.max(np.abs(np.abs(f(z)) ** 2 - t(z).real)) <= 1e-12
+    assert all(abs(r) < 1.0 for r, _m in roots(f))
+
+
 def test_fejer_riesz_rejects_sign_changing():
     # cos(theta) takes both signs on the circle
     t = TrigPoly([0.5, 0.0, 0.5], 1)
@@ -324,12 +338,9 @@ def _root_cases():
                            id=f"clustered-{n}")
 
 
-@pytest.mark.parametrize("true_roots", list(_root_cases()))
-def test_roots_agree_with_numpy(true_roots):
-    c = P.polyfromroots(true_roots)
+def _assert_agree_with_numpy(c):
     n = len(c) - 1
     ac = np.abs(c)
-    assert np.max(ac) / abs(c[-1]) < 1e12
     found = roots(UniPoly(c))
     assert sum(m for _r, m in found) == n
     assert all(m == 1 for _r, m in found)
@@ -345,6 +356,65 @@ def test_roots_agree_with_numpy(true_roots):
             # max |c_k|, the normwise sense in which numpy.roots is stable
             kappa = np.max(ac) * P.polyval(abs(rho), np.ones(n + 1)) / abs(P.polyval(rho, dc))
             assert np.min(np.abs(b - rho)) <= 100 * EPS * (n + 1) * kappa
+
+
+@pytest.mark.parametrize("true_roots", list(_root_cases()))
+def test_roots_agree_with_numpy(true_roots):
+    c = P.polyfromroots(true_roots)
+    assert np.max(np.abs(c)) / abs(c[-1]) < 1e12
+    _assert_agree_with_numpy(c)
+
+
+def _start_cases():
+    """Coefficient arrays whose Newton polygons exercise the Aberth start."""
+    yield pytest.param(np.array([1.0, 0, 0, -3, 0, 0, 1]), id="interior-zeros")
+    # (z**4 - 16)(z**3 - 1e-3): rings of radii 0.1 and 2, four zero coefficients
+    yield pytest.param(P.polymul([-16, 0, 0, 0, 1], [-1e-3, 0, 0, 1]), id="two-rings-interior-zeros")
+    yield pytest.param(np.array([-(0.3 + 0.4j)] + [0] * 11 + [1]), id="single-edge-12")
+    yield pytest.param(np.array([-5.0] + [0] * 6 + [1]), id="single-edge-7")
+    rng = np.random.default_rng(11)
+    yield pytest.param(P.polyfromroots(np.concatenate(
+        [_ring(rng, 6, 0.01, 0.012), _ring(rng, 6, 2.0, 2.4)])), id="span-1e11")
+    yield pytest.param(np.array([2 - 1j, 0.5]), id="degree-1")
+    yield pytest.param(np.array([0.3, -1.0, 2.0]), id="degree-2")
+    yield pytest.param(np.array([4.0, 0, 1]), id="degree-2-interior-zero")
+
+
+@pytest.mark.parametrize("c", list(_start_cases()))
+def test_roots_from_newton_polygon_start_edge_cases(c):
+    _assert_agree_with_numpy(c)
+
+
+def test_newton_polygon_start_follows_the_hull_edges():
+    # (z**4 - 16)(z**3 - 1e-3): edges 0 -> 3 and 3 -> 7 of radii 0.1 (clipped
+    # to 0.2) and 2; the coefficient of z**4 lies below the hull
+    c = P.polymul([-16, 0, 0, 0, 1], [-1e-3, 0, 0, 1])
+    z = polynomials._newton_polygon_start(c)
+    assert np.allclose(np.abs(z), [0.2] * 3 + [2.0] * 4)
+    # a single edge: one circle of radius |c_0 / c_n|**(1 / n), as before
+    z = polynomials._newton_polygon_start(np.array([-5.0] + [0] * 6 + [1]))
+    assert np.allclose(z, 5 ** (1 / 7) * np.exp(2j * np.pi * (np.arange(7) + 0.37) / 7 + 0.41j))
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_aberth_sweeps_on_the_boundary_polynomial(monkeypatch, n):
+    # t = |p1|^2 - |p2|^2 has its roots on two rings, one inside the circle
+    # and its mirror image outside; starting them on one circle of radius
+    # |c_0 / c_2n|**(1 / 2n) took 30 to 50 sweeps, growing with n
+    sweeps = []
+    real = polynomials._eval_scaled
+
+    def counted(tables, z):
+        sweeps[-1] += 1
+        return real(tables, z)
+
+    monkeypatch.setattr(polynomials, "_eval_scaled", counted)
+    for seed in range(3):
+        poly, _taus = _generated_rif(n, seed)
+        t = TrigPoly.modulus_squared(poly.p1) - TrigPoly.modulus_squared(poly.p2)
+        sweeps.append(0)
+        polynomials._aberth(t.as_poly()[0].coeffs)
+    assert max(sweeps) <= 24, sweeps
 
 
 @pytest.mark.parametrize("n,mult,radius", [

@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from rifclark.catalog import entries, get
-from rifclark.errors import DomainError
+from rifclark.errors import DomainError, RifClarkError
 from rifclark.polynomials import UniPoly
 from rifclark.rif import (
     BiPolyN1,
@@ -230,6 +230,23 @@ def test_line_derivative_values():
     by_tau = {round(s.tau.real): s for s in rif.singularities}
     assert abs(by_tau[1].deriv - (-1.0)) < 1e-10
     assert abs(by_tau[-1].deriv - (-2.0)) < 1e-10
+
+
+@pytest.mark.parametrize("r", [1 + 4e-7, 1 + 4e-6, 1 + 4e-5, 1.0004, 1.004, 1.04])
+def test_contact_next_to_a_zero_of_p1_is_found_or_refused(r):
+    # p = (z1 - r)(2 - z1 - z2) has one order-one contact, at tau = 1, for
+    # every r > 1; t = 2 |zeta - r|^2 |zeta - 1|^2 puts the roots r and 1 / r
+    # next to the double circle zero
+    try:
+        rif = validate(_poly(P.polymul([-r, 1.0], [2.0, -1.0]), [r, -1.0], 2))
+    except RifClarkError:
+        # |p| on the line {1} x D is |r - 1| |1 - z2|, below the probe
+        # threshold of the line derivative only when r is this close to 1
+        assert r < 1.001
+        return
+    [s] = rif.singularities
+    assert abs(s.tau - 1.0) < 1e-9 and s.mult == 2
+    assert abs(s.deriv + 2 / (r - 1) + 3) <= 1e-6 * abs(s.deriv)
 
 
 def test_is_saturated_matches_documented():
