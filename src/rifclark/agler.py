@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .polynomials import UniPoly, fejer_riesz
-from .clark import AlphaKind, ClarkMeasure
+from .clark import RULE_NODES, AlphaKind, ClarkMeasure
 from .rif import Rif, phi_eval
 
 _SOS_SAMPLES = 200
@@ -167,7 +167,7 @@ class GramReport:
     max_abs_deviation: float
 
 
-def gram_isometry_check(cm: ClarkMeasure, points, count: int = 4096) -> GramReport:
+def gram_isometry_check(cm: ClarkMeasure, points) -> GramReport:
     """Compare Gram matrices of kernel functions under the Clark embedding.
 
     For interior points w_i, the embedding sends the kernel k_{w_i} to
@@ -190,7 +190,7 @@ def gram_isometry_check(cm: ClarkMeasure, points, count: int = 4096) -> GramRepo
         (1.0 - cw1 * w[:, 0]) * (1.0 - cw2 * w[:, 1])
     )
     pref = 1.0 - cm.alpha * np.conj(phis)
-    z, z2c, wvals = cm.node_data(count)
+    z, z2c, wvals = cm.node_data(RULE_NODES)
     acc = _weighted_gram(1.0 / ((1.0 - cw1 * z) * (1.0 - cw2 * z2c)), wvals)
     for tau, mass in cm.lines:
         acc += mass * _weighted_gram(1.0 / ((1.0 - cw1 * tau) * (1.0 - cw2 * z)),
@@ -206,20 +206,19 @@ def _weighted_gram(vals: np.ndarray, weights=1.0) -> np.ndarray:
     return (vals * weights) @ vals.conj().T / vals.shape[1]
 
 
-def orthonormality_check(cm: ClarkMeasure, R_list, count: int = 4096) -> np.ndarray:
+def orthonormality_check(cm: ClarkMeasure, R_list) -> np.ndarray:
     """Gram matrix of {R_j / p} in L^2(cm); identity when the list is
     orthonormal.
 
     The line contributions are exact: (R_i / p)(tau_k, .) is the constant
     q_i(tau_k) / p2(tau_k) whenever R_i(tau_k, lambda_k) = 0, which is
     required (otherwise the trace is not square integrable and this raises
-    NumericError).  The curve contribution uses nodes offset by half a
-    spacing so that curve-line crossing points, which sit at circle zeros
-    of p, never coincide with quadrature nodes.
+    NumericError).  The curve contribution uses RULE_NODES nodes offset by
+    half a spacing so that curve-line crossing points, which sit at circle
+    zeros of p, never coincide with quadrature nodes.
     """
     rif = cm.rif
     pieces = list(R_list)
-    count = int(count)
     sc = max(rif.p.scale(), 1e-300)
     m = len(pieces)
     gram = np.zeros((m, m), dtype=complex)
@@ -237,12 +236,12 @@ def orthonormality_check(cm: ClarkMeasure, R_list, count: int = 4096) -> np.ndar
             vals.append(piece.q(tau) / p2t)
         v = np.array(vals)
         gram += mass * np.outer(v, np.conj(v))
-    z = np.exp(2j * np.pi * (np.arange(count) + 0.5) / count)
+    z = np.exp(2j * np.pi * (np.arange(RULE_NODES) + 0.5) / RULE_NODES)
     z2 = cm.curve_z2(z)
     pv = rif.p.eval(z, z2)
     live = np.abs(pv) > 1e-12 * sc
     ratios = np.array([
         np.where(live, piece.eval(z, z2) / np.where(live, pv, 1.0), 0.0)
         for piece in pieces
-    ], dtype=complex).reshape(m, count)
+    ], dtype=complex).reshape(m, RULE_NODES)
     return gram + _weighted_gram(ratios, cm.weight_eval(z))

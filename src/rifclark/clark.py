@@ -77,12 +77,13 @@ from .polynomials import (
 from .quadrature import circle_nodes
 from .rif import Rif, is_saturated
 
-_START_NODES = 4096
+# node count of the fixed rule, and the first rung of the adaptive one
+RULE_NODES = 4096
 _SETTLE = 1e-9
 _MAX_ADAPTIVE_NODES = 2 ** 20
 # a Blaschke zero closer than this to the circle keeps the uniform rule's
-# error exp(-N delta) above _SETTLE after one doubling of _START_NODES
-_MAP_DISTANCE = math.log(1.0 / _SETTLE) / _START_NODES
+# error exp(-N delta) above _SETTLE after one doubling of RULE_NODES
+_MAP_DISTANCE = math.log(1.0 / _SETTLE) / RULE_NODES
 # the Poisson and Gram test points of the verification suites lie within
 # this radius; the node map must not push them onto the circle either
 _PROBE_RADIUS = 0.5
@@ -270,7 +271,8 @@ class ClarkMeasure:
         phi0 = self.rif.phi_at_origin
         return float((1.0 - abs(phi0) ** 2) / abs(self.alpha - phi0) ** 2)
 
-    def to_json(self, count: int = 4096) -> dict:
+    def to_json(self) -> dict:
+        """The measure's data and its settled adaptive total mass."""
         return {
             "alpha": cplx_to_json(self.alpha),
             "kind": self.alpha_class.kind.value,
@@ -283,7 +285,7 @@ class ClarkMeasure:
             "lines": [
                 {"tau": cplx_to_json(t), "mass": float(c)} for t, c in self.lines
             ],
-            "total_mass": self.total_mass(count),
+            "total_mass": self.total_mass(None),
         }
 
 
@@ -385,7 +387,7 @@ def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
     )
 
 
-def integrate(cm: ClarkMeasure, f, count: int | None = 4096) -> complex | np.ndarray:
+def integrate(cm: ClarkMeasure, f, count: int | None = RULE_NODES) -> complex | np.ndarray:
     """Integral of f against the Clark measure.
 
     f must be vectorized: called as f(z1_array, z2_array) with N nodes it
@@ -412,7 +414,7 @@ def integrate(cm: ClarkMeasure, f, count: int | None = 4096) -> complex | np.nda
     if count is not None:
         count = int(count)
         return _rule_value(cm, _node_sums(cm, f, *cm.node_data(count)), count)
-    count = _START_NODES
+    count = RULE_NODES
     sums = _node_sums(cm, f, *cm.node_data(count))
     prev = _rule_value(cm, sums, count)
     while count < _MAX_ADAPTIVE_NODES:
@@ -509,6 +511,8 @@ class LevelSetSample:
 def level_set_sample(cm: ClarkMeasure, n_points: int = 512) -> LevelSetSample:
     """Sample the level set of cm: the curve at n_points equally spaced
     theta1, and the abscissa of each line."""
+    if int(n_points) < 1:
+        raise DomainError("node count must be positive")
     theta1 = 2.0 * np.pi * np.arange(int(n_points)) / int(n_points)
     z = np.exp(1j * theta1)
     theta2 = np.mod(np.angle(cm.curve_z2(z)), 2.0 * np.pi)

@@ -168,7 +168,7 @@ def cmd_analyze(args) -> int:
             "the weight is nearly singular", file=sys.stderr,
         )
     cm = clark_measure(rif, alpha)
-    report = cm.to_json(count=args.nodes)
+    report = cm.to_json()
     report["unitary"] = classify_unitary(rif, alpha) is Unitarity.UNITARY
     decision = classify_extreme(rif, alpha)
     report["extreme"] = decision.status.value
@@ -189,11 +189,10 @@ def cmd_verify(args) -> int:
     names = None
     if args.suite:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
-    results = run_suites(entry, names, seed=args.seed, count=args.nodes)
+    results = run_suites(entry, names, seed=args.seed)
     report = {
         "input": entry.name,
         "seed": args.seed,
-        "nodes": args.nodes,
         "suites": [r.to_json() for r in results],
         "all_passed": all(r.passed for r in results),
     }
@@ -257,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("input", help="catalog name or polynomial JSON path")
-            p.add_argument("--nodes", type=int, default=4096,
-                           help="quadrature node count (default 4096)")
         p.add_argument("--out", default=None, help="output file path")
 
     pa = sub.add_parser("analyze", help="Clark measure report for one alpha")
@@ -279,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(pl)
     pl.add_argument("--alphas", required=True,
                     help="comma-separated unimodular alphas")
+    pl.add_argument("--nodes", type=int, default=4096,
+                    help="curve samples per alpha (default 4096)")
     pl.set_defaults(fn=cmd_levelset)
 
     pc = sub.add_parser("catalog", help="list the example catalog")

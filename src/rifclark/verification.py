@@ -5,14 +5,15 @@ polynomial), runs one family of checks, and reports the worst deviation
 against its tolerance.  run_suites drives a selection of them and is the
 engine behind the command-line verify subcommand.
 
-Sweep construction: quadrature error for the curve part decays like
+Sweep construction (a list of Clark measures, one per alpha, shared by the
+suites): quadrature error for the curve part decays like
 exp(-N s) where the analyticity strip s is proportional to the distance d
 from the unit circle to the nearest zero of B_alpha.  Near-exceptional
 generic alpha push that distance toward zero (quartic in the gap for
-order-two boundary contact), so random sweeps draw unimodular alpha whose
-measured d stays above a floor; with the floor 0.02 and test points of
-modulus at most 0.5 the observed deviations sit around 1e-12, far inside
-the 1e-7 budget.
+order-two boundary contact), so random sweeps draw unimodular alpha and
+keep the measure when the distance of its own Blaschke zeros stays above a
+floor; with the floor 0.02 and test points of modulus at most 0.5 the
+observed deviations sit around 1e-12, far inside the 1e-7 budget.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .agler import (
 )
 from .catalog import CatalogEntry
 from .clark import (
+    RULE_NODES,
+    ClarkMeasure,
     ExtremeStatus,
     Unitarity,
     clark_measure,
@@ -40,14 +43,16 @@ from .clark import (
     integrate,
     level_set_sample,
 )
-from .errors import DomainError
-from .polynomials import TOL, roots
+from .errors import DomainError, RifClarkError
+from .polynomials import TOL
 from .quadrature import circle_nodes, pointmass_probe, poisson2
 from .rif import Rif, phi_eval, reflect
 
 SWEEP_SIZE = 16
 SWEEP_MIN_DISTANCE = 0.02
 POINT_RADIUS = 0.5
+# box_mass resolves boxes down to 0.025 with transitions a tenth as wide
+_BOX_NODES = 16384
 
 
 @dataclass
@@ -78,49 +83,51 @@ def _distinct_exceptional(rif: Rif) -> list[complex]:
     return out
 
 
-def _zero_distance(rif: Rif, alpha: complex) -> float:
-    """1 minus the largest zero modulus of the generic-alpha numerator."""
-    u = rif.pt1 - alpha * rif.p2
-    if u.degree < 1:
-        return 1.0
-    rr = roots(u)
-    return 1.0 - max(abs(r) for r, _m in rr)
+def _zero_gap(cm: ClarkMeasure) -> float:
+    """1 minus the largest modulus of the measure's Blaschke zeros."""
+    return 1.0 - max((abs(a) for a in cm.balpha.zeros), default=0.0)
 
 
-def alpha_sweep(rif: Rif, seed: int = 0) -> list[complex]:
-    """SWEEP_SIZE alphas: all exceptional values plus random
-    well-conditioned generic ones.
+def _generic_measure(rif: Rif, alpha: complex) -> ClarkMeasure | None:
+    """The measure at a generic draw, or None when it is refused (a zero of
+    the pencil on or outside the circle)."""
+    try:
+        return clark_measure(rif, alpha)
+    except RifClarkError:
+        return None
 
-    Generic draws are rejected while the nearest zero of B_alpha sits
-    within SWEEP_MIN_DISTANCE of the circle; when qualifying angles are too
+
+def alpha_sweep(rif: Rif, seed: int = 0) -> list[ClarkMeasure]:
+    """The sweep's Clark measures: one per exceptional value, then random
+    well-conditioned generic ones up to SWEEP_SIZE in all.
+
+    A generic draw is kept when its Blaschke zeros lie at least
+    SWEEP_MIN_DISTANCE inside the circle; when qualifying angles are too
     rare the fallback scans a fixed half-offset grid and keeps the best.
     """
-    exc = _distinct_exceptional(rif)
+    exc = [clark_measure(rif, a) for a in _distinct_exceptional(rif)]
     need = SWEEP_SIZE - len(exc)
-    if need <= 0:
-        return exc[:SWEEP_SIZE]
     rng = np.random.default_rng([seed, 0x5eed])
-    picked: list[complex] = []
+    picked: list[ClarkMeasure] = []
     attempts = 0
     while len(picked) < need and attempts < 200 * need:
         attempts += 1
         a = complex(np.exp(2j * np.pi * rng.uniform()))
-        if any(abs(a - b) <= 1e-6 for b in exc + picked):
+        if any(abs(a - cm.alpha) <= 1e-6 for cm in exc + picked):
             continue
-        if _zero_distance(rif, a) >= SWEEP_MIN_DISTANCE:
-            picked.append(a)
+        cm = _generic_measure(rif, a)
+        if cm is not None and _zero_gap(cm) >= SWEEP_MIN_DISTANCE:
+            picked.append(cm)
     if len(picked) < need:
         grid = np.exp(2j * np.pi * (np.arange(192) + 0.5) / 192)
-        scored = sorted(
-            ((_zero_distance(rif, complex(a)), complex(a)) for a in grid
-             if not any(abs(a - b) <= 1e-6 for b in exc)),
-            key=lambda s: -s[0],
-        )
-        for _d, a in scored:
+        built = (_generic_measure(rif, complex(a)) for a in grid
+                 if not any(abs(a - cm.alpha) <= 1e-6 for cm in exc))
+        for cm in sorted((cm for cm in built if cm is not None),
+                         key=lambda cm: -_zero_gap(cm)):
             if len(picked) >= need:
                 break
-            if not any(abs(a - b) <= 1e-9 for b in picked):
-                picked.append(a)
+            if not any(abs(cm.alpha - b.alpha) <= 1e-9 for b in picked):
+                picked.append(cm)
     return exc + picked
 
 
@@ -144,26 +151,20 @@ def _torus_grid(n1: int, n2: int):
 class _Ctx:
     """Shared state handed to every suite."""
 
-    def __init__(self, entry: CatalogEntry, seed: int, count: int):
+    def __init__(self, entry: CatalogEntry, seed: int):
         self.entry = entry
         self.rif = entry.build()
         self.seed = seed
-        self.count = count
         self._sweep = None
-        self._measures: dict = {}
 
-    def sweep(self) -> list[complex]:
+    def sweep(self) -> list[ClarkMeasure]:
         if self._sweep is None:
             self._sweep = alpha_sweep(self.rif, seed=self.seed)
         return self._sweep
 
-    def measure(self, alpha: complex):
-        key = (round(alpha.real, 15), round(alpha.imag, 15))
-        cm = self._measures.get(key)
-        if cm is None:
-            cm = clark_measure(self.rif, alpha)
-            self._measures[key] = cm
-        return cm
+    def exceptional(self) -> list[ClarkMeasure]:
+        """The sweep's measures at the distinct exceptional values."""
+        return [cm for cm in self.sweep() if cm.alpha_class.matched]
 
     def rng(self, salt: int):
         return np.random.default_rng([self.seed, salt])
@@ -203,8 +204,8 @@ def _suite_blaschke(ctx: _Ctx) -> SuiteResult:
     z = circle_nodes(512)
     dev = 0.0
     zeros_inside = True
-    for a in ctx.sweep():
-        b = ctx.measure(a).balpha
+    for cm in ctx.sweep():
+        b = cm.balpha
         dev = max(dev, float(np.max(np.abs(np.abs(b(z)) - 1.0))))
         dev = max(dev, abs(abs(b.constant) - 1.0))
         if any(abs(w) >= 1.0 for w in b.zeros):
@@ -215,8 +216,8 @@ def _suite_blaschke(ctx: _Ctx) -> SuiteResult:
 
 def _suite_lambda_match(ctx: _Ctx) -> SuiteResult:
     dev = 0.0
-    for a in ctx.sweep():
-        b = ctx.measure(a).balpha
+    for cm in ctx.sweep():
+        b = cm.balpha
         for s in ctx.rif.singularities:
             dev = max(dev, abs(np.conj(b(s.tau)) - s.lam))
     tol = 1e-8
@@ -227,10 +228,10 @@ def _suite_lambda_match(ctx: _Ctx) -> SuiteResult:
 def _suite_support(ctx: _Ctx) -> SuiteResult:
     rif = ctx.rif
     dev = 0.0
-    for a in ctx.sweep():
-        z, z2, _w = ctx.measure(a).node_data(ctx.count)
+    for cm in ctx.sweep():
+        z, z2, _w = cm.node_data(RULE_NODES)
         pz = rif.p.eval(z, z2)
-        num = rif.ptilde.eval(z, z2) - a * pz
+        num = rif.ptilde.eval(z, z2) - cm.alpha * pz
         scale = max(1.0, float(np.max(np.abs(pz))))
         dev = max(dev, float(np.max(np.abs(num))) / scale)
     tol = 1e-8
@@ -240,8 +241,8 @@ def _suite_support(ctx: _Ctx) -> SuiteResult:
 def _suite_weight_positive(ctx: _Ctx) -> SuiteResult:
     dev = 0.0
     wmax = 0.0
-    for a in ctx.sweep():
-        _z, _z2, w = ctx.measure(a).node_data(ctx.count)
+    for cm in ctx.sweep():
+        _z, _z2, w = cm.node_data(RULE_NODES)
         dev = max(dev, float(max(0.0, -np.min(w))))
         wmax = max(wmax, float(np.max(w)))
         if not np.all(np.isfinite(w)):
@@ -252,8 +253,7 @@ def _suite_weight_positive(ctx: _Ctx) -> SuiteResult:
 
 def _suite_mass_identity(ctx: _Ctx) -> SuiteResult:
     dev = 0.0
-    for a in ctx.sweep():
-        cm = ctx.measure(a)
+    for cm in ctx.sweep():
         dev = max(dev, abs(cm.total_mass(count=None) - cm.closed_form_mass()))
     tol = 1e-9
     return SuiteResult("mass_identity", dev <= tol, dev, tol)
@@ -272,11 +272,11 @@ def _suite_poisson(ctx: _Ctx) -> SuiteResult:
     dev = 0.0
     # one pair of kernel buffers for every call: integrate consumes each
     # family before it asks for the next
-    work = np.empty((2, len(pts), ctx.count))
-    for a in ctx.sweep():
-        got = integrate(ctx.measure(a),
-                        lambda u, v: poisson2(pts, (u, v), out=work), ctx.count)
-        want = _poisson_closed_form(phis, a)
+    work = np.empty((2, len(pts), RULE_NODES))
+    for cm in ctx.sweep():
+        got = integrate(cm, lambda u, v: poisson2(pts, (u, v), out=work),
+                        RULE_NODES)
+        want = _poisson_closed_form(phis, cm.alpha)
         dev = max(dev, float(np.max(np.abs(got.real - want))))
     tol = 1e-7
     return SuiteResult("poisson", dev <= tol, dev, tol,
@@ -286,8 +286,8 @@ def _suite_poisson(ctx: _Ctx) -> SuiteResult:
 def _suite_gram(ctx: _Ctx) -> SuiteResult:
     pts = _interior_points(ctx.rng(2), 5)
     dev = 0.0
-    for a in ctx.sweep():
-        rep = gram_isometry_check(ctx.measure(a), pts, count=ctx.count)
+    for cm in ctx.sweep():
+        rep = gram_isometry_check(cm, pts)
         dev = max(dev, rep.max_abs_deviation)
     tol = 1e-7
     return SuiteResult("gram", dev <= tol, dev, tol,
@@ -367,16 +367,14 @@ def _suite_sos_fixture(ctx: _Ctx) -> SuiteResult:
 
 def _suite_ortho(ctx: _Ctx) -> SuiteResult:
     rif = ctx.rif
-    exc = _distinct_exceptional(rif)
-    if not exc:
+    if not rif.singularities:
         return SuiteResult("ortho_identity", True, 0.0, 1e-7,
                            details={"skipped": "no exceptional values"})
     dev = 0.0
     vanish = 0.0
-    for a in exc:
-        cm = ctx.measure(a)
+    for cm in ctx.exceptional():
         pieces = exceptional_R(cm)
-        gram = orthonormality_check(cm, pieces, count=ctx.count)
+        gram = orthonormality_check(cm, pieces)
         dev = max(dev, float(np.max(np.abs(gram - np.eye(len(pieces))))))
         vanish = max(vanish, _sospiece_vanishing(rif, pieces))
     tol = 1e-7
@@ -427,31 +425,30 @@ def _box_indicators(center1: float, center2: float, epss):
 def _suite_box_mass(ctx: _Ctx) -> SuiteResult:
     rif = ctx.rif
     epss = (0.1, 0.05, 0.025)
-    count = max(ctx.count, 16384)
+    exc = ctx.exceptional()
     targets = []
     for s in rif.singularities:
-        targets.append((s.alpha, math.atan2(s.tau.imag, s.tau.real),
+        cm = min(exc, key=lambda cm: abs(cm.alpha - s.alpha))
+        targets.append((cm, math.atan2(s.tau.imag, s.tau.real),
                         math.atan2(s.lam.imag, s.lam.real)))
-    generic = [a for a in ctx.sweep()
-               if all(abs(a - s.alpha) > 1e-6 for s in rif.singularities)]
+    generic = [cm for cm in ctx.sweep() if not cm.alpha_class.matched]
     if generic:
-        a = generic[0]
-        cm = ctx.measure(a)
+        cm = generic[0]
         th1 = 0.7
         z2 = complex(cm.curve_z2(np.exp(1j * th1)))
-        targets.append((a, th1, math.atan2(z2.imag, z2.real)))
+        targets.append((cm, th1, math.atan2(z2.imag, z2.real)))
     ratio = 0.0
     monotone = True
     rows = []
-    for a, c1, c2 in targets:
+    for cm, c1, c2 in targets:
         masses = [float(m) for m in integrate(
-            ctx.measure(a), _box_indicators(c1, c2, epss), count).real]
+            cm, _box_indicators(c1, c2, epss), _BOX_NODES).real]
         if any(b >= m for m, b in zip(masses, masses[1:])):
             monotone = False
         kconst = 1.25 * masses[0] / epss[0]
         for e, m in zip(epss, masses):
             ratio = max(ratio, m / (kconst * e))
-        rows.append({"alpha": [a.real, a.imag], "masses": masses})
+        rows.append({"alpha": [cm.alpha.real, cm.alpha.imag], "masses": masses})
     passed = monotone and ratio <= 1.0
     return SuiteResult("box_mass", passed, ratio, 1.0,
                        details={"monotone": monotone, "boxes": rows})
@@ -460,18 +457,18 @@ def _suite_box_mass(ctx: _Ctx) -> SuiteResult:
 def _suite_levelset(ctx: _Ctx) -> SuiteResult:
     rif = ctx.rif
     sweep = ctx.sweep()
-    chosen = sweep[: max(1, len(_distinct_exceptional(rif)))] + sweep[-2:]
+    chosen = sweep[: max(1, len(ctx.exceptional()))] + sweep[-2:]
     dev = 0.0
     lines_ok = True
-    for a in chosen:
-        sample = level_set_sample(ctx.measure(a), n_points=256)
+    for cm in chosen:
+        sample = level_set_sample(cm, n_points=256)
         z1 = np.exp(1j * sample.curve[:, 0])
         z2 = np.exp(1j * sample.curve[:, 1])
         pz = rif.p.eval(z1, z2)
-        num = np.abs(rif.ptilde.eval(z1, z2) - a * pz)
+        num = np.abs(rif.ptilde.eval(z1, z2) - cm.alpha * pz)
         scale = max(1.0, float(np.max(np.abs(pz))))
         dev = max(dev, float(np.max(num)) / scale)
-        matched = [s for s in rif.singularities if abs(s.alpha - a) <= 1e-8]
+        matched = [s for s in rif.singularities if abs(s.alpha - cm.alpha) <= 1e-8]
         if len(sample.line_abscissae) != len(matched):
             lines_ok = False
     tol = 1e-8
@@ -500,8 +497,7 @@ def _suite_weakstar(ctx: _Ctx) -> SuiteResult:
     also run.
     """
     rif = ctx.rif
-    exc = _distinct_exceptional(rif)
-    if not exc:
+    if not rif.singularities:
         return SuiteResult("weakstar", True, 0.0, 1e-4,
                            details={"skipped": "no exceptional values"})
     delta = 1e-5
@@ -509,15 +505,15 @@ def _suite_weakstar(ctx: _Ctx) -> SuiteResult:
     phis = np.array([phi_eval(rif, z) for z in _WEAKSTAR_Z])
     dev = 0.0
     limits = []
-    for a in exc:
-        lim = integrate(ctx.measure(a), lambda u, v: poisson2(pts, (u, v)),
-                        None).real
-        pert = _poisson_closed_form(phis, a * complex(np.exp(1j * delta)))
+    exc = ctx.exceptional()
+    for cm in exc:
+        lim = integrate(cm, lambda u, v: poisson2(pts, (u, v)), None).real
+        pert = _poisson_closed_form(phis, cm.alpha * complex(np.exp(1j * delta)))
         dev = max(dev, float(np.max(np.abs(lim - pert))))
         limits.append(lim)
     details: dict = {"delta": delta}
     if all(s.mult == 2 for s in rif.singularities) and rif.n == 1:
-        a = exc[0]
+        a = exc[0].alpha
         z = _WEAKSTAR_Z[0]
         lim = float(limits[0][0])
         trend = []
@@ -557,8 +553,7 @@ def suite_names() -> list[str]:
     return list(_SUITES.keys())
 
 
-def run_suites(entry: CatalogEntry, names=None, seed: int = 0,
-               count: int = 4096) -> list[SuiteResult]:
+def run_suites(entry: CatalogEntry, names=None, seed: int = 0) -> list[SuiteResult]:
     if names is None:
         names = suite_names()
     unknown = [n for n in names if n not in _SUITES]
@@ -567,7 +562,7 @@ def run_suites(entry: CatalogEntry, names=None, seed: int = 0,
             f"unknown suite(s) {', '.join(unknown)}; "
             f"available: {', '.join(suite_names())}"
         )
-    ctx = _Ctx(entry, seed, count)
+    ctx = _Ctx(entry, seed)
     out = []
     for name in names:
         t0 = time.perf_counter()

@@ -86,7 +86,7 @@ def test_criterion_4_poisson_identity_sweep():
     t0 = time.perf_counter()
     worst = 0.0
     for name in ALL_NAMES:
-        res = run_suites(get(name), ["poisson"], seed=20260817, count=4096)[0]
+        res = run_suites(get(name), ["poisson"], seed=20260817)[0]
         worst = max(worst, res.max_deviation)
         assert res.details["alphas"] == 16
     elapsed = time.perf_counter() - t0
@@ -98,7 +98,7 @@ def test_criterion_4_poisson_identity_sweep():
 def test_criterion_5_gram_isometry_sweep():
     worst = 0.0
     for name in ALL_NAMES:
-        res = run_suites(get(name), ["gram"], seed=20260817, count=4096)[0]
+        res = run_suites(get(name), ["gram"], seed=20260817)[0]
         worst = max(worst, res.max_deviation)
     ok = worst < 1e-7
     _report(5, ok, f"5 points, 16 alphas per entry, worst {worst:.2e}")

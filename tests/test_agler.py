@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rifclark import agler
 from rifclark.agler import (
     SosPiece,
     compute_Q,
@@ -137,16 +138,17 @@ def test_gram_isometry_generic_and_exceptional():
         assert np.max(np.abs(g - g.conj().T)) < 1e-12
 
 
-def test_weighted_products_match_loop_reference():
+def test_weighted_products_match_loop_reference(monkeypatch):
     # the weighted products sum in another order than the per-pair node
     # means they replaced; both stay within N eps of each other at N nodes
     count = 1024
+    monkeypatch.setattr(agler, "RULE_NODES", count)
     bound = count * np.finfo(float).eps
     rif = get("deg31").build()
     pts = [(0.2 + 0.1j, -0.3j), (0.0j, 0.4), (-0.25, 0.1 + 0.2j)]
     for alpha in (complex(np.exp(0.6j)), -1.0 + 0.0j):
         cm = clark_measure(rif, alpha)
-        rep = gram_isometry_check(cm, pts, count=count)
+        rep = gram_isometry_check(cm, pts)
         z, z2, w = cm.node_data(count)
 
         def image(p, u, v):
@@ -163,7 +165,7 @@ def test_weighted_products_match_loop_reference():
     rif = validate(BiPolyN1(UniPoly([2.0, 0.0, -1.0]), UniPoly([-1.0]), 2))
     cm = clark_measure(rif, rif.singularities[0].alpha)
     pieces = exceptional_R(cm)
-    gram = orthonormality_check(cm, pieces, count=count)
+    gram = orthonormality_check(cm, pieces)
     z = np.exp(2j * np.pi * (np.arange(count) + 0.5) / count)
     z2 = cm.curve_z2(z)
     w = cm.weight_eval(z)

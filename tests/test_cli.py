@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from rifclark import cli
+from rifclark import clark, cli
 from rifclark.catalog import get, names
 from rifclark.clark import clark_measure
 from rifclark.errors import DomainError, NumericError
@@ -103,6 +103,34 @@ def test_analyze_deg31_alpha_minus_one_weight_order(capsys):
     rep = json.loads(capsys.readouterr().out)
     orders = {round(o["tau"][0]): o["order"] for o in rep["weight_vanishing_order"]}
     assert orders[1] == 0  # nonvanishing weight at the simple contact
+
+
+@pytest.mark.parametrize("name,angle,code", [
+    ("fave", "pi+0.001", 0), ("amy-variant", "pi+0.001", 0),
+    ("deg31", "pi+0.001", 0), ("amy", "pi+0.03", 0), ("amy", "pi+0.01", 3),
+])
+def test_analyze_reports_the_settled_mass_near_exceptional(name, angle, code, capsys):
+    # B_alpha has a zero close to the circle here, where a fixed 4096-node
+    # rule was 2 % to 48 % off; the reported mass is the adaptive one, or
+    # the measure is refused
+    alpha = f"exp(i*({angle}))"
+    assert cli.main(["analyze", name, f"--alpha={alpha}"]) == code
+    out = capsys.readouterr()
+    if code:
+        assert out.out == "" and "numeric error" in out.err
+        return
+    rep = json.loads(out.out)
+    want = clark_measure(get(name).build(), cli.parse_alpha(alpha)).closed_form_mass()
+    assert abs(rep["total_mass"] - want) <= 1e-8 * want
+
+
+def test_analyze_unsettled_mass_is_numeric_error(monkeypatch, capsys):
+    # with no room to double, the adaptive mass cannot settle: analyze
+    # reports the failure instead of an unsettled number
+    monkeypatch.setattr(clark, "_MAX_ADAPTIVE_NODES", clark.RULE_NODES)
+    assert cli.main(["analyze", "fave", "--alpha=i"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "did not settle" in out.err
 
 
 def test_analyze_generic_warns_near_exceptional(capsys):
@@ -202,6 +230,8 @@ def test_subcommands_take_only_the_options_they_read(capsys):
                  ["analyze", "fave", "--alpha=1", "--tol", "1e-9"],
                  ["levelset", "fave", "--alphas=1", "--seed", "3"],
                  ["verify", "fave", "--tol", "1e-9"],
+                 ["analyze", "fave", "--alpha=1", "--nodes", "64"],
+                 ["verify", "fave", "--nodes", "64"],
                  ["catalog", "--nodes", "64"],
                  ["catalog", "--seed", "3"]):
         with pytest.raises(SystemExit) as exc:
@@ -259,7 +289,7 @@ def test_verify_unknown_suite_is_input_error(capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from rifclark.verification import SuiteResult
 
-    def fake(entry, names=None, seed=0, count=4096):
+    def fake(entry, names=None, seed=0):
         return [SuiteResult("reflect", False, 1.0, 1e-10)]
 
     monkeypatch.setattr(cli, "run_suites", fake)
@@ -269,7 +299,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_numeric_error_exit_code(monkeypatch, capsys):
-    def boom(entry, names=None, seed=0, count=4096):
+    def boom(entry, names=None, seed=0):
         raise NumericError("synthetic failure", residual=1.0)
 
     monkeypatch.setattr(cli, "run_suites", boom)
@@ -307,6 +337,14 @@ def test_levelset_out_single(tmp_path, capsys):
     capsys.readouterr()
     assert out.exists()
     assert "line_0" in out.read_text()
+
+
+@pytest.mark.parametrize("nodes", ["0", "-3"])
+def test_levelset_nonpositive_nodes_is_input_error(nodes, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["levelset", "fave", "--alphas=-1", f"--nodes={nodes}"]) == 2
+    assert "node count must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_levelset_curve_closes_continuously():

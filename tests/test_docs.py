@@ -79,13 +79,22 @@ def _public_callables():
 
 
 def test_public_callables_take_no_tolerance():
-    # one tolerance, polynomials.TOL, serves the whole package
+    # one tolerance, polynomials.TOL, serves the whole package; the checks
+    # run at one node count, clark.RULE_NODES, and analyze reports the
+    # adaptive mass
+    fixed_rule = {"run_suites", "ClarkMeasure.to_json", "gram_isometry_check",
+                  "orthonormality_check"}
+    seen = set()
     for name, obj in _public_callables():
         try:
             params = inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
         assert "tol" not in params and "max_iter" not in params, name
+        if name in fixed_rule:
+            seen.add(name)
+            assert "count" not in params, name
+    assert seen == fixed_rule
 
 
 def test_every_definition_is_named_elsewhere():

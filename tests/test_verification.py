@@ -5,7 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rifclark import agler, clark, verification
+from rifclark import agler, clark, polynomials, verification
+from rifclark import rif as rif_module
 from rifclark.catalog import get, names
 from rifclark.errors import DomainError
 from rifclark.polynomials import roots
@@ -20,7 +21,7 @@ from rifclark.verification import (
 def test_alpha_sweep_contains_all_exceptional():
     for name in ("fave", "amy", "deg31"):
         rif = get(name).build()
-        sweep = alpha_sweep(rif, seed=3)
+        sweep = [cm.alpha for cm in alpha_sweep(rif, seed=3)]
         assert len(sweep) == 16
         for s in rif.singularities:
             assert any(abs(a - s.alpha) < 1e-9 for a in sweep)
@@ -30,7 +31,7 @@ def test_alpha_sweep_contains_all_exceptional():
 def test_alpha_sweep_generic_entries_keep_conditioning_floor():
     rif = get("deg31").build()
     exc = [s.alpha for s in rif.singularities]
-    for a in alpha_sweep(rif, seed=5):
+    for a in (cm.alpha for cm in alpha_sweep(rif, seed=5)):
         if any(abs(a - b) < 1e-9 for b in exc):
             continue
         u = rif.pt1 - a * rif.p2
@@ -40,11 +41,26 @@ def test_alpha_sweep_generic_entries_keep_conditioning_floor():
 
 def test_alpha_sweep_deterministic():
     rif = get("amy").build()
-    one = alpha_sweep(rif, seed=11)
-    two = alpha_sweep(rif, seed=11)
+    one = [cm.alpha for cm in alpha_sweep(rif, seed=11)]
+    two = [cm.alpha for cm in alpha_sweep(rif, seed=11)]
     assert one == two
-    other = alpha_sweep(rif, seed=12)
+    other = [cm.alpha for cm in alpha_sweep(rif, seed=12)]
     assert one != other
+
+
+def test_alpha_sweep_grid_fallback_keeps_the_best_measures(monkeypatch):
+    # no draw can clear an unreachable floor, so the half-offset grid fills
+    # the sweep with its measures of largest Blaschke-zero gap, best first
+    monkeypatch.setattr(verification, "SWEEP_MIN_DISTANCE", 1.5)
+    monkeypatch.setattr(verification, "SWEEP_SIZE", 5)
+    rif = get("fave").build()
+    sweep = alpha_sweep(rif, seed=5)
+    assert len(sweep) == 5
+    assert sweep[0].alpha_class.matched and abs(sweep[0].alpha + 1.0) < 1e-12
+    slots = [np.angle(cm.alpha) / (2 * np.pi) * 192 - 0.5 for cm in sweep[1:]]
+    assert np.allclose(slots, np.round(slots), atol=1e-9)
+    gaps = [verification._zero_gap(cm) for cm in sweep[1:]]
+    assert gaps == sorted(gaps, reverse=True)
 
 
 def test_run_suites_selection_and_order():
@@ -114,6 +130,35 @@ def test_run_suites_builds_one_measure_per_alpha(name, monkeypatch):
     assert all(r.passed for r in results)
     assert len(calls) >= verification.SWEEP_SIZE
     assert set(calls.values()) == {1}, calls.most_common(3)
+
+
+@pytest.mark.parametrize("name", names())
+def test_run_suites_root_finds_each_alpha_once(name, monkeypatch):
+    # a sweep draw is accepted or rejected on its own measure's Blaschke
+    # zeros, so beyond one root-find per measure built only p1 and t in
+    # validate and t in compute_Q remain
+    found = polynomials.roots
+    calls = Counter()
+
+    def counted_roots(*args, **kwargs):
+        calls["roots"] += 1
+        return found(*args, **kwargs)
+
+    built = clark.clark_measure
+
+    def counted_measure(rif, alpha):
+        calls["measures"] += 1
+        return built(rif, alpha)
+
+    # every binding of polynomials.roots in the package is counted
+    for module in (polynomials, rif_module, clark, agler, verification):
+        if getattr(module, "roots", None) is found:
+            monkeypatch.setattr(module, "roots", counted_roots)
+    for module in (clark, agler, verification):
+        monkeypatch.setattr(module, "clark_measure", counted_measure, raising=False)
+    assert all(r.passed for r in run_suites(get(name), seed=5))
+    assert calls["measures"] >= verification.SWEEP_SIZE
+    assert calls["roots"] <= calls["measures"] + 3, calls
 
 
 def test_fave_suites_stay_below_16384_nodes(monkeypatch):
