@@ -45,7 +45,6 @@ from .polynomials import (
     roots,
 )
 from .quadrature import (
-    circle_integral,
     circle_nodes,
     pointmass_probe,
     poisson2,
@@ -58,7 +57,6 @@ from .rif import (
     phi_eval,
     reflect,
     validate,
-    validation_report,
 )
 from .verification import SuiteResult, alpha_sweep, run_suites, suite_names
 
@@ -88,7 +86,6 @@ __all__ = [
     "Unitarity",
     "alpha_sweep",
     "blaschke_from_rational",
-    "circle_integral",
     "circle_nodes",
     "clark_measure",
     "classify_alpha",
@@ -114,6 +111,5 @@ __all__ = [
     "sos_residual",
     "suite_names",
     "validate",
-    "validation_report",
     "__version__",
 ]

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .polynomials import UniPoly, fejer_riesz
 from .clark import RULE_NODES, AlphaKind, ClarkMeasure
+from .quadrature import circle_nodes
 from .rif import Rif, phi_eval
 
 _SOS_SAMPLES = 200
@@ -48,10 +49,6 @@ class SosPiece:
 
     def to_json(self) -> dict:
         return {"r": self.r.to_json(), "q": self.q.to_json()}
-
-    @staticmethod
-    def from_json(obj) -> "SosPiece":
-        return SosPiece(UniPoly.from_json(obj["r"]), UniPoly.from_json(obj["q"]))
 
 
 @dataclass(frozen=True)
@@ -192,9 +189,9 @@ def gram_isometry_check(cm: ClarkMeasure, points) -> GramReport:
     pref = 1.0 - cm.alpha * np.conj(phis)
     z, z2c, wvals = cm.node_data(RULE_NODES)
     acc = _weighted_gram(1.0 / ((1.0 - cw1 * z) * (1.0 - cw2 * z2c)), wvals)
+    omega = circle_nodes(RULE_NODES)
     for tau, mass in cm.lines:
-        acc += mass * _weighted_gram(1.0 / ((1.0 - cw1 * tau) * (1.0 - cw2 * z)),
-                                     cm.jacobian(z))
+        acc += mass * _weighted_gram(1.0 / ((1.0 - cw1 * tau) * (1.0 - cw2 * omega)))
     measured = np.outer(pref, np.conj(pref)) * acc
     dev = float(np.max(np.abs(measured - target)))
     return GramReport(cm.alpha, tuple(pts), target, measured, dev)

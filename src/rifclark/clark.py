@@ -38,7 +38,7 @@ B_alpha are exactly the roots of u_red).  Adaptive integration doubles N
 with nested rules: the old sums are kept, and node data and integrand are
 evaluated only at the N new nodes.
 
-The nodes are the images zeta_j = M_b(omega_j) = (omega_j + b) /
+The curve's nodes are the images zeta_j = M_b(omega_j) = (omega_j + b) /
 (1 + conj(b) omega_j) of the N-th roots of unity under one Moebius map of
 the disk, chosen once per measure (Hale & Trefethen, "New quadrature
 formulas from conformal maps", SIAM J. Numer. Anal. 46, 2008).  The rule
@@ -54,7 +54,10 @@ the centre b moves towards it until its pull-back balances the other zeros
 and the interior points of modulus 1/2 where the test functions of the
 verification suites have their poles.  Otherwise b = 0: the nodes are the
 roots of unity and the weight numerator comes from one FFT of its
-coefficients.
+coefficients.  The map belongs to the curve alone: a line {tau_k} x T
+carries c_k times normalized arclength, and f(tau_k, .) does not see the
+Blaschke zeros, so the lines keep the roots of unity, unweighted, and the
+Jacobian J_b is known only to the curve's node data.
 """
 
 from __future__ import annotations
@@ -208,26 +211,21 @@ class ClarkMeasure:
         z2 *= self.balpha.constant
         return np.conj(z2, out=z2), w
 
-    def jacobian(self, zeta) -> np.ndarray:
-        """J_b = (1 - |b|^2) / |1 + conj(b) omega|^2 at mapped nodes
-        zeta = M_b(omega), read off zeta as |1 - conj(b) zeta|^2 /
-        (1 - |b|^2); exactly 1 when b = 0."""
-        b = self.center
-        d = 1.0 - np.conj(b) * np.asarray(zeta)
-        return (d.real ** 2 + d.imag ** 2) / (1.0 - abs(b) ** 2)
-
     def _mapped_data(self, omega: np.ndarray, count: int, half: bool):
         """(zeta, conj(B_alpha), W_alpha J_b) at zeta = M_b(omega), omega
         the count-th roots of unity, turned by half a spacing with half.
         With b = 0, zeta is omega and the weight numerator one FFT;
-        otherwise it is evaluated at zeta directly."""
+        otherwise it is evaluated at zeta directly, and the Jacobian
+        J_b = (1 - |b|^2) / |1 + conj(b) omega|^2 is read off zeta as
+        |1 - conj(b) zeta|^2 / (1 - |b|^2)."""
         b = self.center
         if not b:
             return (omega,) + self._curve_data(
                 omega, self.weight_num.node_values(count, half))
         z = (omega + b) / (1.0 + np.conj(b) * omega)
         z2, w = self._curve_data(z, self.weight_num.eval(z))
-        w *= self.jacobian(z)
+        d = 1.0 - np.conj(b) * z
+        w *= (d.real ** 2 + d.imag ** 2) / (1.0 - abs(b) ** 2)
         return z, z2, w
 
     def node_data(self, count: int):
@@ -395,11 +393,11 @@ def integrate(cm: ClarkMeasure, f, count: int | None = RULE_NODES) -> complex | 
     family of integrands as a (..., N) array, and the integrals come back
     as a complex (...) array from the same pass over the nodes.  The curve
     part is the rule of cm.node_data against the weight; each line adds c_k
-    times the same rule in the second coordinate (uniform when the node map
-    is the identity).  With count=None the node count doubles from 4096
-    until two successive values agree to 1e-9 (relative) in every
-    component, up to 2**20 nodes.  The rules are nested: a doubling keeps
-    the sums over the old nodes and evaluates f only at the new, odd ones.
+    times the uniform rule on the roots of unity in the second coordinate.
+    With count=None the node count doubles from 4096 until two successive
+    values agree to 1e-9 (relative) in every component, up to 2**20 nodes.
+    The rules are nested: a doubling keeps the sums over the old nodes and
+    evaluates f only at the new, odd ones.
 
     Poisson integrals at P points, one row of poisson2 each:
 
@@ -411,16 +409,16 @@ def integrate(cm: ClarkMeasure, f, count: int | None = RULE_NODES) -> complex | 
     >>> bool(np.allclose(vals, (1 - abs(phis) ** 2) / abs(-1.0 - phis) ** 2))
     True
     """
-    if count is not None:
-        count = int(count)
-        return _rule_value(cm, _node_sums(cm, f, *cm.node_data(count)), count)
-    count = RULE_NODES
-    sums = _node_sums(cm, f, *cm.node_data(count))
+    fixed = count is not None
+    count = int(count) if fixed else RULE_NODES
+    sums = _node_sums(cm, f, circle_nodes(count), *cm.node_data(count))
     prev = _rule_value(cm, sums, count)
+    if fixed:
+        return prev
     while count < _MAX_ADAPTIVE_NODES:
         count *= 2
         z, z2, w = cm.node_data(count)
-        sums += _node_sums(cm, f, z[1::2], z2[1::2], w[1::2])
+        sums += _node_sums(cm, f, circle_nodes(count)[1::2], z[1::2], z2[1::2], w[1::2])
         cur = _rule_value(cm, sums, count)
         if np.all(np.abs(cur - prev) <= _SETTLE * np.maximum(1.0, np.abs(cur))):
             return cur
@@ -429,16 +427,14 @@ def integrate(cm: ClarkMeasure, f, count: int | None = RULE_NODES) -> complex | 
                        residual=float(np.max(np.abs(prev))))
 
 
-def _node_sums(cm: ClarkMeasure, f, z, z2, w) -> np.ndarray:
-    """Sums of f over the given nodes, shaped (1 + lines, ...): weighted
-    along the curve, then along each line, where the second coordinate
-    runs over the same mapped nodes and carries the Jacobian J_b."""
+def _node_sums(cm: ClarkMeasure, f, omega, z, z2, w) -> np.ndarray:
+    """Sums of f shaped (1 + lines, ...): along the curve over its node
+    data (z, z2, w), weighted, then along each line {tau} x T, unweighted,
+    with the second coordinate on the roots of unity omega.  Only the
+    curve takes the node map; with b = 0, z is omega."""
     sums = [np.asarray(f(z, z2)) @ w]
     for tau, _mass in cm.lines:
-        vals = np.asarray(f(np.full_like(z, tau), z))
-        if cm.center:
-            vals = vals * cm.jacobian(z)
-        sums.append(vals.sum(axis=-1))
+        sums.append(np.asarray(f(np.full_like(omega, tau), omega)).sum(axis=-1))
     return np.array(sums, dtype=complex)
 
 

@@ -676,10 +676,6 @@ class TrigPoly:
     def to_json(self) -> dict:
         return {"d": self.d, "coeffs": [cplx_to_json(c) for c in self.coeffs]}
 
-    @staticmethod
-    def from_json(obj) -> "TrigPoly":
-        return TrigPoly([cplx_from_json(v) for v in obj["coeffs"]], int(obj["d"]))
-
 
 def _polish_circle_zero(t: TrigPoly, theta0: float, m: int) -> float | None:
     """Newton refinement of a candidate order-m circle zero of t.
@@ -851,13 +847,9 @@ class BlaschkeProduct:
         return num, den
 
     def eval(self, z):
-        zz = np.asarray(z, dtype=complex)
-        out = np.full(zz.shape, self.constant, dtype=complex)
-        for a in self.zeros:
-            out = out * (zz - a) / (1.0 - np.conj(a) * zz)
-        if np.ndim(z) == 0:
-            return complex(out)
-        return out
+        num, den = self.factors(z)
+        out = self.constant * num / den
+        return complex(out) if np.ndim(z) == 0 else out
 
     __call__ = eval
 
@@ -866,13 +858,6 @@ class BlaschkeProduct:
             "constant": cplx_to_json(self.constant),
             "zeros": [cplx_to_json(a) for a in self.zeros],
         }
-
-    @staticmethod
-    def from_json(obj) -> "BlaschkeProduct":
-        return BlaschkeProduct(
-            cplx_from_json(obj["constant"]),
-            tuple(cplx_from_json(a) for a in obj["zeros"]),
-        )
 
 
 def blaschke_from_rational(num, den) -> BlaschkeProduct:

@@ -37,19 +37,6 @@ def circle_nodes(count: int) -> np.ndarray:
     return nodes
 
 
-def circle_integral(f, count: int = 4096) -> complex:
-    """Mean of f over the roots of unity: integral against normalized
-    arclength, exact through Laurent degree count - 1.
-
-    >>> round(abs(circle_integral(lambda z: z * np.conj(z), 16)), 12)
-    1.0
-    >>> abs(circle_integral(lambda z: z ** 3, 16)) < 1e-15
-    True
-    """
-    vals = np.asarray(f(circle_nodes(count)))
-    return complex(vals.mean())
-
-
 def poisson2(z, zeta, out: np.ndarray | None = None) -> np.ndarray:
     """Two-variable Poisson kernel P(z, zeta) for points z in the open bidisk.
 

@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .polynomials import (
-    TrigPoly,
-    UniPoly,
-    cplx_from_json,
-    cplx_to_json,
-    roots,
-)
+from .polynomials import TrigPoly, UniPoly, roots
 
 # Test points for fixing the constant value of a derivative along a line;
 # chosen well inside the disk and mutually separated.
@@ -107,25 +101,6 @@ class Singularity:
     deriv: complex
     mult: int
 
-    def to_json(self) -> dict:
-        return {
-            "tau": cplx_to_json(self.tau),
-            "lambda": cplx_to_json(self.lam),
-            "alpha": cplx_to_json(self.alpha),
-            "deriv": cplx_to_json(self.deriv),
-            "mult": self.mult,
-        }
-
-    @staticmethod
-    def from_json(obj) -> "Singularity":
-        return Singularity(
-            cplx_from_json(obj["tau"]),
-            cplx_from_json(obj["lambda"]),
-            cplx_from_json(obj["alpha"]),
-            cplx_from_json(obj["deriv"]),
-            int(obj["mult"]),
-        )
-
 
 @dataclass(frozen=True)
 class Rif:
@@ -165,9 +140,6 @@ class Rif:
     def pt2(self) -> UniPoly:
         """z2-free part of the reflection."""
         return self.ptilde.p1
-
-    def to_json(self) -> dict:
-        return self.p.to_json()
 
 
 def _stability_violation(p: BiPolyN1, p1_roots: list) -> str | None:
@@ -322,27 +294,6 @@ def validate(p: BiPolyN1) -> Rif:
     sings = _detect_singularities(p, pt, t)
     phi0 = pt.p1(0.0) / p.p1(0.0)
     return Rif(p, pt, sings, complex(phi0), t)
-
-
-def validation_report(p: BiPolyN1) -> dict:
-    """JSON-ready summary of validate(): stability, coprimality, and the
-    singularity list, or the failure reason."""
-    try:
-        rif = validate(p)
-    except (DomainError, NumericError) as exc:
-        msg = str(exc)
-        return {
-            "stable": not msg.startswith("not stable"),
-            "coprime": not msg.startswith("not coprime"),
-            "singularities": [],
-            "error": msg,
-        }
-    return {
-        "stable": True,
-        "coprime": True,
-        "singularities": [s.to_json() for s in rif.singularities],
-        "error": None,
-    }
 
 
 def phi_eval(rif: Rif, z) -> complex:

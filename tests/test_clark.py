@@ -262,6 +262,24 @@ def test_nonzero_center_matches_identity_map(monkeypatch):
         assert np.max(np.abs(gram.measured - want.measured)) <= 1e-12, name
 
 
+def test_line_sums_do_not_depend_on_the_node_map(monkeypatch):
+    # the node map serves the curve's Blaschke zeros; each line {tau} x T
+    # keeps the roots of unity, so its sums are the same bits under any centre
+    pts = np.array([(0.2 - 0.1j, 0.3j), (-0.4 + 0.1j, 0.45)])
+    f = lambda u, v: poisson2(pts, (u, v))
+    rif = get("deg31").build()
+    plain = clark_measure(rif, -1.0)
+    monkeypatch.setattr(clark, "_map_center", lambda zeros: 0.6 * np.exp(0.4j))
+    moved = clark_measure(rif, -1.0)
+    assert plain.center == 0 and moved.center != 0 and plain.lines
+    for count, odd in ((clark.RULE_NODES, slice(None)), (2 * clark.RULE_NODES, slice(1, None, 2))):
+        omega = circle_nodes(count)[odd]
+        rows = [clark._node_sums(cm, f, omega, *(a[odd] for a in cm.node_data(count)))
+                for cm in (plain, moved)]
+        assert np.array_equal(rows[0][1:], rows[1][1:]), count
+        assert not np.array_equal(rows[0][0], rows[1][0]), count
+
+
 def test_factored_weight_denominator_matches_trigpoly():
     z = np.exp(2j * np.pi * (np.arange(777) + 0.3) / 777)
     for name, cm in _measure_cases(near_exceptional=True):

@@ -1,6 +1,6 @@
 """Documented surface: the README's python and command-line examples, the
 doctests of every rifclark module, the signatures of the public callables,
-and no definition that nothing names."""
+no definition that nothing names, and no export without a caller."""
 
 import ast
 import doctest
@@ -111,3 +111,25 @@ def test_every_definition_is_named_elsewhere():
         and not (node.name.startswith("__") and node.name.endswith("__"))
     )
     assert sorted(name for name, count in defined.items() if words[name] <= count) == []
+
+
+
+def test_every_public_name_has_a_caller():
+    # a name exported from rifclark is used by the package itself, outside
+    # its own definition (docstring and doctests included), or shown in a
+    # README python block; tests alone do not keep an export alive
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "rifclark").glob("*.py"))
+             if path.name != "__init__.py"}
+    own = {node.name: (path, node.lineno, node.end_lineno)
+           for path, tree in trees.items() for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = set(re.findall(r"\w+", "\n".join(_readme_blocks())))
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                where = own.get(name)
+                if where is None or where[0] != path or not where[1] <= node.lineno <= where[2]:
+                    used.add(name)
+    assert sorted(set(rifclark.__all__) - used - {"__version__"}) == []

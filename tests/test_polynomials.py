@@ -238,21 +238,24 @@ def test_fejer_riesz_rejects_sign_changing():
         fejer_riesz(t)
 
 
-def test_blaschke_product_modulus_and_json():
+def test_blaschke_product_modulus():
     b = BlaschkeProduct(np.exp(0.3j), (0.2 + 0.1j, -0.5j))
     z = np.exp(1j * np.linspace(0, 6.28, 33))
     assert np.max(np.abs(np.abs(b(z)) - 1.0)) < 1e-12
-    back = BlaschkeProduct.from_json(b.to_json())
-    assert abs(back.constant - b.constant) < 1e-15
-    assert np.max(np.abs(np.array(back.zeros) - np.array(b.zeros))) < 1e-15
 
 
 def test_blaschke_factors_match_eval():
     b = BlaschkeProduct(np.exp(0.3j), (0.2 + 0.1j, -0.5j, 0.0, 0.9 * np.exp(2.0j)))
     z = np.exp(1j * np.linspace(0, 6.28, 33))
+    # reference: one Blaschke factor at a time
+    want = np.full(z.shape, b.constant)
+    for a in b.zeros:
+        want = want * (z - a) / (1.0 - np.conj(a) * z)
     num, den = b.factors(z)
-    assert np.max(np.abs(b.constant * num / den - b(z))) < 1e-14
+    assert np.max(np.abs(b(z) - want)) < 1e-14
     assert np.max(np.abs(np.abs(num) - np.abs(den))) < 1e-14
+    one = b(complex(z[5]))
+    assert isinstance(one, complex) and abs(one - want[5]) < 1e-14
 
 
 def test_blaschke_from_rational_recovers():

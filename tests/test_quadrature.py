@@ -6,7 +6,6 @@ import pytest
 from rifclark.catalog import get
 from rifclark.errors import DomainError
 from rifclark.quadrature import (
-    circle_integral,
     circle_nodes,
     pointmass_probe,
     poisson2,
@@ -18,21 +17,6 @@ def test_circle_nodes_unit_modulus_and_count():
     assert z.shape == (128,)
     assert np.max(np.abs(np.abs(z) - 1.0)) < 1e-14
     assert abs(z[0] - 1.0) < 1e-15
-
-
-def test_circle_integral_kills_nonzero_frequencies():
-    # mean of z^k over the circle is 0 for k != 0 below the aliasing order
-    for k in (1, -3, 7):
-        val = circle_integral(lambda z: z ** k, count=64)
-        assert abs(val) < 1e-14
-    assert abs(circle_integral(lambda z: np.ones_like(z), count=64) - 1.0) < 1e-15
-
-
-def test_circle_integral_geometric_series():
-    # mean of 1/(1 - a z) over T is 1 for |a| < 1
-    a = 0.7 - 0.1j
-    val = circle_integral(lambda z: 1.0 / (1.0 - a * z), count=256)
-    assert abs(val - 1.0) < 1e-13
 
 
 def test_poisson2_normalization_and_positivity():

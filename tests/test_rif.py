@@ -13,7 +13,6 @@ from rifclark.rif import (
     phi_eval,
     reflect,
     validate,
-    validation_report,
 )
 
 RNG = np.random.default_rng(202)
@@ -306,18 +305,6 @@ def test_is_saturated_matches_numpy_resultant():
         assert is_saturated(validate(p)) is want, p
         flags.append(want)
     assert 5 <= sum(flags) < len(flags)
-
-
-def test_validation_report_keys():
-    rep = validation_report(get("amy").poly)
-    assert rep["stable"] is True
-    assert rep["coprime"] is True
-    assert rep["error"] is None
-    assert len(rep["singularities"]) == 1
-    assert rep["singularities"][0]["mult"] == 4
-    bad = validation_report(_poly([1.0, -2.0], [0.0], 1))
-    assert bad["stable"] is False
-    assert "not stable" in bad["error"]
 
 
 def test_bipoly_json_roundtrip():
