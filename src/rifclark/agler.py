@@ -10,16 +10,15 @@ with deg Q <= (n, 0) and deg R_j <= (n-1, 1).  Q is determined up to phase
 by |Q|^2 = |p1|^2 - |p2|^2 on the circle, a nonnegative trigonometric
 polynomial, so it comes from spectral factorization.  For an exceptional
 alpha matching singularities tau_1..tau_l, the first l members of an
-orthonormal R-family can be written down in closed form from the reduced
-Blaschke pencil that the Clark measure sigma_alpha keeps; they vanish on
-the graph part of the level set and are supported on the lines, which is
-what the orthonormality check verifies against that measure.  The
-measure-side functions here (exceptional_R, gram_isometry_check,
-orthonormality_check) take the ClarkMeasure and never build one.  The
-closed-form list is a partial family
-(l of n pieces), so it is checked by orthonormality, not by the full
-two-squares identity; complete documented decompositions are checked by
-sos_residual.
+orthonormal R-family can be written down in closed form from the Blaschke
+pencil that the Clark measure sigma_alpha keeps, divided by z1 - tau_j for
+the j-th piece; they vanish on the graph part of the level set and are
+supported on the lines, which is what the orthonormality check verifies
+against that measure.  The measure-side functions here (exceptional_R,
+gram_isometry_check, orthonormality_check) take the ClarkMeasure and never
+build one.  The closed-form list is a partial family (l of n pieces), so it
+is checked by orthonormality, not by the full two-squares identity;
+complete documented decompositions are checked by sos_residual.
 """
 
 from __future__ import annotations
@@ -80,42 +79,43 @@ def compute_Q(rif: Rif) -> UniPoly:
 def exceptional_R(cm: ClarkMeasure) -> list[SosPiece]:
     """Closed-form orthonormal R pieces for the exceptional measure cm.
 
-    With b1 / b2 = cm.u_red / cm.v_red the reduced pencil (numerator /
-    denominator of B_alpha before normalization) and tau_1..tau_l the
-    matched points,
+    With u / v = cm.u / cm.v the pencil (B_alpha before the matched circle
+    roots cancel) and tau_1..tau_l the matched points,
 
-        R_j = d_j * (b2(z1) - z2 * b1(z1)) * prod_{k != j} (z1 - tau_k),
+        R_j = d_j * (v(z1) - z2 * u(z1)) / (z1 - tau_j),
 
-    where d_j > 0 makes c_j * ||(R_j / p)(tau_j, .)||^2 = 1.  The trace of
-    R_j / p on its own line is constant because numerator and denominator
-    share the z2-root lambda_j, so the Hardy norm is that constant's
-    modulus and d_j is computed exactly.  Constancy is checked by comparing
-    the trace's values at z2 = 0 and z2 = infinity, which fix a ratio of
-    two polynomials of degree one in z2.
+    one deflation of the pencil at its common zero tau_j; a remainder above
+    1e-6 of the coefficient scale raises NumericError.  d_j > 0 makes
+    c_j * ||(R_j / p)(tau_j, .)||^2 = 1.  The trace of R_j / p on its own
+    line is constant because numerator and denominator share the z2-root
+    lambda_j, so the Hardy norm is that constant's modulus and d_j is
+    computed exactly.  Constancy is checked by comparing the trace's values
+    at z2 = 0 and z2 = infinity, which fix a ratio of two polynomials of
+    degree one in z2.
     """
-    rif, ac, b1, b2 = cm.rif, cm.alpha_class, cm.u_red, cm.v_red
+    rif, ac, u, v = cm.rif, cm.alpha_class, cm.u, cm.v
     if ac.kind is not AlphaKind.EXCEPTIONAL:
         raise DomainError("alpha is generic; the closed-form R list is empty there")
-    matched = [rif.singularities[k] for k in ac.matched]
     out: list[SosPiece] = []
-    sc = max(b1.scale(), b2.scale(), 1e-300)
-    for j, s in enumerate(matched):
-        extra = UniPoly.from_roots(
-            [m.tau for i, m in enumerate(matched) if i != j], 1.0
-        )
+    sc = max(u.scale(), v.scale(), 1e-300)
+    for s in [rif.singularities[k] for k in ac.matched]:
+        (b1, ru), (b2, rv) = u.deflate(s.tau), v.deflate(s.tau)
+        rem = max(abs(ru), abs(rv)) / sc
+        if rem > 1e-6:
+            raise NumericError("matched singular point is not a common zero "
+                               "of the pencil", residual=rem)
         b1t = b1(s.tau)
         p2t = rif.p2(s.tau)
         if abs(b1t) <= 1e-10 * sc or abs(p2t) <= 1e-10 * max(rif.p.scale(), 1e-300):
             raise NumericError("degenerate pencil value on a matched line")
         # values at z2 = infinity and z2 = 0; |p1(tau_j)| = |p2(tau_j)|, so
         # the guard on p2 covers both ends
-        ex = extra(s.tau)
-        trace = -b1t * ex / p2t
-        if abs(b2(s.tau) * ex / rif.p1(s.tau) - trace) > 1e-8 * max(1.0, abs(trace)):
+        trace = -b1t / p2t
+        if abs(b2(s.tau) / rif.p1(s.tau) - trace) > 1e-8 * max(1.0, abs(trace)):
             raise NumericError("line trace of R/p is not constant")
         c_j = 1.0 / abs(s.deriv)
         d_j = 1.0 / (np.sqrt(c_j) * abs(trace))
-        out.append(SosPiece(d_j * b2 * extra, (-d_j) * b1 * extra))
+        out.append(SosPiece(d_j * b2, (-d_j) * b1))
     return out
 
 

@@ -12,19 +12,19 @@ first coordinate plus finitely many vertical lines, and the measure is
 where B_alpha = (pt1 - alpha p2) / (alpha p1 - pt2) is a finite Blaschke
 product after the common circle zeros at the matched singularities are
 cancelled.  The denominator is alpha times the degree-n reflection of the
-numerator u = pt1 - alpha p2, so B_alpha = u_red / (c u_red*) with u_red the
-deflated numerator: its zeros are the roots of u_red, found once, and its
-constant follows from the coefficients.  W_alpha is a ratio of
-trigonometric polynomials obtained from
-(|p1|^2 - |p2|^2) / |pt1 - alpha p2|^2 by removing one factor |zeta - tau_k|^2
-from numerator and denominator per matched singularity, and the line masses
-are c_k = 1 / |d(phi)/dz1| on the line.  alpha is generic when it matches no
-singular value alpha_k (no lines, B_alpha of full degree n) and exceptional
-otherwise (one line per matched singularity, B_alpha of degree n - l).
+numerator u = pt1 - alpha p2, so B_alpha = u / (c u*): the roots of u, found
+once, are its zeros and the matched tau_k, which fold into the constant.
+W_alpha is a ratio of trigonometric polynomials obtained from
+(|p1|^2 - |p2|^2) / |pt1 - alpha p2|^2 by removing one factor
+|zeta - tau_k|^2 from numerator and denominator per matched singularity,
+and the line masses are c_k = 1 / |d(phi)/dz1| on the line.  alpha is
+generic when it matches no singular value alpha_k (no lines, B_alpha of
+full degree n) and exceptional otherwise (one line per matched
+singularity, B_alpha of degree n - l).
 
 Everything here is exact modulo root finding: no quadrature enters the
-construction, only the verification-side integrals.  The measure keeps its
-reduced pencil (u_red, v_red), and the measure-side checks
+construction, only the verification-side integrals.  The measure keeps the
+pencil (u, v) it was built from, and the measure-side checks
 (agler.exceptional_R, gram_isometry_check, orthonormality_check and
 level_set_sample) take the measure instead of rebuilding it from
 (rif, alpha).
@@ -33,10 +33,10 @@ Those integrals are rules over the curve's node data: nodes zeta,
 conj(B_alpha(zeta)) and quadrature weights.  One in-place pass over the
 Blaschke zeros a_k gives N(zeta) = prod (zeta - a_k) and
 D(zeta) = prod (1 - conj(a_k) zeta), hence conj(B_alpha) = conj(gamma N / D)
-and the weight denominator |u_red|^2 = |lead(u_red)|^2 |N|^2 (the zeros of
-B_alpha are exactly the roots of u_red).  Adaptive integration doubles N
-with nested rules: the old sums are kept, and node data and integrand are
-evaluated only at the N new nodes.
+and the weight denominator |u|^2 / prod |zeta - tau_k|^2 = |lead(u)|^2 |N|^2
+(the roots of u are the zeros of B_alpha and the matched tau_k).  Adaptive
+integration doubles N with nested rules: the old sums are kept, and node
+data and integrand are evaluated only at the N new nodes.
 
 The curve's nodes are the images zeta_j = M_b(omega_j) = (omega_j + b) /
 (1 + conj(b) omega_j) of the N-th roots of unity under one Moebius map of
@@ -148,27 +148,25 @@ def classify_alpha(rif: Rif, alpha) -> AlphaClass:
 class ClarkMeasure:
     """Closed-form Clark measure: curve part plus line part.
 
-    The measure keeps the reduced pencil it was built from: u_red and v_red
-    are u = pt1 - alpha p2 and v = alpha p1 - pt2 with every matched tau_k
-    deflated out, so B_alpha = u_red / v_red, and the closed-form Agler
-    pieces of agler.exceptional_R come from the same pair.  lines holds
-    (tau_k, c_k) pairs, one per matched singularity.  W_alpha is
-    weight_num / |u_red|^2 on the circle with the matched singular factors
-    cancelled, so both are finite there.  The roots of u_red are exactly
-    the zeros a_k of balpha, so on the circle |u_red|^2 equals
-    |lead(u_red)|^2 prod |zeta - a_k|^2; curve values and weights are
-    computed in that factored form.  center is the centre b of the node
-    map M_b, chosen from the Blaschke zeros on construction (0 unless a
-    zero lies near the circle; see the module docstring).  Node data for
-    quadrature is cached per node count.
+    The measure keeps the pencil it was built from: u = pt1 - alpha p2 and
+    v = alpha p1 - pt2, so B_alpha = u / v once the common circle roots at
+    the matched tau_k are cancelled, and the closed-form Agler pieces of
+    agler.exceptional_R come from the same pair.  lines holds (tau_k, c_k)
+    pairs, one per matched singularity.  W_alpha is weight_num /
+    (|u|^2 / prod |zeta - tau_k|^2), finite on the circle; that denominator
+    is |lead(u)|^2 prod |zeta - a_k|^2 there, a_k the zeros of balpha, and
+    curve values and weights are computed in that form.  center is the
+    centre b of the node map M_b, chosen from the Blaschke zeros on
+    construction (0 unless a zero lies near the circle; see the module
+    docstring).  Node data for quadrature is cached per node count.
     """
 
     rif: Rif
     alpha_class: AlphaClass
     balpha: BlaschkeProduct
     weight_num: TrigPoly
-    u_red: UniPoly
-    v_red: UniPoly
+    u: UniPoly
+    v: UniPoly
     lines: tuple
     center: complex = field(init=False)
     _cache: dict = field(default_factory=dict, repr=False)
@@ -180,14 +178,9 @@ class ClarkMeasure:
     def alpha(self) -> complex:
         return self.alpha_class.alpha
 
-    @property
-    def removable_points(self) -> tuple:
-        """The matched tau_k, whose factors were cancelled from the weight."""
-        return tuple(tau for tau, _mass in self.lines)
-
     def _weight(self, num, zero_prod) -> np.ndarray:
         """W_alpha from the weight numerator's values and prod (zeta - a_k)."""
-        den = abs(self.u_red.coeffs[-1]) ** 2 * (zero_prod.real ** 2 + zero_prod.imag ** 2)
+        den = abs(self.u.coeffs[-1]) ** 2 * (zero_prod.real ** 2 + zero_prod.imag ** 2)
         if not (np.min(den) > 0.0 and np.max(den) < math.inf):
             raise NumericError("weight denominator is not positive on the circle")
         return num.real / den
@@ -270,21 +263,31 @@ class ClarkMeasure:
         return float((1.0 - abs(phi0) ** 2) / abs(self.alpha - phi0) ** 2)
 
     def to_json(self) -> dict:
-        """The measure's data and its settled adaptive total mass."""
+        """The measure's data and its settled adaptive total mass; the
+        weight is num / den, one |zeta - tau_k|^2 per line divided out."""
+        taus = [tau for tau, _mass in self.lines]
         return {
             "alpha": cplx_to_json(self.alpha),
             "kind": self.alpha_class.kind.value,
             "blaschke": self.balpha.to_json(),
             "weight": {
                 "num": self.weight_num.to_json(),
-                "den": TrigPoly.modulus_squared(self.u_red).to_json(),
+                "den": _divide_circle_factors(
+                    TrigPoly.modulus_squared(self.u), taus).to_json(),
             },
-            "removable_points": [cplx_to_json(t) for t in self.removable_points],
+            "removable_points": [cplx_to_json(t) for t in taus],
             "lines": [
                 {"tau": cplx_to_json(t), "mass": float(c)} for t, c in self.lines
             ],
             "total_mass": self.total_mass(None),
         }
+
+
+def _divide_circle_factors(t: TrigPoly, taus) -> TrigPoly:
+    """t / prod |zeta - tau|^2 over the unimodular taus."""
+    for tau in taus:
+        t = t.divide_circle_factor(tau)
+    return t
 
 
 def _pullback_gap(b, x):
@@ -327,40 +330,30 @@ def _map_center(zeros) -> complex:
 def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
     """Construct sigma_alpha exactly from the singularity data.
 
-    The pencil u = pt1 - alpha p2, v = alpha p1 - pt2 vanishes at each
-    matched tau_k (simple zeros), which is deflated out of both; a
-    deflation remainder above 1e-6 of the coefficient scale raises
-    NumericError.  B_alpha = u_red / v_red; blaschke_from_rational
-    certifies v_red = c u_red* on the coefficients, since the pencil is
-    deflated on each side on its own.  The factor |zeta - tau_k|^2 of a
-    matched singularity cancels once from the weight numerator, the
+    The pencil u = pt1 - alpha p2, v = alpha p1 - pt2 goes to
+    blaschke_from_rational as it is, which certifies v = c u* and folds
+    each matched tau_k, a common circle zero of u and v, into the Blaschke
+    constant, so B_alpha keeps degree n - l.  The factor |zeta - tau_k|^2
+    of a matched singularity cancels once from the weight numerator, the
     boundary polynomial rif.t = |p1|^2 - |p2|^2, and once from the weight
     denominator |u|^2.  Line masses come from the stored derivative
     constants, c_k = 1 / |deriv_k|.
     """
     ac = classify_alpha(rif, alpha)
-    u_red = rif.pt1 - ac.alpha * rif.p2
-    v_red = ac.alpha * rif.p1 - rif.pt2
-    if u_red.is_zero or v_red.is_zero:
+    u = rif.pt1 - ac.alpha * rif.p2
+    v = ac.alpha * rif.p1 - rif.pt2
+    if u.is_zero or v.is_zero:
         raise DomainError("degenerate pencil at this alpha")
-    sc = max(u_red.scale(), v_red.scale(), 1e-300)
     matched = [rif.singularities[k] for k in ac.matched]
-    for s in matched:
-        u_red, ru = u_red.deflate(s.tau)
-        v_red, rv = v_red.deflate(s.tau)
-        if max(abs(ru), abs(rv)) > 1e-6 * sc:
-            raise NumericError(
-                "matched singular point is not a common zero of the pencil",
-                residual=max(abs(ru), abs(rv)) / sc,
-            )
-    balpha = blaschke_from_rational(u_red, v_red)
+    balpha = blaschke_from_rational(u, v)
     expected = rif.n - len(matched)
     if balpha.degree != expected:
-        # blaschke_from_rational folds a root of u_red within TOL of the
-        # circle into the constant, one degree per root
+        # blaschke_from_rational folds a root of u within TOL of the circle
+        # into the constant, one degree per root; the matched tau_k account
+        # for len(matched) of them
         reason = (
-            f"; the reduced pencil numerator has {u_red.degree - balpha.degree} "
-            f"zero(s) within {TOL:g} of the unit circle"
+            f"; the pencil numerator has {u.degree - len(matched) - balpha.degree} "
+            f"zero(s) within {TOL:g} of the unit circle at no matched contact"
         )
         dist = ac.distance_to_exceptional
         if not ac.matched and dist is not None and dist < 1e-3:
@@ -371,16 +364,13 @@ def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
         raise NumericError(
             f"Blaschke degree {balpha.degree} instead of {expected}{reason}"
         )
-    wnum = rif.t
-    for s in matched:
-        wnum = wnum.divide_circle_factor(s.tau)
     return ClarkMeasure(
         rif=rif,
         alpha_class=ac,
         balpha=balpha,
-        weight_num=wnum,
-        u_red=u_red,
-        v_red=v_red,
+        weight_num=_divide_circle_factors(rif.t, [s.tau for s in matched]),
+        u=u,
+        v=v,
         lines=tuple((s.tau, 1.0 / abs(s.deriv)) for s in matched),
     )
 
@@ -515,6 +505,6 @@ def level_set_sample(cm: ClarkMeasure, n_points: int = 512) -> LevelSetSample:
     curve = np.column_stack([theta1, theta2])
     lines = tuple(
         float(np.mod(math.atan2(t.imag, t.real), 2.0 * math.pi))
-        for t in cm.removable_points
+        for t, _mass in cm.lines
     )
     return LevelSetSample(cm.alpha, curve, lines)

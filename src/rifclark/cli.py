@@ -178,7 +178,7 @@ def cmd_analyze(args) -> int:
     # matched tau: one factor |zeta - tau|^2 cancels against |u|^2
     report["weight_vanishing_order"] = [
         {"tau": [t.real, t.imag], "order": rif.singularities[k].mult - 2}
-        for t, k in zip(cm.removable_points, cm.alpha_class.matched)
+        for (t, _mass), k in zip(cm.lines, cm.alpha_class.matched)
     ]
     _emit(_dumps(report), args.out)
     return 0

@@ -1,5 +1,8 @@
 """Clark measures: classification, closed forms, quadrature, level sets."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,11 +22,22 @@ from rifclark.clark import (
     level_set_sample,
 )
 from rifclark.errors import DomainError, NumericError
-from rifclark.polynomials import TOL, TrigPoly, UniPoly
+from rifclark.polynomials import TOL, TrigPoly, UniPoly, cplx_from_json
 from rifclark.quadrature import circle_nodes, poisson2
 from rifclark.rif import BiPolyN1, phi_eval, validate
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import gen  # noqa: E402
+
 RNG = np.random.default_rng(303)
+CATALOG = ("fave", "amy", "amy-variant", "deg31")
+
+
+def _ladder(n, s):
+    """Draw s of the benchmark's degree-ladder family at degree n."""
+    f = gen.generate(np.random.default_rng([9, n, s]), n)
+    return validate(BiPolyN1(UniPoly(f.p1), UniPoly(f.p2), n))
 
 
 def test_classify_alpha_dichotomy():
@@ -69,7 +83,6 @@ def test_generic_measure_has_no_lines():
         cm = clark_measure(get(name).build(), np.exp(0.83j))
         assert cm.alpha_class.kind is AlphaKind.GENERIC
         assert cm.lines == ()
-        assert cm.removable_points == ()
 
 
 def test_mass_identity_generic_and_exceptional():
@@ -281,11 +294,15 @@ def test_line_sums_do_not_depend_on_the_node_map(monkeypatch):
 
 
 def test_factored_weight_denominator_matches_trigpoly():
+    # the pencil numerator u factors as lead(u) N prod (z - tau_k), N the
+    # Blaschke zeros' product and tau_k the matched contacts
     z = np.exp(2j * np.pi * (np.arange(777) + 0.3) / 777)
     for name, cm in _measure_cases(near_exceptional=True):
         zero_prod, _ = cm.balpha.factors(z)
-        factored = abs(cm.u_red.coeffs[-1]) ** 2 * np.abs(zero_prod) ** 2
-        den = TrigPoly.modulus_squared(cm.u_red)
+        factored = abs(cm.u.coeffs[-1]) ** 2 * np.abs(zero_prod) ** 2
+        for tau, _mass in cm.lines:
+            factored *= np.abs(z - tau) ** 2
+        den = TrigPoly.modulus_squared(cm.u)
         want = den.eval(z).real
         assert np.max(np.abs(factored - want)) <= 1e-12 * den.scale(), name
 
@@ -415,6 +432,52 @@ def test_clark_measure_json_schema():
     assert abs(rep["total_mass"] - 5.0 / 3.0) < 1e-8
 
 
+def _trigpoly(obj):
+    return TrigPoly([cplx_from_json(c) for c in obj["coeffs"]], obj["d"])
+
+
+def test_clark_measure_json_weight_matches_weight_eval():
+    # num / den of the JSON against the factored W_alpha, at generic and
+    # exceptional alphas.  Both are expanded coefficients, so the bound is
+    # 1e-13 relative times the evaluation condition number
+    # sum |c_k| / |value| of each: num vanishes at the contact of a generic
+    # alpha, and den = |u|^2 is small next to a Blaschke zero near the
+    # circle (deg31 at e^{0.7i}: 1e-3 away, 6e-11 relative there).  Where
+    # both are well conditioned this is 1e-12 relative.
+    z = np.exp(2j * np.pi * (np.arange(1000) + 0.5) / 1000)
+    cases = [get(name).build() for name in CATALOG] + [_ladder(16, 0)]
+    for rif in cases:
+        alphas = (1j, complex(np.exp(0.7j))) + tuple(s.alpha for s in rif.singularities)
+        for alpha in alphas:
+            cm = clark_measure(rif, alpha)
+            weight = cm.to_json()["weight"]
+            num, den = _trigpoly(weight["num"]), _trigpoly(weight["den"])
+            nv, dv = num.eval(z).real, den.eval(z).real
+            want = cm.weight_eval(z)
+            kappa = (np.sum(np.abs(num.coeffs)) / np.abs(nv)
+                     + np.sum(np.abs(den.coeffs)) / np.abs(dv))
+            rel = np.abs(nv / dv - want) / want
+            assert np.all(rel <= 1e-13 * kappa), (rif.n, alpha, np.max(rel / kappa))
+
+
+@pytest.mark.parametrize("name, n, s", [(name, None, None) for name in CATALOG]
+                         + [("ladder", n, s) for n in (16, 48) for s in range(3)])
+def test_near_matched_alpha_is_exceptional(name, n, s):
+    # alpha_k e^{+-5e-9 i} lies within TOL of alpha_k, so it is served as
+    # exceptional: the root of u next to tau_k folds into the Blaschke
+    # constant like tau_k itself.  The worst mass error measured here is
+    # 2.4e-9 (ladder n = 16); deflating u at tau_k instead gave 2.7e-8
+    rif = get(name).build() if n is None else _ladder(n, s)
+    for sing in rif.singularities:
+        for sign in (1, -1):
+            cm = clark_measure(rif, complex(sing.alpha * np.exp(sign * 5e-9j)))
+            assert cm.alpha_class.kind is AlphaKind.EXCEPTIONAL
+            lines = len(cm.alpha_class.matched)
+            assert cm.balpha.degree == rif.n - lines and len(cm.lines) == lines
+            closed = cm.closed_form_mass()
+            assert abs(cm.total_mass(None) - closed) <= 1e-8 * closed, (sing.tau, sign)
+
+
 def test_near_exceptional_is_still_generic():
     rif = get("fave").build()
     a = complex(-np.exp(1e-5j))
@@ -425,8 +488,8 @@ def test_near_exceptional_is_still_generic():
 
 @pytest.mark.parametrize("name, d, hint", [("amy", 1e-2, False), ("fave", 1e-4, True)])
 def test_refused_generic_alpha_names_the_cause(name, d, hint):
-    # a zero of the reduced pencil numerator within TOL of the circle folds
-    # into the Blaschke constant and costs one degree; amy at d = 0.01 lies
+    # a zero of the pencil numerator within TOL of the circle folds into
+    # the Blaschke constant and costs one degree; amy at d = 0.01 lies
     # outside the near-exceptional hint's 1e-3 band
     with pytest.raises(NumericError) as info:
         clark_measure(get(name).build(), complex(-np.exp(1j * d)))

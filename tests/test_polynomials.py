@@ -535,6 +535,6 @@ def test_one_root_find_per_polynomial(monkeypatch):
     for alpha in (1j, rif.singularities[0].alpha):
         found.clear()
         clark_measure(rif, alpha)
-        # the reduced pencil numerator u_red only: the denominator is its
-        # reflection, certified on the coefficients
+        # the pencil numerator u only: the denominator is its reflection,
+        # certified on the coefficients
         assert len(found) == 1
