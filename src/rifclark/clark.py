@@ -34,9 +34,16 @@ conj(B_alpha(zeta)) and quadrature weights.  One in-place pass over the
 Blaschke zeros a_k gives N(zeta) = prod (zeta - a_k) and
 D(zeta) = prod (1 - conj(a_k) zeta), hence conj(B_alpha) = conj(gamma N / D)
 and the weight denominator |u|^2 / prod |zeta - tau_k|^2 = |lead(u)|^2 |N|^2
-(the roots of u are the zeros of B_alpha and the matched tau_k).  Adaptive
-integration doubles N with nested rules: the old sums are kept, and node
-data and integrand are evaluated only at the N new nodes.
+(the roots of u are the zeros of B_alpha and the matched tau_k).  On the
+circle the trapezoid rule's error on that data falls like r^N, r the
+largest modulus of the a_k, so adaptive integration starts at the power of
+two N where r^N reaches 1e-15 and doubles N with nested rules: the old
+sums are kept, and node data and integrand are evaluated only at the N
+new nodes.  It stops once successive values agree to 1e-9 and the
+geometric model e_N ~ C r^N, fitted to the last two differences, puts the
+next one at roundoff; the integrand's own singularities, such as a
+Poisson point near the torus, need not follow r, and the model waits for
+them.
 
 The curve's nodes are the images zeta_j = M_b(omega_j) = (omega_j + b) /
 (1 + conj(b) omega_j) of the N-th roots of unity under one Moebius map of
@@ -49,10 +56,10 @@ singularities of the integrand, pulled back by M_b, lie far from the
 circle.  Those of the curve data are the Blaschke zeros a_k and their
 reflections.  A zero at distance delta from the circle costs the uniform
 rule about 36 / delta nodes; when it is closer than ln(1e9) / 4096 (the
-uniform rule cannot settle to 1e-9 within one doubling of its 4096 start),
-the centre b moves towards it until its pull-back balances the other zeros
-and the interior points of modulus 1/2 where the test functions of the
-verification suites have their poles.  Otherwise b = 0: the nodes are the
+uniform rule is still 1e-9 off at 4096 nodes, the cap of the adaptive
+start), the centre b moves towards it until its pull-back balances the
+other zeros and the interior points of modulus 1/2 where the test
+functions of the verification suites have their poles.  Otherwise b = 0: the nodes are the
 roots of unity and the weight numerator comes from one FFT of its
 coefficients.  The map belongs to the curve alone: a line {tau_k} x T
 carries c_k times normalized arclength, and f(tau_k, .) does not see the
@@ -80,12 +87,24 @@ from .polynomials import (
 from .quadrature import circle_nodes
 from .rif import Rif, is_saturated
 
-# node count of the fixed rule, and the first rung of the adaptive one
+# node count of the fixed rule, and the cap on the adaptive rule's start
 RULE_NODES = 4096
 _SETTLE = 1e-9
 _MAX_ADAPTIVE_NODES = 2 ** 20
+# the adaptive rule starts where r^N, r the largest Blaschke zero modulus,
+# falls to _START_ERROR, and at no fewer than _MIN_START nodes
+_START_ERROR = 1e-15
+_MIN_START = 64
+# a settled difference this small (relative) is at the roundoff floor; a
+# larger one settles when the geometric model puts the next difference
+# below _MODEL_FLOOR, or from _AGREE_NODES on, where agreement alone does
+_DIFF_FLOOR = 1e-13
+_MODEL_FLOOR = 16 * np.finfo(float).eps
+_AGREE_NODES = 2 * RULE_NODES
 # a Blaschke zero closer than this to the circle keeps the uniform rule's
-# error exp(-N delta) above _SETTLE after one doubling of RULE_NODES
+# error exp(-N delta) above _SETTLE at RULE_NODES, the cap of the start,
+# so its first doubling could not settle: the node map moves such a zero
+# away, and the mapped rule starts at RULE_NODES
 _MAP_DISTANCE = math.log(1.0 / _SETTLE) / RULE_NODES
 # the Poisson and Gram test points of the verification suites lie within
 # this radius; the node map must not push them onto the circle either
@@ -253,8 +272,7 @@ class ClarkMeasure:
         return data
 
     def total_mass(self, count: int | None = None) -> float:
-        val = integrate(self, lambda z1, z2: np.ones_like(z1, dtype=complex), count)
-        return float(val.real)
+        return float(integrate(self, _ones, count).real)
 
     def closed_form_mass(self) -> float:
         """(1 - |phi(0)|^2) / |alpha - phi(0)|^2, from the Poisson identity
@@ -263,9 +281,11 @@ class ClarkMeasure:
         return float((1.0 - abs(phi0) ** 2) / abs(self.alpha - phi0) ** 2)
 
     def to_json(self) -> dict:
-        """The measure's data and its settled adaptive total mass; the
-        weight is num / den, one |zeta - tau_k|^2 per line divided out."""
+        """The measure's data, its settled adaptive total mass and the node
+        count that mass settled at; the weight is num / den, one
+        |zeta - tau_k|^2 per line divided out."""
         taus = [tau for tau, _mass in self.lines]
+        mass, nodes = _integrate(self, _ones, None)
         return {
             "alpha": cplx_to_json(self.alpha),
             "kind": self.alpha_class.kind.value,
@@ -279,8 +299,14 @@ class ClarkMeasure:
             "lines": [
                 {"tau": cplx_to_json(t), "mass": float(c)} for t, c in self.lines
             ],
-            "total_mass": self.total_mass(None),
+            "total_mass": float(mass.real),
+            "mass_nodes": nodes,
         }
+
+
+def _ones(z1, z2):
+    """The integrand 1, whose integral is the total mass."""
+    return np.ones_like(z1, dtype=complex)
 
 
 def _divide_circle_factors(t: TrigPoly, taus) -> TrigPoly:
@@ -384,10 +410,15 @@ def integrate(cm: ClarkMeasure, f, count: int | None = RULE_NODES) -> complex | 
     as a complex (...) array from the same pass over the nodes.  The curve
     part is the rule of cm.node_data against the weight; each line adds c_k
     times the uniform rule on the roots of unity in the second coordinate.
-    With count=None the node count doubles from 4096 until two successive
-    values agree to 1e-9 (relative) in every component, up to 2**20 nodes.
-    The rules are nested: a doubling keeps the sums over the old nodes and
-    evaluates f only at the new, odd ones.
+    With count=None the rule starts at the node count where r^N falls to
+    1e-15, r the largest modulus of the Blaschke zeros (64 at least, 4096
+    at most, and 4096 for a mapped measure), and doubles.  After each
+    doubling every component must agree with the previous value to 1e-9
+    (relative) and, below 8192 nodes, also be settled: the difference d is
+    at the 1e-13 roundoff floor, or the geometric model e_N ~ C r^N, which
+    predicts the next difference d (d / d_prev)^2, puts it within 16 eps.
+    The cap is 2**20 nodes.  The rules are nested: a doubling keeps the
+    sums over the old nodes and evaluates f only at the new, odd ones.
 
     Poisson integrals at P points, one row of poisson2 each:
 
@@ -399,20 +430,48 @@ def integrate(cm: ClarkMeasure, f, count: int | None = RULE_NODES) -> complex | 
     >>> bool(np.allclose(vals, (1 - abs(phis) ** 2) / abs(-1.0 - phis) ** 2))
     True
     """
+    return _integrate(cm, f, count)[0]
+
+
+def _start_count(cm: ClarkMeasure) -> int:
+    """First node count of the adaptive rule: the power of two N at which
+    r^N, the trapezoid rule's error rate on the curve data with r the
+    largest Blaschke zero modulus, reaches _START_ERROR (Trefethen &
+    Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
+    56, 2014), within [_MIN_START, RULE_NODES]; RULE_NODES when the nodes
+    are mapped."""
+    if cm.center:
+        return RULE_NODES
+    r = max((abs(a) for a in cm.balpha.zeros), default=0.0)
+    count = _MIN_START
+    while count < RULE_NODES and r ** count > _START_ERROR:
+        count *= 2
+    return count
+
+
+def _integrate(cm: ClarkMeasure, f, count: int | None):
+    """integrate's value and the node count it was taken at."""
     fixed = count is not None
-    count = int(count) if fixed else RULE_NODES
+    count = int(count) if fixed else _start_count(cm)
     sums = _node_sums(cm, f, circle_nodes(count), *cm.node_data(count))
     prev = _rule_value(cm, sums, count)
     if fixed:
-        return prev
+        return prev, count
+    # no previous difference before the first doubling: the model waits
+    prev_diff = 0.0
     while count < _MAX_ADAPTIVE_NODES:
         count *= 2
         z, z2, w = cm.node_data(count)
         sums += _node_sums(cm, f, circle_nodes(count)[1::2], z[1::2], z2[1::2], w[1::2])
         cur = _rule_value(cm, sums, count)
-        if np.all(np.abs(cur - prev) <= _SETTLE * np.maximum(1.0, np.abs(cur))):
-            return cur
-        prev = cur
+        scale = np.maximum(1.0, np.abs(cur))
+        diff = np.abs(cur - prev)
+        # d (d / d_prev)^2 <= floor, multiplied out so that d_prev = 0 fails
+        settled = ((diff <= _DIFF_FLOOR * scale)
+                   | (diff ** 3 <= _MODEL_FLOOR * scale * prev_diff ** 2))
+        if np.all(diff <= _SETTLE * scale) and (count >= _AGREE_NODES or np.all(settled)):
+            return cur, count
+        prev, prev_diff = cur, diff
     raise NumericError("adaptive quadrature did not settle",
                        residual=float(np.max(np.abs(prev))))
 

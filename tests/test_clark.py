@@ -32,6 +32,18 @@ import gen  # noqa: E402
 
 RNG = np.random.default_rng(303)
 CATALOG = ("fave", "amy", "amy-variant", "deg31")
+EPS = np.finfo(float).eps
+
+
+def predicted_start(cm):
+    """The adaptive rule's first node count: the least power of two N with
+    r^N <= 1e-15, r the largest Blaschke zero modulus, within [64, 4096];
+    4096 for a mapped measure."""
+    if cm.center:
+        return 4096
+    r = max((abs(a) for a in cm.balpha.zeros), default=0.0)
+    need = np.log(1e-15) / np.log(r) if r > 0 else 0.0
+    return int(min(4096, max(64, 2 ** np.ceil(np.log2(max(need, 1.0))))))
 
 
 def _ladder(n, s):
@@ -161,6 +173,43 @@ def test_adaptive_family_raises_when_one_component_does_not_settle(monkeypatch):
         integrate(cm, jump, None)
     with pytest.raises(NumericError, match="did not settle"):
         integrate(cm, lambda u, v: np.stack([smooth(u, v), jump(u, v)]), None)
+
+
+@pytest.mark.parametrize("name, alpha", [("amy", complex(np.exp(0.4j))), ("deg31", -1.0 + 0.0j)],
+                         ids=["amy", "deg31"])
+@pytest.mark.parametrize("z", [(0.99, -0.2j), (0.3j, 0.995), (0.2 - 0.1j, 0.3j)],
+                         ids=["z1-near", "z2-near", "inner"])
+def test_adaptive_poisson_integral_is_converged_from_a_low_start(name, alpha, z):
+    # a Poisson point near the torus converges more slowly than the curve's
+    # Blaschke zeros predict, and from a low start two nested rules agree
+    # to 1e-9 while both are still off by more than 1e-12: agreement alone
+    # would stop there, the geometric model waits
+    cm = clark_measure(get(name).build(), alpha)
+    assert predicted_start(cm) < 4096
+    f = lambda u, v: poisson2(z, (u, v))
+    got = integrate(cm, f, None)
+    want = integrate(cm, f, 2 ** 16)
+    assert abs(got - want) <= 1e-12 * abs(want), (name, z)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_adaptive_mass_stops_near_the_predicted_start(n, monkeypatch):
+    # generic ladder measures: the mass settles at most two doublings above
+    # the count the Blaschke zeros predict, far below the fixed rule's 4096
+    counts = _counting_node_data(monkeypatch)
+    for s in range(2):
+        rng = np.random.default_rng([9, n, s])
+        facts = gen.generate(rng, n)
+        rif = validate(BiPolyN1(UniPoly(facts.p1), UniPoly(facts.p2), n))
+        # the degree-ladder's floor on the distance of the curve zeros
+        for alpha in gen.generic_alphas(rng, facts, 2, 0.02):
+            cm = clark_measure(rif, alpha)
+            counts.clear()
+            mass = cm.total_mass(None)
+            start = predicted_start(cm)
+            assert counts[0] == start and start < 4096, (n, s, alpha)
+            assert max(counts) <= 4 * start, (n, s, alpha, counts)
+            assert abs(mass - cm.closed_form_mass()) <= 1e-12, (n, s, alpha)
 
 
 def test_poisson_identity_spot_checks():
@@ -325,16 +374,20 @@ def test_adaptive_integrate_reuses_old_nodes(monkeypatch):
     for name, alpha in (("amy", complex(np.exp(0.4j))), ("deg31", -1.0 + 0.0j),
                         ("fave", _near_exceptional_alpha(get("fave").build(), 1.0, 0.03))):
         rif = get(name).build()
-        # the rule of a fresh fixed-count integral at each doubling
+        # the rule of a fresh fixed-count integral at each doubling, from
+        # the start the Blaschke zeros predict, with the settle test
         ref = clark_measure(rif, alpha)
-        count = 4096
-        prev = integrate(ref, f, count)
+        start = count = predicted_start(ref)
+        prev, prev_diff = integrate(ref, f, count), 0.0
         while True:
             count *= 2
             want = integrate(ref, f, count)
-            if abs(want - prev) <= 1e-9 * max(1.0, abs(want)):
+            diff, scale = abs(want - prev), max(1.0, abs(want))
+            if diff <= 1e-9 * scale and (
+                    count >= 8192 or diff <= 1e-13 * scale
+                    or prev_diff > 0 and diff * (diff / prev_diff) ** 2 <= 16 * EPS * scale):
                 break
-            prev = want
+            prev, prev_diff = want, diff
         cm = clark_measure(rif, alpha)
         counts.clear()
         f_sizes.clear()
@@ -342,9 +395,9 @@ def test_adaptive_integrate_reuses_old_nodes(monkeypatch):
         got = integrate(cm, f, None)
         monkeypatch.setattr(ClarkMeasure, "node_data", node_data)
         # node_data once per level, up to the count the fresh rules reach
-        assert counts == [4096 * 2 ** k for k in range(len(counts))], name
+        assert counts == [start * 2 ** k for k in range(len(counts))], name
         assert counts[-1] == count, name
-        # f sees each node once: 4096 first, then only the new half
+        # f sees each node once: the start first, then only the new half
         per_part = 1 + len(cm.lines)
         assert sum(f_sizes) == count * per_part, name
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), name

@@ -124,10 +124,29 @@ def test_analyze_reports_the_settled_mass_near_exceptional(name, angle, code, ca
     assert abs(rep["total_mass"] - want) <= 1e-8 * want
 
 
+@pytest.mark.parametrize("alpha, want", [("1", 128), ("exp(i*0.37)", 8192)])
+def test_analyze_reports_the_node_count_of_its_mass(alpha, want, monkeypatch, capsys):
+    # mass_nodes is the last count of the adaptive mass's rule: low where
+    # the Blaschke zeros keep far from the circle, 8192 for the mapped rule
+    # next to a zero 7e-5 from it
+    counts = []
+    node_data = clark.ClarkMeasure.node_data
+
+    def counted(cm, count):
+        counts.append(count)
+        return node_data(cm, count)
+
+    monkeypatch.setattr(clark.ClarkMeasure, "node_data", counted)
+    assert cli.main(["analyze", "deg31", f"--alpha={alpha}"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["mass_nodes"] == counts[-1] == want
+
+
 def test_analyze_unsettled_mass_is_numeric_error(monkeypatch, capsys):
-    # with no room to double, the adaptive mass cannot settle: analyze
-    # reports the failure instead of an unsettled number
-    monkeypatch.setattr(clark, "_MAX_ADAPTIVE_NODES", clark.RULE_NODES)
+    # with no room to double from the least start, 64 nodes, the adaptive
+    # mass cannot settle: analyze reports the failure instead of an
+    # unsettled number
+    monkeypatch.setattr(clark, "_MAX_ADAPTIVE_NODES", 64)
     assert cli.main(["analyze", "fave", "--alpha=i"]) == 3
     out = capsys.readouterr()
     assert out.out == "" and "did not settle" in out.err
