@@ -16,22 +16,22 @@ on the circles of the Newton polygon of the coefficients, one circle per
 hull edge, so the two rings of roots of a boundary polynomial
 |p1|^2 - |p2|^2 take about 17 sweeps at every degree, where one starting
 circle took 26 to 48, rising with the degree.  Each sweep evaluates p, p'
-and the residual scale at all live iterates at once from a power table;
+and the residual scale at all live iterates at once from one power table;
 iterates outside the unit disk go through the reversed polynomial at 1/z,
 so no power exceeds 1, and roots that pass the residual test are frozen;
-Newton steps in extended precision then polish each root that is not part
-of a cluster.  blaschke_from_rational finds the roots of the numerator
-only: the denominator must be a unimodular multiple of the numerator's
-reflection, which it certifies on the coefficients.  Structurally
-multiple roots on the unit circle are a core case here: boundary zeros of
-nonnegative trigonometric polynomials always have even order, and a 2m-fold
-root scatters under coefficient roundoff into a cluster of radius roughly
-eps**(1/(2m)), about 1.5e-4 for a quadruple root.  That is far wider than the
-accuracy of simple roots, so circle-zero extraction classifies roots inside a
-generous band around the circle, clusters them by angle, polishes each
-cluster with a Newton step on an angular derivative, and only then certifies
-the zero and its multiplicity, retrying a cluster that fails on its members
-nearest the circle.
+Newton steps whose value of p is taken in extended precision then polish
+each root that is not part of a cluster.  blaschke_from_rational finds the
+roots of the numerator only: the denominator must be a unimodular multiple
+of the numerator's reflection, which it certifies on the coefficients.
+Structurally multiple roots on the unit circle are a core case here:
+boundary zeros of nonnegative trigonometric polynomials always have even
+order, and a 2m-fold root scatters under coefficient roundoff into a
+cluster of radius roughly eps**(1/(2m)), about 1.5e-4 for a quadruple root.
+That is far wider than the accuracy of simple roots, so circle-zero
+extraction classifies roots inside a generous band around the circle,
+clusters them by angle, polishes each cluster with a Newton step on an
+angular derivative, and only then certifies the zero and its multiplicity,
+retrying a cluster that fails on its members nearest the circle.
 """
 
 from __future__ import annotations
@@ -76,10 +76,28 @@ def cplx_from_json(v) -> complex:
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] * z**k at every point of z.
+
+    A 0-d point is evaluated from one power table and one dot product, so
+    the cost does not grow with one numpy call per coefficient; an array of
+    points runs Horner's rule, since a power table for 2**19 nodes would
+    take hundreds of MB.
+    """
+    if z.ndim == 0:
+        return _power_table(z[None], coeffs.size)[0] @ coeffs
     out = np.zeros_like(z, dtype=complex)
     for c in coeffs[::-1]:
         out = out * z + c
     return out
+
+
+def _power_table(y: np.ndarray, size: int) -> np.ndarray:
+    """Rows 1, y, y**2, ..., y**(size - 1), one row per point of y."""
+    pw = np.empty((y.size, size), dtype=y.dtype)
+    pw[:, :1] = 1.0
+    pw[:, 1:] = y[:, None]
+    np.multiply.accumulate(pw, axis=1, out=pw)
+    return pw
 
 
 def _fft_values(coeffs: np.ndarray, low: int, count: int, half: bool = False) -> np.ndarray:
@@ -260,48 +278,48 @@ def _cluster_members(points, radius: float) -> list[list[int]]:
 
 
 def _eval_tables(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient columns for _eval_scaled.
+    """Coefficient columns for _eval_scaled: c and k*c, and |c| for the
+    backward-error scale."""
+    return np.stack([c, np.arange(len(c)) * c], axis=1), np.abs(c)
 
-    The complex table holds c, k*c and their reversals, so one matrix
-    product against a power table gives p(z) and z*p'(z), or, at y = 1/z,
-    the reversed R(y) = y**n p(1/y) and n*R(y) - y*R'(y).  The real table
-    holds |c| and its reversal for the backward-error scale.
-    """
-    kc = np.arange(len(c)) * c
-    ac = np.abs(c)
-    return np.stack([c, kc, c[::-1], kc[::-1]], axis=1), np.stack([ac, ac[::-1]], axis=1)
+
+def _flipped_powers(z: np.ndarray, size: int, dtype=complex) -> np.ndarray:
+    """One row of powers per point of z, in dtype, n = size - 1: at a
+    point inside the closed disk z**k in column k, and at a point outside
+    it (1/z)**(n - k), so that no power exceeds 1."""
+    outside = np.abs(z) > 1.0
+    y = z.astype(dtype, copy=False)
+    if not outside.any():
+        return _power_table(y, size)
+    y = y.copy()
+    y[outside] = 1.0 / y[outside]
+    pw = _power_table(y, size)
+    pw[outside] = pw[outside, ::-1]
+    return pw
+
+
+def _scaled_values(tables: tuple[np.ndarray, np.ndarray], pw: np.ndarray):
+    """(value, slope, scale) from a table of _flipped_powers: two matrix
+    products, the scale as |power table| @ |c|."""
+    coef, acoef = tables
+    v = pw @ coef
+    return v[:, 0], v[:, 1], np.abs(pw) @ acoef
 
 
 def _eval_scaled(tables: tuple[np.ndarray, np.ndarray], z: np.ndarray):
     """(value, slope, scale) of p at every point of z at once.
 
     Points inside the closed disk are evaluated directly: value p(z), slope
-    z*p'(z), scale sum |c_k| |z|**k.  Points outside are evaluated through
-    the reversed polynomial at y = 1/z, which divides all three by z**n (in
-    modulus, for the scale), so no power exceeds 1 and nothing overflows.
-    Either way value / scale is the backward-error residual of p at z, and
-    z * value / slope is the Newton correction p(z) / p'(z).
+    z*p'(z), scale sum |c_k| |z|**k.  Points outside are evaluated at
+    y = 1/z through their reversed row of powers, which gives the reversed
+    polynomial R(y) = y**n p(1/y) and n*R(y) - y*R'(y) from the same
+    columns and divides all three by z**n (in modulus, for the scale), so
+    no power exceeds 1 and nothing overflows.  Either way value / scale is
+    the backward-error residual of p at z, and z * value / slope is the
+    Newton correction p(z) / p'(z).  One power table and two matrix
+    products give all three, with no select between two sets of columns.
     """
-    coef, acoef = tables
-    az = np.abs(z)
-    outside = az > 1.0
-    y, ay = z, az
-    if outside.any():
-        y = np.where(outside, 1.0 / np.where(outside, z, 1.0), z)
-        ay = np.abs(y)
-    pw = np.empty((z.size, coef.shape[0]), dtype=coef.dtype)
-    pw[:, 0] = 1.0
-    pw[:, 1:] = y[:, None]
-    np.multiply.accumulate(pw, axis=1, out=pw)
-    apw = np.empty(pw.shape, dtype=acoef.dtype)
-    apw[:, 0] = 1.0
-    apw[:, 1:] = ay[:, None]
-    np.multiply.accumulate(apw, axis=1, out=apw)
-    v = pw @ coef
-    b = apw @ acoef
-    return (np.where(outside, v[:, 2], v[:, 0]),
-            np.where(outside, v[:, 3], v[:, 1]),
-            np.where(outside, b[:, 1], b[:, 0]))
+    return _scaled_values(tables, _flipped_powers(z, tables[1].size))
 
 
 def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
@@ -355,56 +373,89 @@ def _aberth(c: np.ndarray) -> np.ndarray:
     performed.  The residual test depends only on a root's own iterate, so
     a root that passes it is frozen: later sweeps evaluate and update the
     remaining roots only, though their Aberth sums still run over every
-    iterate.
+    iterate.  Each sweep makes one _eval_scaled call and about 35 numpy
+    calls in all.  A zero slope (the iterate sits on a critical point) or a
+    zero Aberth denominator makes the step non-finite; only then is the
+    sweep's step formed again with the guards: a fixed nudge in place of
+    the Newton correction at a zero slope, and the plain Newton step where
+    the denominator is below 1e-12.
     """
     n = len(c) - 1
     z = _newton_polygon_start(c)
     floor = 8.0 * _EPS * (n + 1)
     tables = _eval_tables(c)
-    active = np.arange(n)
-    for _ in range(600):
-        za = z[active]
-        val, slope, scale = _eval_scaled(tables, za)
-        live = ~(np.abs(val) <= floor * scale)
-        if not live.all():
-            active, za, val, slope = active[live], za[live], val[live], slope[live]
-            if not active.size:
+    active = rows = np.arange(n)
+    # the live iterates, z[active], carried from sweep to sweep
+    za = z.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(600):
+            val, slope, scale = _eval_scaled(tables, za)
+            live = ~(np.abs(val) <= floor * scale)
+            if not live.all():
+                active, za, val, slope = active[live], za[live], val[live], slope[live]
+                if not active.size:
+                    break
+            w = za * val / slope
+            inv = za[:, None] - z
+            inv[rows[: active.size], active] = np.inf
+            s = np.reciprocal(inv, out=inv).sum(axis=1)
+            step = w / (1.0 - w * s)
+            big = float(np.abs(step).max())
+            if not math.isfinite(big):
+                w = np.where(slope == 0, 0.1 + 0.1j, w)
+                denom = 1.0 - w * s
+                step = np.where(np.abs(denom) < 1e-12, w, w / denom)
+                big = float(np.abs(step).max())
+            za = za - step
+            z[active] = za
+            if big <= 1e-16 * (1.0 + float(np.abs(z).max())):
                 break
-        w = np.where(slope == 0, 0.1 + 0.1j, za * val / np.where(slope == 0, 1.0, slope))
-        diff = za[:, None] - z[None, :]
-        diff[np.arange(active.size), active] = np.inf
-        s = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - w * s
-        step = np.where(np.abs(denom) < 1e-12, w, w / np.where(denom == 0, 1.0, denom))
-        z[active] = za - step
-        if float(np.abs(step).max()) <= 1e-16 * (1.0 + float(np.abs(z).max())):
-            break
     return z
 
 
-def _polish_lone(c: np.ndarray, z: np.ndarray, radius: float) -> np.ndarray:
+def _eval_extended(cl: np.ndarray, tables, z: np.ndarray):
+    """(value, slope, scale) of p at every point of z as in _eval_scaled,
+    with the value in extended precision: cl is c as numpy.clongdouble,
+    and the value is one product of cl with a power table in that type.
+    The slope and the scale come from the double tables, on the same
+    powers rounded to double.
+    """
+    pw = _flipped_powers(z, cl.size, cl.dtype)
+    _, slope, scale = _scaled_values(tables, pw.astype(complex))
+    return np.einsum("ij,j->i", pw, cl), slope, scale
+
+
+def _polish_lone(c: np.ndarray, tables, z: np.ndarray, radius: float):
     """Up to three Newton steps at every root farther than radius from all
     others, each kept only where it lowers that root's backward error.
 
     Aberth freezes a root once its residual reaches the floor, which can
     leave an ill-conditioned simple root's forward error far above what its
-    condition allows.  The steps evaluate p in extended precision
-    (numpy.clongdouble, which is plain double on platforms without it),
-    through _eval_scaled so that roots outside the disk go through 1/z; then
-    the roots of a polynomial with a wide coefficient span come out accurate
-    enough that their product reproduces p.  A root never moves by half the
-    distance to its nearest neighbour, so two roots cannot meet, and
-    clusters are left alone: a Newton step would split a multiple root.
+    condition allows.  Only p's value needs more than double precision for
+    the steps: it is evaluated in extended precision (numpy.clongdouble,
+    which is plain double on platforms without it, see _eval_extended),
+    while the slope and the residual scale come from the double tables of
+    _eval_scaled; then the roots of a polynomial with a wide coefficient
+    span come out accurate enough that their product reproduces p.  A step
+    is kept only where it lowers the backward error, moves the root less
+    than half the distance to its nearest neighbour, so two roots cannot
+    meet, and is larger than the root's double resolution.  Clusters are
+    left alone: a Newton step would split a multiple root.
+
+    Returns the polished roots and, for each, a lower bound on its
+    distance to its nearest neighbour after the polish (the distance
+    before it, less its own move and the largest move).
     """
-    gaps = np.abs(z[:, None] - z[None, :])
+    gaps = np.abs(z[:, None] - z)
     np.fill_diagonal(gaps, np.inf)
     nearest = gaps.min(axis=1)
     lone = np.flatnonzero(nearest > radius)
     if not lone.size:
-        return z
-    tables = _eval_tables(c.astype(np.clongdouble))
-    zl = z[lone].astype(np.clongdouble)
-    val, slope, scale = _eval_scaled(tables, zl)
+        return z, nearest
+    cl = c.astype(np.clongdouble)
+    z0 = z[lone]
+    zl = z0.copy()
+    val, slope, scale = _eval_extended(cl, tables, zl)
     resid = np.abs(val) / scale
     reach = 0.5 * nearest[lone]
     live = np.arange(lone.size)
@@ -417,16 +468,18 @@ def _polish_lone(c: np.ndarray, z: np.ndarray, radius: float) -> np.ndarray:
             live, step = live[moving], step[moving]
             if not live.size:
                 break
-            new = zl[live] - step
-            val2, slope2, scale2 = _eval_scaled(tables, new)
+            new = (zl[live] - step).astype(complex)
+            val2, slope2, scale2 = _eval_extended(cl, tables, new)
             resid2 = np.abs(val2) / scale2
-            keep = (resid2 < resid[live]) & (np.abs(new - z[lone[live]]) < reach[live])
+            keep = (resid2 < resid[live]) & (np.abs(new - z0[live]) < reach[live])
             live = live[keep]
             zl[live], val[live], slope[live], resid[live] = (
                 new[keep], val2[keep], slope2[keep], resid2[keep])
     out = z.copy()
-    out[lone] = zl.astype(complex)
-    return out
+    out[lone] = zl
+    moved = np.zeros(z.size)
+    moved[lone] = np.abs(zl - z0)
+    return out, nearest - moved - moved.max()
 
 
 def roots(p, cluster_radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]]:
@@ -437,7 +490,10 @@ def roots(p, cluster_radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]
     backward-stable residual bound |p(r)| <= TOL * sum |c_k||r|^k;
     if the primary iteration cannot certify, a companion-matrix fallback is
     tried, and failure of both raises NumericError.  Non-finite coefficients
-    raise DomainError.
+    raise DomainError.  Clusters are decided on the polished roots; when the
+    polish's neighbour distances show that no two of them lie within
+    cluster_radius, every root is certified as a simple one without
+    clustering.
     """
     q = p if isinstance(p, UniPoly) else UniPoly(p)
     if q.is_zero:
@@ -458,12 +514,18 @@ def roots(p, cluster_radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]
         tables = _eval_tables(c)
 
         def _certify(cands):
-            cands = _polish_lone(c, np.asarray(cands, dtype=complex), cluster_radius).tolist()
-            clusters = _cluster_members(cands, cluster_radius)
-            centres = np.array([sum(cands[i] for i in idx) / len(idx) for idx in clusters])
+            z, gap = _polish_lone(c, tables, np.asarray(cands, dtype=complex), cluster_radius)
+            if gap.min() > cluster_radius:
+                centres = z
+                found = [(r, 1) for r in z.tolist()]
+            else:
+                pts = z.tolist()
+                clusters = _cluster_members(pts, cluster_radius)
+                centres = np.array([sum(pts[i] for i in idx) / len(idx) for idx in clusters])
+                found = [(complex(r), len(idx)) for r, idx in zip(centres, clusters)]
             val, _, scale = _eval_scaled(tables, centres)
             worst = float(np.max(np.abs(val) / np.maximum(scale, 1e-300)))
-            return [(complex(r), len(idx)) for r, idx in zip(centres, clusters)], worst
+            return found, worst
 
         found, worst = _certify(_aberth(c))
         if not worst <= TOL:
@@ -649,6 +711,10 @@ class TrigPoly:
         shifts the band down by one and amounts to deflating z**d * t(z)
         twice at tau and rescaling by -tau.  Nonnegligible deflation
         remainders mean the factor does not divide and raise NumericError.
+        Deflation runs from the top coefficient down, and on the circle its
+        rounding errors pile up towards the bottom, so only the quotient's
+        nonnegative lags are kept; the negative lags are their conjugates,
+        which makes the result exactly Hermitian.
         """
         t = complex(tau)
         if abs(abs(t) - 1.0) > 1e-6:
@@ -663,10 +729,14 @@ class TrigPoly:
         if worst > 1e-7 * sc * (self.d + 1):
             raise NumericError("circle factor does not divide", residual=worst / sc)
         s = (-t) * q2
-        arr = np.zeros(2 * (self.d - 1) + 1, dtype=complex)
+        d = self.d - 1
+        arr = np.zeros(2 * d + 1, dtype=complex)
         arr[: s.coeffs.size] = s.coeffs
-        arr = 0.5 * (arr + np.conj(arr[::-1]))
-        return TrigPoly(arr, self.d - 1)
+        # the top-down quotient is accurate in its upper half only: mirror
+        # it onto the lower half, as modulus_squared does
+        arr[:d] = np.conj(arr[:d:-1])
+        arr[d] = arr[d].real
+        return TrigPoly(arr, d)
 
     def circle_zeros(self) -> list[tuple[complex, int]]:
         """Certified zeros of t on the unit circle with multiplicities."""

@@ -40,6 +40,15 @@ def test_workload_first_operations_pass_the_oracle(name):
         op.check(op.run())
 
 
+def test_degree_ladder_seed_313_round_23_passes_the_oracle():
+    # the n = 40 operation of this round once failed the oracle's total
+    # mass check by 1.5e-8 relative
+    workload = workloads.DegreeLadder()
+    ctx = workloads.Context(spans.program_modules(), 313, 0.0)
+    [op] = [op for op in workload.round(ctx, 23) if op.label == "n=40"]
+    op.check(op.run())
+
+
 @pytest.mark.parametrize("name", ["degree-ladder", "alpha-sweep"])
 def test_planted_mass_fault_is_caught(name):
     workload, ctx = _ready(name, PLANTED_MASS_ERROR)

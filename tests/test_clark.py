@@ -105,6 +105,19 @@ def test_mass_identity_generic_and_exceptional():
             assert abs(cm.total_mass(None) - cm.closed_form_mass()) < 1e-9
 
 
+def test_ladder_exceptional_masses_of_a_wide_weight_numerator():
+    # degree-ladder seed 313, round 23, n = 40: the weight numerator's
+    # division by |zeta - tau|^2 once kept the inaccurate lower half of its
+    # quotient, and one exceptional mass came out 1.5e-8 off
+    f = gen.generate(np.random.default_rng([313, 1, 23, 40]), 40)
+    rif = validate(BiPolyN1(UniPoly(f.p1), UniPoly(f.p2), 40))
+    assert len(rif.singularities) == 2
+    for s in rif.singularities:
+        cm = clark_measure(rif, s.alpha)
+        closed = cm.closed_form_mass()
+        assert abs(cm.total_mass(None) - closed) <= 1e-9 * closed, s.tau
+
+
 def test_integrate_adaptive_agrees_with_fixed():
     cm = clark_measure(get("amy").build(), np.exp(0.4j))
     f = lambda z1, z2: z1 * np.conj(z2) + 2.0

@@ -6,6 +6,12 @@ follows from the base: the contacts are the k-th roots of each base contact,
 with the base's singular values, so one alpha matches k lines; each line
 mass is the base's c / |d(z^k)/dz| = c / k; and phi(0) is the base's, so
 the closed-form mass is too.
+
+Every case of k up to 16 certifies its exceptional measures, and fave and
+amy-variant do at k = 64 as well.  amy and deg31 at k = 64 are refused as
+"circle factor does not divide": the weight numerator is divided by
+|zeta - tau|^2 once per line, 64 times, and the remainders grow past the
+bound.
 """
 
 import numpy as np
@@ -21,10 +27,6 @@ CATALOG = ("fave", "amy", "amy-variant", "deg31")
 POWERS = (2, 4, 8, 16, 64)
 # the exact-input cases every construction must certify
 CERTIFIED = (2, 4)
-WRONG_MASS = pytest.mark.xfail(
-    strict=True,
-    reason="amy and amy-variant at k = 8 certify a mass 8.7e-8 and 3.5e-8 off",
-)
 
 
 def _compose(poly: BiPolyN1, k: int) -> BiPolyN1:
@@ -36,11 +38,7 @@ def _compose(poly: BiPolyN1, k: int) -> BiPolyN1:
     return BiPolyN1(up(poly.p1), up(poly.p2), poly.n * k)
 
 
-@pytest.mark.parametrize("name, k", [
-    pytest.param(name, k, marks=WRONG_MASS) if name.startswith("amy") and k == 8
-    else (name, k)
-    for name in CATALOG for k in POWERS
-])
+@pytest.mark.parametrize("name, k", [(name, k) for name in CATALOG for k in POWERS])
 def test_composition_measures(name, k):
     entry = get(name)
     base = entry.build()

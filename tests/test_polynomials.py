@@ -420,6 +420,24 @@ def test_aberth_sweeps_on_the_boundary_polynomial(monkeypatch, n):
     assert max(sweeps) <= 24, sweeps
 
 
+@pytest.mark.parametrize("start", [
+    # one iterate on the critical point 0: a zero slope
+    pytest.param([0j, 0.5 + 0.5j], id="zero-slope"),
+    # at 2 the Newton correction is 0.75 and the Aberth sum 1 / 0.75, so
+    # the denominator 1 - 0.75 * (1 / 0.75) is exactly zero
+    pytest.param([2 + 0j, 1.25 + 0j], id="zero-denominator"),
+])
+def test_aberth_guards_a_non_finite_step(monkeypatch, start):
+    # the guards run only once a sweep's step comes out non-finite
+    c = np.array([-1.0, 0.0, 1.0], dtype=complex)
+    monkeypatch.setattr(polynomials, "_newton_polygon_start", lambda _c: np.array(start))
+    z = np.sort_complex(polynomials._aberth(c))
+    assert np.allclose(z, [-1.0, 1.0], rtol=0, atol=1e-14)
+    found = roots(UniPoly(c))
+    assert [m for _r, m in found] == [1, 1]
+    assert np.allclose([r for r, _m in found], [-1.0, 1.0], rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("n,mult,radius", [
     (4, 2, CLUSTER_RADIUS), (8, 2, CLUSTER_RADIUS), (12, 2, CLUSTER_RADIUS),
     (16, 2, CLUSTER_RADIUS), (4, 4, 1e-3), (6, 4, 1e-3),
@@ -511,7 +529,14 @@ def test_wide_span_generic_measures_lie_on_the_level_set():
             pt = P.polyval(zeta, pt2) + z2 * P.polyval(zeta, pt1)
             pv = P.polyval(zeta, p1) + z2 * P.polyval(zeta, p2)
             resid = np.max(np.abs(pt - alpha * pv)) / np.max(np.abs(pt) + np.abs(pv))
-            assert resid <= 1e-9, (seed, alpha, resid)
+            assert resid <= 1e-11, (seed, alpha, resid)
+            # the roots of u reproduce its coefficients
+            u = pt1 - alpha * p2
+            lead = u[np.flatnonzero(u)[-1]]
+            rebuilt = lead * P.polyfromroots(
+                [r for r, m in polynomials.roots(UniPoly(u)) for _ in range(m)])
+            err = np.max(np.abs(rebuilt - np.trim_zeros(u, "b"))) / np.max(np.abs(u))
+            assert err <= 1e-9, (seed, alpha, err)
     assert accepted >= 48
 
 
