@@ -10,15 +10,17 @@ with deg Q <= (n, 0) and deg R_j <= (n-1, 1).  Q is determined up to phase
 by |Q|^2 = |p1|^2 - |p2|^2 on the circle, a nonnegative trigonometric
 polynomial, so it comes from spectral factorization.  For an exceptional
 alpha matching singularities tau_1..tau_l, the first l members of an
-orthonormal R-family can be written down in closed form from the Blaschke
-pencil that the Clark measure sigma_alpha keeps, divided by z1 - tau_j for
-the j-th piece; they vanish on the graph part of the level set and are
-supported on the lines, which is what the orthonormality check verifies
-against that measure.  The measure-side functions here (exceptional_R,
-gram_isometry_check, orthonormality_check) take the ClarkMeasure and never
-build one.  The closed-form list is a partial family (l of n pieces), so it
-is checked by orthonormality, not by the full two-squares identity;
-complete documented decompositions are checked by sos_residual.
+orthonormal R-family can be written down in closed form from the pencil
+numerator u that the Clark measure sigma_alpha keeps: the j-th piece takes
+u deflated once at tau_j, and the reflection of that quotient for the
+pencil denominator alpha u* divided by z1 - tau_j.  They vanish on the
+graph part of the level set and are supported on the lines, which is
+what the orthonormality check verifies against that measure.  The
+measure-side functions here (exceptional_R, gram_isometry_check,
+orthonormality_check) take the ClarkMeasure and never build one.  The
+closed-form list is a partial family (l of n pieces), so it is checked by
+orthonormality, not by the full two-squares identity; complete documented
+decompositions are checked by sos_residual.
 """
 
 from __future__ import annotations
@@ -79,31 +81,34 @@ def compute_Q(rif: Rif) -> UniPoly:
 def exceptional_R(cm: ClarkMeasure) -> list[SosPiece]:
     """Closed-form orthonormal R pieces for the exceptional measure cm.
 
-    With u / v = cm.u / cm.v the pencil (B_alpha before the matched circle
-    roots cancel) and tau_1..tau_l the matched points,
+    With u = cm.u the pencil numerator, v = alpha p1 - pt2 = alpha u* its
+    denominator (B_alpha = u / v before the matched circle roots cancel)
+    and tau_1..tau_l the matched points,
 
-        R_j = d_j * (v(z1) - z2 * u(z1)) / (z1 - tau_j),
+        R_j = d_j * (v(z1) - z2 * u(z1)) / (z1 - tau_j).
 
-    one deflation of the pencil at its common zero tau_j; a remainder above
-    1e-6 of the coefficient scale raises NumericError.  d_j > 0 makes
-    c_j * ||(R_j / p)(tau_j, .)||^2 = 1.  The trace of R_j / p on its own
-    line is constant because numerator and denominator share the z2-root
-    lambda_j, so the Hardy norm is that constant's modulus and d_j is
-    computed exactly.  Constancy is checked by comparing the trace's values
-    at z2 = 0 and z2 = infinity, which fix a ratio of two polynomials of
-    degree one in z2.
+    u is deflated once at its zero tau_j, u = (z1 - tau_j) b1, and a
+    remainder above 1e-6 of the coefficient scale raises NumericError.
+    Since 1 - conj(tau_j) z1 = -conj(tau_j) (z1 - tau_j), the reflection
+    gives v / (z1 - tau_j) = -alpha conj(tau_j) b1*, b1* the degree-(n - 1)
+    reflection of b1.  d_j > 0 makes c_j * ||(R_j / p)(tau_j, .)||^2 = 1.
+    The trace of R_j / p on its own line is constant because numerator and
+    denominator share the z2-root lambda_j, so the Hardy norm is that
+    constant's modulus and d_j is computed exactly.  Constancy is checked
+    by comparing the trace's values at z2 = 0 and z2 = infinity, which fix
+    a ratio of two polynomials of degree one in z2.
     """
-    rif, ac, u, v = cm.rif, cm.alpha_class, cm.u, cm.v
+    rif, ac, u = cm.rif, cm.alpha_class, cm.u
     if ac.kind is not AlphaKind.EXCEPTIONAL:
         raise DomainError("alpha is generic; the closed-form R list is empty there")
     out: list[SosPiece] = []
-    sc = max(u.scale(), v.scale(), 1e-300)
+    sc = max(u.scale(), 1e-300)
     for s in [rif.singularities[k] for k in ac.matched]:
-        (b1, ru), (b2, rv) = u.deflate(s.tau), v.deflate(s.tau)
-        rem = max(abs(ru), abs(rv)) / sc
-        if rem > 1e-6:
+        b1, ru = u.deflate(s.tau)
+        if abs(ru) > 1e-6 * sc:
             raise NumericError("matched singular point is not a common zero "
-                               "of the pencil", residual=rem)
+                               "of the pencil", residual=abs(ru) / sc)
+        b2 = (-ac.alpha * np.conj(s.tau)) * b1.conj_reflect(rif.n - 1)
         b1t = b1(s.tau)
         p2t = rif.p2(s.tau)
         if abs(b1t) <= 1e-10 * sc or abs(p2t) <= 1e-10 * max(rif.p.scale(), 1e-300):

@@ -17,14 +17,15 @@ once, are its zeros and the matched tau_k, which fold into the constant.
 W_alpha is a ratio of trigonometric polynomials obtained from
 (|p1|^2 - |p2|^2) / |pt1 - alpha p2|^2 by removing one factor
 |zeta - tau_k|^2 from numerator and denominator per matched singularity,
-and the line masses are c_k = 1 / |d(phi)/dz1| on the line.  alpha is
+and the line masses are c_k = 1 / |d(phi)/dz1| on the line, the
+derivative that rif reads off the z2-pencil of p at tau_k.  alpha is
 generic when it matches no singular value alpha_k (no lines, B_alpha of
 full degree n) and exceptional otherwise (one line per matched
 singularity, B_alpha of degree n - l).
 
 Everything here is exact modulo root finding: no quadrature enters the
 construction, only the verification-side integrals.  The measure keeps the
-pencil (u, v) it was built from, and the measure-side checks
+pencil numerator u it was built from, and the measure-side checks
 (agler.exceptional_R, gram_isometry_check, orthonormality_check and
 level_set_sample) take the measure instead of rebuilding it from
 (rif, alpha).
@@ -167,11 +168,12 @@ def classify_alpha(rif: Rif, alpha) -> AlphaClass:
 class ClarkMeasure:
     """Closed-form Clark measure: curve part plus line part.
 
-    The measure keeps the pencil it was built from: u = pt1 - alpha p2 and
-    v = alpha p1 - pt2, so B_alpha = u / v once the common circle roots at
-    the matched tau_k are cancelled, and the closed-form Agler pieces of
-    agler.exceptional_R come from the same pair.  lines holds (tau_k, c_k)
-    pairs, one per matched singularity.  W_alpha is weight_num /
+    The measure keeps the pencil numerator it was built from, u = pt1 -
+    alpha p2; the denominator v = alpha p1 - pt2 is alpha u*, u* the
+    degree-n reflection, so B_alpha = u / (alpha u*) once the common circle
+    roots at the matched tau_k are cancelled, and the closed-form Agler
+    pieces of agler.exceptional_R come from u alone.  lines holds
+    (tau_k, c_k) pairs, one per matched singularity.  W_alpha is weight_num /
     (|u|^2 / prod |zeta - tau_k|^2), finite on the circle; that denominator
     is |lead(u)|^2 prod |zeta - a_k|^2 there, a_k the zeros of balpha, and
     curve values and weights are computed in that form.  center is the
@@ -185,7 +187,6 @@ class ClarkMeasure:
     balpha: BlaschkeProduct
     weight_num: TrigPoly
     u: UniPoly
-    v: UniPoly
     lines: tuple
     center: complex = field(init=False)
     _cache: dict = field(default_factory=dict, repr=False)
@@ -359,10 +360,10 @@ def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
     The pencil u = pt1 - alpha p2, v = alpha p1 - pt2 goes to
     blaschke_from_rational as it is, which certifies v = c u* and folds
     each matched tau_k, a common circle zero of u and v, into the Blaschke
-    constant, so B_alpha keeps degree n - l.  The factor |zeta - tau_k|^2
-    of a matched singularity cancels once from the weight numerator, the
-    boundary polynomial rif.t = |p1|^2 - |p2|^2, and once from the weight
-    denominator |u|^2.  Line masses come from the stored derivative
+    constant, so B_alpha keeps degree n - l; the measure keeps only u.
+    The factor |zeta - tau_k|^2 of a matched singularity cancels once from
+    the weight numerator, the boundary polynomial rif.t = |p1|^2 - |p2|^2,
+    and once from the weight denominator |u|^2.  Line masses come from the stored derivative
     constants, c_k = 1 / |deriv_k|.
     """
     ac = classify_alpha(rif, alpha)
@@ -396,7 +397,6 @@ def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
         balpha=balpha,
         weight_num=_divide_circle_factors(rif.t, [s.tau for s in matched]),
         u=u,
-        v=v,
         lines=tuple((s.tau, 1.0 / abs(s.deriv)) for s in matched),
     )
 

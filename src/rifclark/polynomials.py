@@ -217,9 +217,6 @@ class UniPoly:
         n = max(self.coeffs.size, other.coeffs.size, 1)
         return UniPoly(self.padded(n) - other.padded(n))
 
-    def __neg__(self):
-        return UniPoly(-self.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, UniPoly):
             if self.is_zero or other.is_zero:
@@ -602,12 +599,8 @@ class TrigPoly:
 
     __slots__ = ("coeffs", "d")
 
-    def __init__(self, coeffs, d: int | None = None):
+    def __init__(self, coeffs, d: int):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
-        if d is None:
-            if c.size % 2 == 0:
-                raise DomainError("even coefficient count needs an explicit band")
-            d = (c.size - 1) // 2
         if c.size != 2 * d + 1:
             raise DomainError("coefficient count does not match the band")
         self.coeffs = c.copy()

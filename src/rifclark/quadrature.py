@@ -22,6 +22,8 @@ from .rif import phi_eval
 _NODE_CACHE: dict[int, np.ndarray] = {}
 # ||w| - 1| <= 1e-6 read on |w|^2
 _TORUS_BAND = ((1.0 - 1e-6) ** 2, (1.0 + 1e-6) ** 2)
+# radii at which pointmass_probe samples the scaled kernel
+_PROBE_RADII = (0.9, 0.99, 0.999, 0.9999)
 
 
 def circle_nodes(count: int) -> np.ndarray:
@@ -94,16 +96,16 @@ def poisson2(z, zeta, out: np.ndarray | None = None) -> np.ndarray:
     return kernel.reshape(pts.shape[:-1] + shape)
 
 
-def pointmass_probe(rif, alpha, direction, radii=(0.9, 0.99, 0.999, 0.9999)) -> list[float]:
+def pointmass_probe(rif, alpha, direction) -> list[float]:
     """Radial point-mass detector along a torus direction.
 
-    Evaluates (1 - r)^2 |k^phi_alpha(r tau_1, r tau_2)| for increasing r,
-    where k^phi_alpha(z) = (1 - phi(z) conj(phi(0))) / ((1 - conj(alpha)
-    phi(z)) (1 - alpha conj(phi(0)))).  The sequence stays bounded away from
-    zero exactly when the weak-star limit of the normalized Clark family
-    assigns a point mass at (tau_1, tau_2); for the measures built here it
-    instead decays like 1 - r, since Clark measures of nonconstant inner
-    functions carry no atoms.
+    Evaluates (1 - r)^2 |k^phi_alpha(r tau_1, r tau_2)| for r = 0.9, 0.99,
+    0.999 and 0.9999, where k^phi_alpha(z) = (1 - phi(z) conj(phi(0))) /
+    ((1 - conj(alpha) phi(z)) (1 - alpha conj(phi(0)))).  The sequence
+    stays bounded away from zero exactly when the weak-star limit of the
+    normalized Clark family assigns a point mass at (tau_1, tau_2); for the
+    measures built here it instead decays like 1 - r, since Clark measures
+    of nonconstant inner functions carry no atoms.
     """
     a = complex(alpha)
     if abs(abs(a) - 1.0) > 1e-6:
@@ -115,10 +117,7 @@ def pointmass_probe(rif, alpha, direction, radii=(0.9, 0.99, 0.999, 0.9999)) -> 
             raise DomainError("direction must lie on the torus")
     phi0 = rif.phi_at_origin
     out = []
-    for r in radii:
-        r = float(r)
-        if not 0.0 < r < 1.0:
-            raise DomainError("probe radii must lie in (0, 1)")
+    for r in _PROBE_RADII:
         ph = phi_eval(rif, (r * t1, r * t2))
         val = (1.0 - ph * np.conj(phi0)) / (
             (1.0 - np.conj(a) * ph) * (1.0 - a * np.conj(phi0))

@@ -13,9 +13,11 @@ singularities of phi are the finitely many circle points tau where
 |w(tau)| = 1, equivalently where the nonnegative trigonometric polynomial
 t = |p1|^2 - |p2|^2 vanishes; each carries a unimodular second coordinate
 lambda = w(tau), the value alpha = phi(tau, z2) that phi takes on the whole
-line {tau} x C (off the pole), and the modulus of the constant z1-derivative
-of phi along that line.  Everything downstream (Clark measures, unitarity,
-decompositions) is organized around this singularity list.
+line {tau} x C (off the pole), and the constant z1-derivative of phi along
+that line.  All three are read off the z2-pencil p1(tau) + z2 p2(tau) of p
+at tau, the derivative at its two ends z2 = 0 and z2 = infinity.
+Everything downstream (Clark measures, unitarity, decompositions) is
+organized around this singularity list.
 """
 
 from __future__ import annotations
@@ -27,11 +29,6 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .polynomials import TrigPoly, UniPoly, roots
-
-# Test points for fixing the constant value of a derivative along a line;
-# chosen well inside the disk and mutually separated.
-_LINE_POINTS = (0.0 + 0.0j, 0.5 + 0.0j, -0.5j, 0.4j, -0.35 + 0.25j)
-
 
 @dataclass(frozen=True)
 class BiPolyN1:
@@ -53,9 +50,6 @@ class BiPolyN1:
 
     def eval(self, z1, z2):
         return self.p1(z1) + np.asarray(z2, dtype=complex) * self.p2(z1)
-
-    def eval_dz1(self, z1, z2):
-        return self.p1.derivative()(z1) + np.asarray(z2, dtype=complex) * self.p2.derivative()(z1)
 
     def scale(self) -> float:
         return max(self.p1.scale(), self.p2.scale())
@@ -220,31 +214,28 @@ def _coprime_violation(p: BiPolyN1, pt: BiPolyN1) -> str | None:
     return None
 
 
-def _line_derivative(p: BiPolyN1, pt: BiPolyN1, tau: complex, alpha: complex) -> complex:
+def _line_derivative(p: BiPolyN1, pt: BiPolyN1, tau: complex, alpha: complex,
+                     p1t: complex, p2t: complex) -> complex:
     """Constant value of d(phi)/dz1 on the line {tau} x D.
 
     On that line ptilde - alpha p vanishes identically, so the quotient rule
-    collapses to (d(ptilde)/dz1 - alpha d(p)/dz1) / p; the result must not
-    depend on z2, which is checked at two separated test points.
+    collapses to (d(ptilde)/dz1 - alpha d(p)/dz1) / p, a ratio of two
+    polynomials of degree one in z2.  It is read at the two ends of the
+    z2-pencil, z2 = 0 and z2 = infinity, where p is p1t = p1(tau) and p2t =
+    p2(tau), and the two values must agree.  At a contact |p1t| = |p2t|;
+    when that is at most 1e-3 of p's coefficient scale the line runs next
+    to a zero of p1 and p2, and the ratio is refused.
     """
-    sc = max(p.scale(), 1e-300)
-    vals = []
-    for z2 in _LINE_POINTS:
-        den = p.eval(tau, z2)
-        if abs(den) <= 1e-3 * sc:
-            continue
-        num = pt.eval_dz1(tau, z2) - alpha * p.eval_dz1(tau, z2)
-        vals.append(num / den)
-        if len(vals) == 2:
-            break
-    if len(vals) < 2:
-        raise NumericError("could not find safe test points on the line")
-    if abs(vals[0] - vals[1]) > 1e-6 * max(1.0, abs(vals[0])):
+    if abs(p2t) <= 1e-3 * max(p.scale(), 1e-300):
+        raise NumericError("p is too small on the line to fix its derivative")
+    at_zero = (pt.p1.derivative()(tau) - alpha * p.p1.derivative()(tau)) / p1t
+    at_inf = (pt.p2.derivative()(tau) - alpha * p.p2.derivative()(tau)) / p2t
+    if abs(at_zero - at_inf) > 1e-6 * max(1.0, abs(at_zero)):
         raise NumericError(
             "line derivative is not constant",
-            residual=abs(vals[0] - vals[1]),
+            residual=abs(at_zero - at_inf),
         )
-    return complex((vals[0] + vals[1]) / 2.0)
+    return complex((at_zero + at_inf) / 2.0)
 
 
 def _detect_singularities(p: BiPolyN1, pt: BiPolyN1, t: TrigPoly) -> tuple:
@@ -255,18 +246,18 @@ def _detect_singularities(p: BiPolyN1, pt: BiPolyN1, t: TrigPoly) -> tuple:
     for tau, mult in t.circle_zeros():
         if mult % 2:
             raise NumericError("odd-order boundary contact; t must be nonnegative")
-        p2v = p.p2(tau)
-        if abs(p2v) <= 1e-8 * sc:
+        p1t, p2t = p.p1(tau), p.p2(tau)
+        if abs(p2t) <= 1e-8 * sc:
             raise DomainError("degenerate: p1 and p2 vanish together on the circle")
-        lam = -p.p1(tau) / p2v
+        lam = -p1t / p2t
         if abs(abs(lam) - 1.0) > 1e-6:
             raise NumericError("boundary zero with a non-unimodular second coordinate")
         lam /= abs(lam)
-        alpha = pt.p2(tau) / p2v
+        alpha = pt.p2(tau) / p2t
         if abs(abs(alpha) - 1.0) > 1e-6:
             raise NumericError("boundary value of phi is not unimodular")
         alpha /= abs(alpha)
-        deriv = _line_derivative(p, pt, tau, alpha)
+        deriv = _line_derivative(p, pt, tau, alpha, p1t, p2t)
         sings.append(Singularity(complex(tau), lam, alpha, deriv, int(mult)))
     if len(sings) > p.n:
         raise NumericError("more boundary zeros than the degree allows")

@@ -1,5 +1,6 @@
 """Sums-of-squares pieces, orthonormal families, and the Gram isometry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from rifclark.agler import (
 )
 from rifclark.catalog import get
 from rifclark.clark import clark_measure
-from rifclark.errors import DomainError
+from rifclark.errors import DomainError, NumericError
 from rifclark.polynomials import TrigPoly, UniPoly
 from rifclark.quadrature import circle_nodes
 from rifclark.rif import BiPolyN1, phi_eval, validate
@@ -99,6 +100,15 @@ def test_exceptional_r_vanishes_at_singular_points():
             for piece in exceptional_R(clark_measure(rif, a)):
                 for s in rif.singularities:
                     assert abs(piece.eval(s.tau, s.lam)) < 1e-10
+
+
+def test_exceptional_r_refuses_a_tau_off_the_pencil_zero():
+    cm = clark_measure(get("deg31").build(), -1.0)
+    turned = [dataclasses.replace(s, tau=s.tau * np.exp(1e-3j))
+              for s in cm.rif.singularities]
+    cm.rif = dataclasses.replace(cm.rif, singularities=tuple(turned))
+    with pytest.raises(NumericError, match="not a common zero"):
+        exceptional_R(cm)
 
 
 def test_orthonormality_single_piece():

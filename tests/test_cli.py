@@ -291,6 +291,18 @@ def test_analyze_json_input(tmp_path, capsys):
     assert rep["kind"] == "exceptional"
 
 
+def test_analyze_catalog_element_file_matches_the_name(tmp_path, capsys):
+    # an element of `rifclark catalog` keeps its polynomial under "rif"
+    assert cli.main(["catalog"]) == 0
+    [entry] = [e for e in json.loads(capsys.readouterr().out) if e["name"] == "deg31"]
+    path = tmp_path / "deg31.json"
+    path.write_text(json.dumps(entry))
+    assert cli.main(["analyze", str(path), "--alpha=-1"]) == 0
+    from_file = capsys.readouterr().out
+    assert cli.main(["analyze", "deg31", "--alpha=-1"]) == 0
+    assert from_file == capsys.readouterr().out
+
+
 def test_verify_single_suite(capsys):
     assert cli.main(["verify", "amy", "--suite=gram"]) == 0
     rep = json.loads(capsys.readouterr().out)

@@ -238,6 +238,15 @@ def test_fejer_riesz_rejects_sign_changing():
         fejer_riesz(t)
 
 
+def test_fejer_riesz_band_zero():
+    f = fejer_riesz(TrigPoly([4.0], 0))
+    assert f == UniPoly([2.0])
+    # -1e-10 passes the sign check's tolerance, and the band-0 branch refuses it
+    for c0 in (-1.0, -1e-10):
+        with pytest.raises(DomainError, match="negative"):
+            fejer_riesz(TrigPoly([c0], 0))
+
+
 def test_blaschke_product_modulus():
     b = BlaschkeProduct(np.exp(0.3j), (0.2 + 0.1j, -0.5j))
     z = np.exp(1j * np.linspace(0, 6.28, 33))
@@ -436,6 +445,25 @@ def test_aberth_guards_a_non_finite_step(monkeypatch, start):
     found = roots(UniPoly(c))
     assert [m for _r, m in found] == [1, 1]
     assert np.allclose([r for r, _m in found], [-1.0, 1.0], rtol=0, atol=1e-14)
+
+
+def test_roots_fall_back_to_the_companion_matrix(monkeypatch):
+    # Aberth stopped at its starting points certifies nothing, so roots()
+    # takes the companion-matrix eigenvalues and certifies those
+    true_roots = np.array([0.5, -0.3 + 0.8j, 1.7j, -2.0, 0.9 - 0.1j])
+    c = P.polyfromroots(true_roots)
+    calls = []
+    eig = np.roots
+    monkeypatch.setattr(polynomials, "_aberth", polynomials._newton_polygon_start)
+    monkeypatch.setattr(polynomials.np, "roots", lambda a: calls.append(a) or eig(a))
+    found = roots(UniPoly(c))
+    assert len(calls) == 1
+    assert [m for _r, m in found] == [1] * 5
+    z = np.array([r for r, _m in found])
+    scale = np.abs(c) @ np.abs(z[None, :]) ** np.arange(c.size)[:, None]
+    assert np.all(np.abs(P.polyval(z, c)) <= polynomials.TOL * scale)
+    for r in true_roots:
+        assert np.min(np.abs(z - r)) < 1e-12
 
 
 @pytest.mark.parametrize("n,mult,radius", [

@@ -114,10 +114,3 @@ def test_pointmass_probe_decays_like_one_minus_r():
     # (1-r)^2-scaled kernel against a simple pole decays linearly in 1-r
     ratio = vals[-2] / vals[-1]
     assert 5.0 < ratio < 20.0
-
-
-def test_pointmass_probe_custom_radii():
-    rif = get("amy").build()
-    s = rif.singularities[0]
-    vals = pointmass_probe(rif, s.alpha, (s.tau, s.lam), radii=(0.5, 0.9))
-    assert len(vals) == 2 and vals[1] < vals[0]

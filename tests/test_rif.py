@@ -5,10 +5,11 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from rifclark.catalog import entries, get
-from rifclark.errors import DomainError, RifClarkError
+from rifclark.errors import DomainError, NumericError, RifClarkError
 from rifclark.polynomials import UniPoly
 from rifclark.rif import (
     BiPolyN1,
+    _line_derivative,
     is_saturated,
     phi_eval,
     reflect,
@@ -90,12 +91,27 @@ def test_phi_eval_rejects_outside_closed_bidisk():
         phi_eval(rif, (1.5, 0.0))
 
 
-def test_eval_dz1_matches_finite_difference():
-    p = get("deg31").poly
-    z1, z2 = 0.3 + 0.1j, -0.2j
+@pytest.mark.parametrize("name", ["fave", "amy", "amy-variant", "deg31"])
+def test_line_derivative_matches_finite_difference(name):
+    # d(phi)/dz1 on {tau} x D, read at the ends of the z2-pencil, against a
+    # central difference of ptilde / p in z1 at interior points of the line
+    rif = get(name).build()
     h = 1e-6
-    fd = (p.eval(z1 + h, z2) - p.eval(z1 - h, z2)) / (2 * h)
-    assert abs(p.eval_dz1(z1, z2) - fd) < 1e-8
+    for s in rif.singularities:
+        for z2 in (0.0, 0.5, -0.5j, 0.4j, -0.35 + 0.25j):
+            fd = (rif.ptilde.eval(s.tau + h, z2) / rif.p.eval(s.tau + h, z2)
+                  - rif.ptilde.eval(s.tau - h, z2) / rif.p.eval(s.tau - h, z2)) / (2 * h)
+            assert abs(s.deriv - fd) < 1e-6 * abs(s.deriv)
+
+
+def test_line_derivative_refuses_a_point_that_is_no_contact():
+    # on {i} x D phi is not constant, so the two pencil ends disagree
+    rif = get("deg31").build()
+    tau = 1j
+    alpha = rif.pt1(tau) / rif.p2(tau)
+    with pytest.raises(NumericError, match="not constant"):
+        _line_derivative(rif.p, rif.ptilde, tau, alpha / abs(alpha),
+                         rif.p1(tau), rif.p2(tau))
 
 
 def test_validate_detects_interior_zero():
