@@ -17,7 +17,9 @@ pencil denominator alpha u* divided by z1 - tau_j.  They vanish on the
 graph part of the level set and are supported on the lines, which is
 what the orthonormality check verifies against that measure.  The
 measure-side functions here (exceptional_R, gram_isometry_check,
-orthonormality_check) take the ClarkMeasure and never build one.  The
+orthonormality_check) take the ClarkMeasure and never build one, and
+integrate against it with its own rule, through clark.integrate or
+cm.node_data.  The
 closed-form list is a partial family (l of n pieces), so it is checked by
 orthonormality, not by the full two-squares identity; complete documented
 decompositions are checked by sos_residual.
@@ -31,8 +33,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .polynomials import UniPoly, fejer_riesz
-from .clark import RULE_NODES, AlphaKind, ClarkMeasure
-from .quadrature import circle_nodes
+from .clark import RULE_NODES, AlphaKind, ClarkMeasure, integrate
 from .rif import Rif, phi_eval
 
 _SOS_SAMPLES = 200
@@ -192,20 +193,15 @@ def gram_isometry_check(cm: ClarkMeasure, points) -> GramReport:
         (1.0 - cw1 * w[:, 0]) * (1.0 - cw2 * w[:, 1])
     )
     pref = 1.0 - cm.alpha * np.conj(phis)
-    z, z2c, wvals = cm.node_data(RULE_NODES)
-    acc = _weighted_gram(1.0 / ((1.0 - cw1 * z) * (1.0 - cw2 * z2c)), wvals)
-    omega = circle_nodes(RULE_NODES)
-    for tau, mass in cm.lines:
-        acc += mass * _weighted_gram(1.0 / ((1.0 - cw1 * tau) * (1.0 - cw2 * omega)))
-    measured = np.outer(pref, np.conj(pref)) * acc
+
+    def products(z1, z2):
+        # C_{w_i} conj(C_{w_j}), shaped (P, P, N)
+        c = 1.0 / ((1.0 - cw1 * z1) * (1.0 - cw2 * z2))
+        return c[:, None, :] * np.conj(c)
+
+    measured = np.outer(pref, np.conj(pref)) * integrate(cm, products, RULE_NODES)
     dev = float(np.max(np.abs(measured - target)))
     return GramReport(cm.alpha, tuple(pts), target, measured, dev)
-
-
-def _weighted_gram(vals: np.ndarray, weights=1.0) -> np.ndarray:
-    """Mean over the nodes of vals_i conj(vals_j) weights: (V w) V^H / N
-    for the rows V of vals."""
-    return (vals * weights) @ vals.conj().T / vals.shape[1]
 
 
 def orthonormality_check(cm: ClarkMeasure, R_list) -> np.ndarray:
@@ -215,9 +211,10 @@ def orthonormality_check(cm: ClarkMeasure, R_list) -> np.ndarray:
     The line contributions are exact: (R_i / p)(tau_k, .) is the constant
     q_i(tau_k) / p2(tau_k) whenever R_i(tau_k, lambda_k) = 0, which is
     required (otherwise the trace is not square integrable and this raises
-    NumericError).  The curve contribution uses RULE_NODES nodes offset by
-    half a spacing so that curve-line crossing points, which sit at circle
-    zeros of p, never coincide with quadrature nodes.
+    NumericError).  The curve contribution takes the odd nodes of
+    cm.node_data(2 * RULE_NODES), the measure's rule offset by half a
+    spacing, so that curve-line crossing points, which sit at circle zeros
+    of p, do not coincide with quadrature nodes.
     """
     rif = cm.rif
     pieces = list(R_list)
@@ -238,12 +235,11 @@ def orthonormality_check(cm: ClarkMeasure, R_list) -> np.ndarray:
             vals.append(piece.q(tau) / p2t)
         v = np.array(vals)
         gram += mass * np.outer(v, np.conj(v))
-    z = np.exp(2j * np.pi * (np.arange(RULE_NODES) + 0.5) / RULE_NODES)
-    z2 = cm.curve_z2(z)
+    z, z2, w = (a[1::2] for a in cm.node_data(2 * RULE_NODES))
     pv = rif.p.eval(z, z2)
     live = np.abs(pv) > 1e-12 * sc
     ratios = np.array([
         np.where(live, piece.eval(z, z2) / np.where(live, pv, 1.0), 0.0)
         for piece in pieces
     ], dtype=complex).reshape(m, RULE_NODES)
-    return gram + _weighted_gram(ratios, cm.weight_eval(z))
+    return gram + (ratios * w) @ ratios.conj().T / RULE_NODES

@@ -28,7 +28,8 @@ construction, only the verification-side integrals.  The measure keeps the
 pencil numerator u it was built from, and the measure-side checks
 (agler.exceptional_R, gram_isometry_check, orthonormality_check and
 level_set_sample) take the measure instead of rebuilding it from
-(rif, alpha).
+(rif, alpha); the quadratures among them run on the measure's own rule,
+integrate or node_data.
 
 Those integrals are rules over the curve's node data: nodes zeta,
 conj(B_alpha(zeta)) and quadrature weights.  One in-place pass over the
@@ -56,11 +57,11 @@ the map's Jacobian on the circle, so it converges as fast as the
 singularities of the integrand, pulled back by M_b, lie far from the
 circle.  Those of the curve data are the Blaschke zeros a_k and their
 reflections.  A zero at distance delta from the circle costs the uniform
-rule about 36 / delta nodes; when it is closer than ln(1e9) / 4096 (the
-uniform rule is still 1e-9 off at 4096 nodes, the cap of the adaptive
-start), the centre b moves towards it until its pull-back balances the
-other zeros and the interior points of modulus 1/2 where the test
-functions of the verification suites have their poles.  Otherwise b = 0: the nodes are the
+rule about 36 / delta nodes; when the start count the r^N model predicts
+would pass 4096, the cap of the adaptive start (r^4096 > 1e-15, delta
+below about 8.4e-3), the centre b moves towards it until its pull-back
+balances the other zeros and the interior points of modulus 1/2 where
+the test functions of the verification suites have their poles.  Otherwise b = 0: the nodes are the
 roots of unity and the weight numerator comes from one FFT of its
 coefficients.  The map belongs to the curve alone: a line {tau_k} x T
 carries c_k times normalized arclength, and f(tau_k, .) does not see the
@@ -102,11 +103,6 @@ _MIN_START = 64
 _DIFF_FLOOR = 1e-13
 _MODEL_FLOOR = 16 * np.finfo(float).eps
 _AGREE_NODES = 2 * RULE_NODES
-# a Blaschke zero closer than this to the circle keeps the uniform rule's
-# error exp(-N delta) above _SETTLE at RULE_NODES, the cap of the start,
-# so its first doubling could not settle: the node map moves such a zero
-# away, and the mapped rule starts at RULE_NODES
-_MAP_DISTANCE = math.log(1.0 / _SETTLE) / RULE_NODES
 # the Poisson and Gram test points of the verification suites lie within
 # this radius; the node map must not push them onto the circle either
 _PROBE_RADIUS = 0.5
@@ -328,9 +324,10 @@ def _pullback_gap(b, x):
 def _map_center(zeros) -> complex:
     """Centre b of the node map for a measure with these Blaschke zeros.
 
-    b = 0 unless the nearest zero a lies within _MAP_DISTANCE of the
-    circle.  Then b runs along the ray through a, b = (1 - eps) a / |a|
-    with eps log-spaced from 1 - |a| to 1, and takes the place where the
+    b = 0 unless the start count the r^N model predicts for the uniform
+    rule would pass its cap, r^RULE_NODES > _START_ERROR with r = |a| for
+    the zero a of largest modulus (1 - r below about 8.4e-3).  Then b runs
+    along the ray through a, b = (1 - eps) a / |a| with eps log-spaced from 1 - |a| to 1, and takes the place where the
     smallest pull-back gap of the zeros and of the interior point
     -_PROBE_RADIUS a / |a| (the one the map pushes nearest the circle) is
     largest.  b stays 0 when that does not increase the smallest pull-back
@@ -340,11 +337,10 @@ def _map_center(zeros) -> complex:
         return 0j
     a = np.array(zeros)
     near = a[np.argmax(np.abs(a))]
-    delta = 1.0 - abs(near)
-    if not delta < _MAP_DISTANCE:
+    if not abs(near) ** RULE_NODES > _START_ERROR:
         return 0j
     unit = near / abs(near)
-    eps = np.geomspace(delta, 1.0, 64)
+    eps = np.geomspace(1.0 - abs(near), 1.0, 64)
     b = (1.0 - eps)[:, None] * unit
     gaps = _pullback_gap(b, a).min(axis=1)
     worst = np.minimum(gaps, _pullback_gap(b[:, 0], -_PROBE_RADIUS * unit))
@@ -438,10 +434,9 @@ def _start_count(cm: ClarkMeasure) -> int:
     r^N, the trapezoid rule's error rate on the curve data with r the
     largest Blaschke zero modulus, reaches _START_ERROR (Trefethen &
     Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
-    56, 2014), within [_MIN_START, RULE_NODES]; RULE_NODES when the nodes
-    are mapped."""
-    if cm.center:
-        return RULE_NODES
+    56, 2014), within [_MIN_START, RULE_NODES].  A mapped measure starts
+    at RULE_NODES, since _map_center maps exactly when r^RULE_NODES >
+    _START_ERROR."""
     r = max((abs(a) for a in cm.balpha.zeros), default=0.0)
     count = _MIN_START
     while count < RULE_NODES and r ** count > _START_ERROR:

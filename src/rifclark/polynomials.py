@@ -59,9 +59,6 @@ _CANDIDATE_BAND = 1e-2
 # this relative threshold to be certified; genuine zeros land near machine
 # precision while near-circle mirror pairs stall around 1e-8.
 _CERT_REL = 1e-10
-# A trig polynomial's band shrinks while both extreme coefficients are below
-# this relative size (TrigPoly.as_poly).
-_LEAD_TRIM = 1e-13
 _CERT_NODES = 512
 _EPS = float(np.finfo(float).eps)
 
@@ -681,20 +678,15 @@ class TrigPoly:
     def as_poly(self) -> tuple[UniPoly, int]:
         """(P, d_eff) with P(z) = z**d_eff * t(z) after symmetric band trim.
 
-        Both extreme coefficients must be negligible to shrink the band, so
-        P keeps degree exactly 2 * d_eff with nonzero ends (unless t = 0).
+        An end pair is dropped only when both coefficients are exactly
+        zero; for Hermitian t the ends are conjugate, so P keeps degree
+        exactly 2 * d_eff with nonzero ends (unless t = 0).
         """
-        m = self.scale()
-        if m == 0.0:
+        if self.is_zero:
             return UniPoly([]), 0
         d_eff = self.d
-        while d_eff > 0:
-            hi = abs(self.coeffs[self.d + d_eff])
-            lo = abs(self.coeffs[self.d - d_eff])
-            if hi <= _LEAD_TRIM * m and lo <= _LEAD_TRIM * m:
-                d_eff -= 1
-            else:
-                break
+        while d_eff > 0 and not (self.coeffs[self.d + d_eff] or self.coeffs[self.d - d_eff]):
+            d_eff -= 1
         return UniPoly(self.coeffs[self.d - d_eff: self.d + d_eff + 1]), d_eff
 
     def divide_circle_factor(self, tau) -> "TrigPoly":

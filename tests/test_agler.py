@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,10 @@ from rifclark.polynomials import TrigPoly, UniPoly
 from rifclark.quadrature import circle_nodes
 from rifclark.rif import BiPolyN1, phi_eval, validate
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import gen  # noqa: E402
+
 RNG = np.random.default_rng(404)
 SQ2 = math.sqrt(2.0)
 
@@ -38,6 +44,18 @@ def test_compute_q_certificates_all_entries():
         rif = get(name).build()
         q = compute_Q(rif)
         assert _q_certificate(rif, q) < 1e-8
+
+
+def test_compute_q_at_n64_is_certified_or_refused():
+    # a ladder draw at n = 64 whose product of inside roots misses t by
+    # 2.6e-5: fejer_riesz must refuse it rather than return that Q
+    f = gen.generate(np.random.default_rng([9, 64, 0]), 64)
+    rif = validate(BiPolyN1(UniPoly(f.p1), UniPoly(f.p2), 64))
+    try:
+        q = compute_Q(rif)
+    except NumericError:
+        return
+    assert _q_certificate(rif, q) <= 1e-8
 
 
 def test_compute_q_vanishes_at_singular_abscissae():

@@ -8,7 +8,7 @@ import pytest
 
 from rifclark.catalog import get
 from rifclark import clark
-from rifclark.agler import gram_isometry_check
+from rifclark.agler import exceptional_R, gram_isometry_check, orthonormality_check
 from rifclark.clark import (
     AlphaKind,
     ClarkMeasure,
@@ -316,7 +316,7 @@ def test_near_exceptional_mass_settles(name, tau, d):
 
 def test_nonzero_center_matches_identity_map(monkeypatch):
     # exceptional measures with lines: the mapped rule, lines included,
-    # integrates what the uniform rule does
+    # integrates what the uniform rule does, in agler's checks too
     pts = np.array([(0.2 - 0.1j, 0.3j), (0.0, 0.0), (-0.4 + 0.1j, 0.45)])
     f = lambda u, v: poisson2(pts, (u, v))
     for name in ("fave", "deg31"):
@@ -335,6 +335,9 @@ def test_nonzero_center_matches_identity_map(monkeypatch):
         gram = gram_isometry_check(moved, pts)
         want = gram_isometry_check(plain, pts)
         assert np.max(np.abs(gram.measured - want.measured)) <= 1e-12, name
+        ortho = orthonormality_check(moved, exceptional_R(moved))
+        want = orthonormality_check(plain, exceptional_R(plain))
+        assert np.max(np.abs(ortho - want)) <= 1e-12, name
 
 
 def test_line_sums_do_not_depend_on_the_node_map(monkeypatch):

@@ -1,5 +1,8 @@
 """Construction and validation of rational inner functions."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -15,6 +18,10 @@ from rifclark.rif import (
     reflect,
     validate,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import gen  # noqa: E402
 
 RNG = np.random.default_rng(202)
 
@@ -335,3 +342,24 @@ def test_phi_at_origin_values():
     vals = {"fave": 0.0, "amy": 0.0, "amy-variant": -0.5, "deg31": -0.25}
     for name, v in vals.items():
         assert abs(get(name).build().phi_at_origin - v) < 1e-14
+
+
+def _wide_ring(rng, count):
+    """Roots at random angles, half of modulus 0.45 to 0.75 and half 1.35
+    to 2.2: a coefficient span that grows geometrically with n."""
+    inner = count // 2
+    mod = np.concatenate([rng.uniform(0.45, 0.75, inner), rng.uniform(1.35, 2.2, count - inner)])
+    return mod * np.exp(2j * np.pi * rng.uniform(size=count))
+
+
+def test_wide_span_contacts_survive_without_a_band_trim():
+    # the two outer end pairs of this draw's t lie below 1e-13 of its
+    # largest coefficient but are not zero; they must stay, or both
+    # contacts come out odd-order and validate refuses the draw
+    f = gen.draw(np.random.default_rng([7, 48, 9]), 48, _wide_ring)
+    rif = validate(_poly(f.p1, f.p2, 48))
+    assert len(rif.singularities) == 2
+    for s in rif.singularities:
+        k = int(np.argmin(np.abs(np.array(f.taus) - s.tau)))
+        assert abs(s.tau - f.taus[k]) <= 1e-6
+        assert abs(1.0 / abs(s.deriv) - f.masses[k]) <= 1e-6 * f.masses[k]
