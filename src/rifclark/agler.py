@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .polynomials import UniPoly, fejer_riesz
+from .polynomials import UniPoly, _spectral_factor
 from .clark import RULE_NODES, AlphaKind, ClarkMeasure, integrate
 from .rif import Rif, phi_eval
 
@@ -73,10 +73,12 @@ def compute_Q(rif: Rif) -> UniPoly:
     """The one-variable square: |Q|^2 = rif.t = |p1|^2 - |p2|^2 on the
     circle.
 
+    Built from the split of t that validate keeps, with no root-find.
     Normalized with a positive real leading coefficient; any unimodular
     multiple satisfies the same identity.
     """
-    return fejer_riesz(rif.t)
+    halves = [s.tau for s in rif.singularities for _ in range(s.mult // 2)]
+    return _spectral_factor(rif.t, rif.q_inside, halves)
 
 
 def exceptional_R(cm: ClarkMeasure) -> list[SosPiece]:

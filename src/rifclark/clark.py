@@ -83,6 +83,7 @@ from .polynomials import (
     BlaschkeProduct,
     TrigPoly,
     UniPoly,
+    _spectral_factor,
     blaschke_from_rational,
     cplx_to_json,
 )
@@ -105,7 +106,7 @@ _MODEL_FLOOR = 16 * np.finfo(float).eps
 _AGREE_NODES = 2 * RULE_NODES
 # the Poisson and Gram test points of the verification suites lie within
 # this radius; the node map must not push them onto the circle either
-_PROBE_RADIUS = 0.5
+PROBE_RADIUS = 0.5
 
 
 class AlphaKind(enum.Enum):
@@ -279,9 +280,9 @@ class ClarkMeasure:
 
     def to_json(self) -> dict:
         """The measure's data, its settled adaptive total mass and the node
-        count that mass settled at; the weight is num / den, one
-        |zeta - tau_k|^2 per line divided out."""
-        taus = [tau for tau, _mass in self.lines]
+        count that mass settled at; the weight is num / den, num the
+        weight numerator and den |lead(u) prod (z - a_k)|^2, expanded from
+        the Blaschke zeros a_k."""
         mass, nodes = _integrate(self, _ones, None)
         return {
             "alpha": cplx_to_json(self.alpha),
@@ -289,10 +290,10 @@ class ClarkMeasure:
             "blaschke": self.balpha.to_json(),
             "weight": {
                 "num": self.weight_num.to_json(),
-                "den": _divide_circle_factors(
-                    TrigPoly.modulus_squared(self.u), taus).to_json(),
+                "den": TrigPoly.modulus_squared(UniPoly.from_roots(
+                    self.balpha.zeros, self.u.coeffs[-1])).to_json(),
             },
-            "removable_points": [cplx_to_json(t) for t in taus],
+            "removable_points": [cplx_to_json(t) for t, _mass in self.lines],
             "lines": [
                 {"tau": cplx_to_json(t), "mass": float(c)} for t, c in self.lines
             ],
@@ -304,13 +305,6 @@ class ClarkMeasure:
 def _ones(z1, z2):
     """The integrand 1, whose integral is the total mass."""
     return np.ones_like(z1, dtype=complex)
-
-
-def _divide_circle_factors(t: TrigPoly, taus) -> TrigPoly:
-    """t / prod |zeta - tau|^2 over the unimodular taus."""
-    for tau in taus:
-        t = t.divide_circle_factor(tau)
-    return t
 
 
 def _pullback_gap(b, x):
@@ -329,7 +323,7 @@ def _map_center(zeros) -> complex:
     the zero a of largest modulus (1 - r below about 8.4e-3).  Then b runs
     along the ray through a, b = (1 - eps) a / |a| with eps log-spaced from 1 - |a| to 1, and takes the place where the
     smallest pull-back gap of the zeros and of the interior point
-    -_PROBE_RADIUS a / |a| (the one the map pushes nearest the circle) is
+    -PROBE_RADIUS a / |a| (the one the map pushes nearest the circle) is
     largest.  b stays 0 when that does not increase the smallest pull-back
     gap of the zeros.
     """
@@ -343,7 +337,7 @@ def _map_center(zeros) -> complex:
     eps = np.geomspace(1.0 - abs(near), 1.0, 64)
     b = (1.0 - eps)[:, None] * unit
     gaps = _pullback_gap(b, a).min(axis=1)
-    worst = np.minimum(gaps, _pullback_gap(b[:, 0], -_PROBE_RADIUS * unit))
+    worst = np.minimum(gaps, _pullback_gap(b[:, 0], -PROBE_RADIUS * unit))
     best = int(np.argmax(worst))
     if not gaps[best] > _pullback_gap(0.0, a).min():
         return 0j
@@ -359,8 +353,9 @@ def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
     constant, so B_alpha keeps degree n - l; the measure keeps only u.
     The factor |zeta - tau_k|^2 of a matched singularity cancels once from
     the weight numerator, the boundary polynomial rif.t = |p1|^2 - |p2|^2,
-    and once from the weight denominator |u|^2.  Line masses come from the stored derivative
-    constants, c_k = 1 / |deriv_k|.
+    and once from the weight denominator |u|^2: the numerator is |Q_red|^2,
+    Q_red the spectral factor of rif.t less one (z - tau_k) per line.  Line
+    masses come from the stored derivative constants, c_k = 1 / |deriv_k|.
     """
     ac = classify_alpha(rif, alpha)
     u = rif.pt1 - ac.alpha * rif.p2
@@ -387,11 +382,17 @@ def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
         raise NumericError(
             f"Blaschke degree {balpha.degree} instead of {expected}{reason}"
         )
+    weight_num = rif.t
+    if matched:
+        kept = [s.tau for k, s in enumerate(rif.singularities)
+                for _ in range(s.mult // 2 - (k in ac.matched))]
+        weight_num = TrigPoly.modulus_squared(
+            _spectral_factor(rif.t, rif.q_inside, kept, [s.tau for s in matched]))
     return ClarkMeasure(
         rif=rif,
         alpha_class=ac,
         balpha=balpha,
-        weight_num=_divide_circle_factors(rif.t, [s.tau for s in matched]),
+        weight_num=weight_num,
         u=u,
         lines=tuple((s.tau, 1.0 / abs(s.deriv)) for s in matched),
     )

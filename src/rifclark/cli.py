@@ -30,6 +30,7 @@ from .clark import (
     level_set_sample,
 )
 from .errors import DomainError, NumericError
+from .polynomials import TOL
 from .rif import BiPolyN1
 from .verification import run_suites, suite_names
 
@@ -169,6 +170,12 @@ def cmd_analyze(args) -> int:
         )
     cm = clark_measure(rif, alpha)
     report = cm.to_json()
+    closed = cm.closed_form_mass()
+    report["mass_residual"] = abs(report["total_mass"] - closed) / closed
+    if report["mass_residual"] > TOL:
+        # a settled mass off the Poisson identity at the origin is wrong
+        raise NumericError("total mass is off its closed form",
+                           residual=report["mass_residual"])
     report["unitary"] = classify_unitary(rif, alpha) is Unitarity.UNITARY
     decision = classify_extreme(rif, alpha)
     report["extreme"] = decision.status.value

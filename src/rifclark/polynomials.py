@@ -191,10 +191,16 @@ class UniPoly:
 
     @staticmethod
     def from_roots(roots_list, leading=1.0) -> "UniPoly":
-        c = np.array([complex(leading)], dtype=complex)
-        for r in roots_list:
-            c = np.convolve(c, np.array([-complex(r), 1.0], dtype=complex))
-        return UniPoly(c)
+        """leading * prod (z - r): values at the N-th roots of unity, N the
+        first power of two above the degree, and one FFT, so roundoff does
+        not grow factor by factor as in a chain of convolutions."""
+        r = np.asarray(roots_list, dtype=complex).ravel()
+        count = 1 << r.size.bit_length()
+        omega = np.exp(2j * np.pi * np.arange(count) / count)
+        vals = np.full(count, complex(leading))
+        for x in r:
+            vals *= omega - x
+        return UniPoly(np.fft.fft(vals, norm="forward")[: r.size + 1])
 
     def padded(self, length: int) -> np.ndarray:
         """Coefficient array extended with zeros to the requested length."""
@@ -689,40 +695,6 @@ class TrigPoly:
             d_eff -= 1
         return UniPoly(self.coeffs[self.d - d_eff: self.d + d_eff + 1]), d_eff
 
-    def divide_circle_factor(self, tau) -> "TrigPoly":
-        """Exact division by |zeta - tau|^2 for unimodular tau.
-
-        For |z| = 1, z * |z - tau|^2 = -conj(tau) * (z - tau)^2, so dividing
-        shifts the band down by one and amounts to deflating z**d * t(z)
-        twice at tau and rescaling by -tau.  Nonnegligible deflation
-        remainders mean the factor does not divide and raise NumericError.
-        Deflation runs from the top coefficient down, and on the circle its
-        rounding errors pile up towards the bottom, so only the quotient's
-        nonnegative lags are kept; the negative lags are their conjugates,
-        which makes the result exactly Hermitian.
-        """
-        t = complex(tau)
-        if abs(abs(t) - 1.0) > 1e-6:
-            raise DomainError("division point must lie on the unit circle")
-        if self.d < 1:
-            raise DomainError("band too small to divide by a circle factor")
-        full = UniPoly(self.coeffs)
-        sc = max(self.scale(), 1e-300)
-        q1, r1 = full.deflate(t)
-        q2, r2 = q1.deflate(t)
-        worst = max(abs(r1), abs(r2))
-        if worst > 1e-7 * sc * (self.d + 1):
-            raise NumericError("circle factor does not divide", residual=worst / sc)
-        s = (-t) * q2
-        d = self.d - 1
-        arr = np.zeros(2 * d + 1, dtype=complex)
-        arr[: s.coeffs.size] = s.coeffs
-        # the top-down quotient is accurate in its upper half only: mirror
-        # it onto the lower half, as modulus_squared does
-        arr[:d] = np.conj(arr[:d:-1])
-        arr[d] = arr[d].real
-        return TrigPoly(arr, d)
-
     def circle_zeros(self) -> list[tuple[complex, int]]:
         """Certified zeros of t on the unit circle with multiplicities."""
         circle, _ = _split_circle_roots(self)
@@ -770,7 +742,7 @@ def _certify_circle_zero(t: TrigPoly, members: list[complex]) -> complex | None:
 
 
 def _split_circle_roots(t: TrigPoly):
-    """(certified circle zeros, remaining roots) of z**d_eff * t(z).
+    """(certified circle zeros, roots strictly inside) of z**d_eff * t(z).
 
     Roots within _CANDIDATE_BAND of the circle in modulus are clustered by
     the angle of their unit projections, within CIRCLE_BAND; each cluster
@@ -779,7 +751,7 @@ def _split_circle_roots(t: TrigPoly):
     m - 1, ..., 1 members nearest the circle, the rest going back to the
     plain roots; one that fails at every size (for example a mirror pair of
     off-circle roots straddling the circle) is demoted whole.  Demoted roots
-    keep their computed values, so the caller can classify them by modulus.
+    keep their computed values, so a mirror pair still gives one inside.
     """
     if t.hermitian_defect() > 1e-9 * max(1.0, t.scale()):
         raise DomainError("not real on the circle")
@@ -804,7 +776,42 @@ def _split_circle_roots(t: TrigPoly):
         else:
             far.extend(members)
     circle.sort(key=lambda zm: math.atan2(zm[0].imag, zm[0].real) % (2 * math.pi))
-    return circle, far
+    inside = sorted((r for r in far if abs(r) < 1.0), key=lambda w: (w.real, w.imag))
+    return circle, inside
+
+
+def _spectral_factor(t: TrigPoly, inside: UniPoly, zeros, cancelled=()) -> UniPoly:
+    """amp * inside * prod (z - r) over zeros: t's spectral factor Q, with
+    one factor (z - c) left out per point c of cancelled.
+
+    inside is the monic product of t's roots inside the disk; zeros and
+    cancelled hold half of each circle zero.  The product is taken as
+    values at the N-th roots of unity, N the first power of two above
+    2 deg t, and its coefficients come from one FFT.  amp > 0 is fixed by
+    Parseval's identity, the mean of |Q|^2 being t's constant coefficient,
+    and the same values, times prod |zeta - c|^2, are certified against t:
+    N > 2 deg t samples bound every coefficient of the difference.
+    """
+    _, d_eff = t.as_poly()
+    degree = inside.degree + len(zeros)
+    if degree + len(cancelled) != d_eff:
+        raise NumericError("root pairing across the circle failed")
+    count = 1 << (2 * t.d).bit_length()
+    omega = np.exp(2j * np.pi * np.arange(count) / count)
+    vals = inside.node_values(count)
+    for r in zeros:
+        vals *= omega - r
+    full = np.abs(vals) ** 2
+    for c in cancelled:
+        full *= np.abs(omega - c) ** 2
+    amp2 = float(t.coeffs[t.d].real) / float(np.mean(full))
+    if not amp2 > 0.0:
+        raise NumericError("spectral factor amplitude is not positive")
+    tv = t.node_values(count).real
+    resid = float(np.max(np.abs(amp2 * full - tv)))
+    if resid > TOL * max(1.0, float(np.max(np.abs(tv)))):
+        raise NumericError("factorization certificate failed", residual=resid)
+    return UniPoly(np.fft.fft(math.sqrt(amp2) * vals, norm="forward")[: degree + 1])
 
 
 def fejer_riesz(t: TrigPoly) -> UniPoly:
@@ -812,48 +819,21 @@ def fejer_riesz(t: TrigPoly) -> UniPoly:
 
     Requires t real and nonnegative on the circle.  Q collects the strictly
     inside roots of z**d * t(z) plus half of each (necessarily even-order)
-    circle zero; the leading coefficient is normalized positive real, its
-    square fixed by Parseval's identity (the mean of |Q|^2 on the circle is
-    t's constant coefficient).  The factorization is certified against t
-    on a node grid before returning.
+    circle zero, with a positive real leading coefficient, and is built and
+    certified by _spectral_factor, which compute_Q calls with the split
+    that validate keeps.
     """
     if t.is_zero:
         raise DomainError("cannot factor the zero polynomial")
-    sc = t.scale()
-    if t.hermitian_defect() > TOL * sc:
+    if t.hermitian_defect() > TOL * t.scale():
         raise DomainError("not real on the circle")
     tv = t.node_values(_CERT_NODES).real
-    tmax = max(float(np.abs(tv).max()), 1e-300)
-    if float(tv.min()) < -TOL * max(1.0, tmax):
+    if not (tv.min() >= -TOL * max(1.0, np.abs(tv).max()) and t.coeffs[t.d].real > 0.0):
         raise DomainError("negative on the circle")
-    P, d_eff = t.as_poly()
-    if d_eff == 0:
-        c0 = float(t.coeffs[t.d].real)
-        if c0 <= 0.0:
-            raise DomainError("negative on the circle")
-        return UniPoly([math.sqrt(c0)])
-    circle, far = _split_circle_roots(t)
-    for _, m in circle:
-        if m % 2:
-            raise NumericError("odd-order circle zero in a nonnegative trig polynomial")
-    inside = sorted((r for r in far if abs(r) < 1.0), key=lambda w: (w.real, w.imag))
-    half = sum(m // 2 for _, m in circle)
-    if 2 * len(inside) != len(far) or len(inside) + half != d_eff:
-        raise NumericError("root pairing across the circle failed")
-    q_roots = list(inside)
-    for tau, m in circle:
-        q_roots.extend([tau] * (m // 2))
-    q0 = UniPoly.from_roots(q_roots, 1.0)
-    # Parseval: the mean of |Q|^2 on the circle is both t's constant
-    # coefficient and amp2 times the sum of |q0_k|^2
-    amp2 = float(t.coeffs[t.d].real) / float(np.sum(np.abs(q0.coeffs) ** 2))
-    if not amp2 > 0.0:
-        raise NumericError("spectral factor amplitude is not positive")
-    q = math.sqrt(amp2) * q0
-    resid = float(np.max(np.abs(np.abs(q.node_values(_CERT_NODES)) ** 2 - tv)))
-    if resid > TOL * max(1.0, tmax):
-        raise NumericError("factorization certificate failed", residual=resid)
-    return q
+    # an odd-order circle zero fails the degree count in _spectral_factor
+    circle, inside = _split_circle_roots(t)
+    halves = [tau for tau, m in circle for _ in range(m // 2)]
+    return _spectral_factor(t, UniPoly.from_roots(inside), halves)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .polynomials import TrigPoly, UniPoly, roots
+from .polynomials import TrigPoly, UniPoly, _split_circle_roots, roots
 
 @dataclass(frozen=True)
 class BiPolyN1:
@@ -104,7 +104,8 @@ class Rif:
     stability analysis.  pt1 and pt2 name the reflection parts so that
     ptilde = pt2 + z2 * pt1 mirrors p = p1 + z2 * p2.  t is the boundary
     polynomial |p1|^2 - |p2|^2 whose circle zeros validate certified as the
-    singularities; everything downstream reads it from here.
+    singularities, q_inside the monic product of its roots inside the disk;
+    everything downstream reads them from here.
     """
 
     p: BiPolyN1
@@ -112,6 +113,7 @@ class Rif:
     singularities: tuple
     phi_at_origin: complex
     t: TrigPoly = field(repr=False, compare=False)
+    q_inside: UniPoly = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -238,12 +240,10 @@ def _line_derivative(p: BiPolyN1, pt: BiPolyN1, tau: complex, alpha: complex,
     return complex((at_zero + at_inf) / 2.0)
 
 
-def _detect_singularities(p: BiPolyN1, pt: BiPolyN1, t: TrigPoly) -> tuple:
-    if t.is_zero:
-        raise DomainError("degenerate: |p1| = |p2| on the whole circle")
+def _detect_singularities(p: BiPolyN1, pt: BiPolyN1, circle) -> tuple:
     sc = max(p.scale(), 1e-300)
     sings = []
-    for tau, mult in t.circle_zeros():
+    for tau, mult in circle:
         if mult % 2:
             raise NumericError("odd-order boundary contact; t must be nonnegative")
         p1t, p2t = p.p1(tau), p.p2(tau)
@@ -271,7 +271,7 @@ def validate(p: BiPolyN1) -> Rif:
     Raises DomainError with a reason ("not stable: ..." or "not coprime:
     ...") when p does not define a rational inner function of the supported
     shape.  On success returns a Rif carrying the reflection, the sorted
-    singularity list, phi(0, 0) and the boundary polynomial t.
+    singularity list, phi(0, 0), the boundary polynomial t and its split.
     """
     p1_roots = roots(p.p1) if p.p1.degree >= 1 else []
     reason = _stability_violation(p, p1_roots)
@@ -282,9 +282,12 @@ def validate(p: BiPolyN1) -> Rif:
     if reason is not None:
         raise DomainError(reason)
     t = TrigPoly.modulus_squared(p.p1) - TrigPoly.modulus_squared(p.p2)
-    sings = _detect_singularities(p, pt, t)
+    if t.is_zero:
+        raise DomainError("degenerate: |p1| = |p2| on the whole circle")
+    circle, inside = _split_circle_roots(t)
+    sings = _detect_singularities(p, pt, circle)
     phi0 = pt.p1(0.0) / p.p1(0.0)
-    return Rif(p, pt, sings, complex(phi0), t)
+    return Rif(p, pt, sings, complex(phi0), t, UniPoly.from_roots(inside))
 
 
 def phi_eval(rif: Rif, z) -> complex:

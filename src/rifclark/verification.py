@@ -33,6 +33,7 @@ from .agler import (
 )
 from .catalog import CatalogEntry
 from .clark import (
+    PROBE_RADIUS,
     RULE_NODES,
     ClarkMeasure,
     ExtremeStatus,
@@ -50,7 +51,6 @@ from .rif import Rif, phi_eval, reflect
 
 SWEEP_SIZE = 16
 SWEEP_MIN_DISTANCE = 0.02
-POINT_RADIUS = 0.5
 # box_mass resolves boxes down to 0.025 with transitions a tenth as wide
 _BOX_NODES = 16384
 
@@ -132,7 +132,7 @@ def alpha_sweep(rif: Rif, seed: int = 0) -> list[ClarkMeasure]:
 
 
 def _interior_points(rng, count: int):
-    r = POINT_RADIUS
+    r = PROBE_RADIUS
     pts = []
     while len(pts) < count:
         z1 = rng.uniform(-r, r) + 1j * rng.uniform(-r, r)

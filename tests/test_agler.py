@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rifclark import agler
+from rifclark import agler, polynomials
 from rifclark.agler import (
     SosPiece,
     compute_Q,
@@ -46,16 +46,30 @@ def test_compute_q_certificates_all_entries():
         assert _q_certificate(rif, q) < 1e-8
 
 
-def test_compute_q_at_n64_is_certified_or_refused():
-    # a ladder draw at n = 64 whose product of inside roots misses t by
-    # 2.6e-5: fejer_riesz must refuse it rather than return that Q
-    f = gen.generate(np.random.default_rng([9, 64, 0]), 64)
-    rif = validate(BiPolyN1(UniPoly(f.p1), UniPoly(f.p2), 64))
-    try:
-        q = compute_Q(rif)
-    except NumericError:
-        return
-    assert _q_certificate(rif, q) <= 1e-8
+@pytest.mark.parametrize("n", [48, 64, 128])
+@pytest.mark.parametrize("seed", range(4))
+def test_compute_q_certifies_the_ladder(n, seed):
+    # the product of t's inside roots, taken as values at the roots of
+    # unity, certifies; convolving the roots one at a time failed the
+    # certificate in half of these draws at n = 48 and in all at n >= 64
+    f = gen.generate(np.random.default_rng([9, n, seed]), n)
+    rif = validate(BiPolyN1(UniPoly(f.p1), UniPoly(f.p2), n))
+    assert _q_certificate(rif, compute_Q(rif)) <= 1e-8
+
+
+def test_compute_q_makes_no_root_find(monkeypatch):
+    # Q comes from the split of t that validate keeps on the Rif
+    rifs = [get(name).build() for name in ("fave", "amy", "amy-variant", "deg31")]
+    f = gen.generate(np.random.default_rng([9, 32, 0]), 32)
+    rifs.append(validate(BiPolyN1(UniPoly(f.p1), UniPoly(f.p2), 32)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute_Q called roots")
+
+    monkeypatch.setattr(polynomials, "roots", refuse)
+    monkeypatch.setattr(np, "roots", refuse)
+    for rif in rifs:
+        assert _q_certificate(rif, compute_Q(rif)) < 1e-8
 
 
 def test_compute_q_vanishes_at_singular_abscissae():

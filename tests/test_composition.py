@@ -7,11 +7,10 @@ with the base's singular values, so one alpha matches k lines; each line
 mass is the base's c / |d(z^k)/dz| = c / k; and phi(0) is the base's, so
 the closed-form mass is too.
 
-Every case of k up to 16 certifies its exceptional measures, and fave and
-amy-variant do at k = 64 as well.  amy and deg31 at k = 64 are refused as
-"circle factor does not divide": the weight numerator is divided by
-|zeta - tau|^2 once per line, 64 times, and the remainders grow past the
-bound.
+Every case, up to k = 64, certifies its exceptional measures to 1e-12:
+the weight numerator is |Q_red|^2, Q_red the spectral factor of the
+boundary polynomial with one factor (z - tau) left out per line, built
+from the roots validate found.
 """
 
 import numpy as np
@@ -19,14 +18,12 @@ import pytest
 
 from rifclark.catalog import get
 from rifclark.clark import classify_alpha, clark_measure
-from rifclark.errors import NumericError
 from rifclark.polynomials import UniPoly, blaschke_from_rational
+from rifclark.quadrature import circle_nodes
 from rifclark.rif import BiPolyN1, validate
 
 CATALOG = ("fave", "amy", "amy-variant", "deg31")
 POWERS = (2, 4, 8, 16, 64)
-# the exact-input cases every construction must certify
-CERTIFIED = (2, 4)
 
 
 def _compose(poly: BiPolyN1, k: int) -> BiPolyN1:
@@ -51,15 +48,26 @@ def test_composition_measures(name, k):
         # that folds into the Blaschke constant
         u, v = rif.pt1 - s.alpha * rif.p2, s.alpha * rif.p1 - rif.pt2
         assert blaschke_from_rational(u, v).degree == rif.n - k
-        try:
-            cm = clark_measure(rif, s.alpha)
-        except NumericError as exc:
-            # the weight numerator's division by |zeta - tau|^2, k times
-            assert k not in CERTIFIED and "circle factor does not divide" in str(exc)
-            continue
+        cm = clark_measure(rif, s.alpha)
         assert len(cm.lines) == k
         for tau, mass in cm.lines:
             assert abs(tau ** k - s.tau) <= 1e-12
             assert abs(mass - 1.0 / (k * abs(s.deriv))) <= 1e-15
         closed = cm.closed_form_mass()
-        assert abs(cm.total_mass(None) - closed) <= (1e-12 if k in CERTIFIED else 1e-9) * closed
+        assert abs(cm.total_mass(None) - closed) <= 1e-12 * closed
+
+
+@pytest.mark.parametrize("name, k", [(name, 1) for name in CATALOG] + [("amy", 16)])
+def test_weight_numerator_times_the_line_factors_is_t(name, k):
+    # weight_num * prod |zeta - tau_k|^2 over the lines gives back the
+    # boundary polynomial t at the roots of unity
+    entry = get(name)
+    rif = validate(_compose(entry.poly, k))
+    z = circle_nodes(1024)
+    t = rif.t.eval(z).real
+    for s in entry.build().singularities:
+        cm = clark_measure(rif, s.alpha)
+        back = cm.weight_num.eval(z).real
+        for tau, _mass in cm.lines:
+            back *= np.abs(z - tau) ** 2
+        assert np.max(np.abs(back - t)) <= 1e-12 * np.max(np.abs(t))

@@ -62,6 +62,24 @@ def test_unipoly_derivative():
     assert abs(dp(z) - fd) < 1e-8
 
 
+def test_from_roots_reproduces_a_product_of_128_roots():
+    # 128 roots of modulus 0.97 on the grid 2**-20: the coefficients of
+    # prod (2**20 z - 2**20 r) = 2**2560 prod (z - r) are Gaussian
+    # integers, so Python integers give the product exactly
+    rng = np.random.default_rng(128)
+    r = np.round(0.97 * np.exp(2j * np.pi * rng.uniform(size=128)) * 2 ** 20) / 2 ** 20
+    coef = [(1, 0)]
+    for x in r:
+        a, b = int(x.real * 2 ** 20), int(x.imag * 2 ** 20)
+        up = [(0, 0)] + [(c << 20, d << 20) for c, d in coef]
+        coef = [(u - (a * c - b * d), v - (a * d + b * c))
+                for (u, v), (c, d) in zip(up, coef + [(0, 0)])]
+    exact = np.array([complex(c / 2 ** 2560, d / 2 ** 2560) for c, d in coef])
+    got = UniPoly.from_roots(r).coeffs
+    assert got.size == 129
+    assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 def test_unipoly_deflate_reconstructs():
     p = UniPoly.from_roots([0.5, -0.25 + 0.1j, 2.0], leading=1.5)
     q, rem = p.deflate(0.5)
@@ -124,16 +142,6 @@ def test_trigpoly_modulus_squared_real_on_circle():
     assert np.max(np.abs(vals.imag)) < 1e-12
     assert np.max(np.abs(vals.real - np.abs(p(z)) ** 2)) < 1e-11
     assert t.hermitian_defect() < 1e-15
-
-
-def test_trigpoly_divide_circle_factor():
-    # t = |z - 1|^2 * |g|^2 divided by |z - 1|^2 recovers |g|^2.
-    g = UniPoly([2.0, 0.5 + 0.1j])
-    t = TrigPoly.modulus_squared(UniPoly([-1.0, 1.0]) * g)
-    quo = t.divide_circle_factor(1.0 + 0.0j)
-    z = np.exp(1j * np.linspace(0.1, 6.2, 17))
-    want = np.abs(g(z)) ** 2
-    assert np.max(np.abs(quo.eval(z).real - want)) < 1e-10
 
 
 def test_trigpoly_theta_eval_derivative():

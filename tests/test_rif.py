@@ -1,5 +1,6 @@
 """Construction and validation of rational inner functions."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from rifclark import cli
 from rifclark.catalog import entries, get
 from rifclark.errors import DomainError, NumericError, RifClarkError
 from rifclark.polynomials import UniPoly
@@ -363,3 +365,23 @@ def test_wide_span_contacts_survive_without_a_band_trim():
         k = int(np.argmin(np.abs(np.array(f.taus) - s.tau)))
         assert abs(s.tau - f.taus[k]) <= 1e-6
         assert abs(1.0 / abs(s.deriv) - f.masses[k]) <= 1e-6 * f.masses[k]
+
+
+def test_analyze_never_prints_a_wide_span_mass_off_its_closed_form(tmp_path, capsys):
+    # the exceptional masses of this draw settle up to 2e-8 off the closed
+    # form; analyze must report a mass_residual of at most 1e-8 or exit 3
+    f = gen.draw(np.random.default_rng([7, 48, 5]), 48, _wide_ring)
+    poly = _poly(f.p1, f.p2, 48)
+    rif = validate(poly)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(poly.to_json()), encoding="utf-8")
+    phi0 = rif.phi_at_origin
+    for s in rif.singularities:
+        code = cli.main(["analyze", str(path), f"--alpha={s.alpha.real!r}{s.alpha.imag:+.17g}i"])
+        out = capsys.readouterr().out
+        assert code in (0, 3)
+        if code == 0:
+            report = json.loads(out)
+            closed = (1.0 - abs(phi0) ** 2) / abs(s.alpha - phi0) ** 2
+            assert report["mass_residual"] <= 1e-8
+            assert abs(report["total_mass"] - closed) <= 1e-8 * closed
