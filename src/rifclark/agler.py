@@ -18,11 +18,12 @@ graph part of the level set and are supported on the lines, which is
 what the orthonormality check verifies against that measure.  The
 measure-side functions here (exceptional_R, gram_isometry_check,
 orthonormality_check) take the ClarkMeasure and never build one, and
-integrate against it with its own rule, through clark.integrate or
-cm.node_data.  The
-closed-form list is a partial family (l of n pieces), so it is checked by
-orthonormality, not by the full two-squares identity; complete documented
-decompositions are checked by sos_residual.
+integrate against it with its own rule, the weighted blocks of cm.rule;
+on the lines R / p is 0/0 at (tau_k, lambda_k), so the orthonormality
+check takes their exact constant traces instead.  The closed-form list
+is a partial family (l of n pieces), so it is checked by orthonormality,
+not by the full two-squares identity; complete documented decompositions
+are checked by sos_residual.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .polynomials import UniPoly, _spectral_factor
-from .clark import RULE_NODES, AlphaKind, ClarkMeasure, integrate
+from .clark import RULE_NODES, AlphaKind, ClarkMeasure
 from .rif import Rif, phi_eval
 
 _SOS_SAMPLES = 200
@@ -178,7 +179,8 @@ def gram_isometry_check(cm: ClarkMeasure, points) -> GramReport:
     For interior points w_i, the embedding sends the kernel k_{w_i} to
     (1 - alpha conj(phi(w_i))) C_{w_i} on the level set of cm, with C_w the
     two-variable Cauchy kernel.  The measured matrix integrates those
-    images pairwise against sigma_alpha; the target is the kernel matrix
+    images pairwise against sigma_alpha, one product (C w) C^H per block of
+    cm.rule, C the (P, N) kernels there; the target is the kernel matrix
     k(w_j, w_i).  Agreement at quadrature accuracy for every alpha is the
     isometry property; for exceptional alpha the embedding is still an
     isometry (the defect shows up in surjectivity, not in these Grams).
@@ -196,12 +198,12 @@ def gram_isometry_check(cm: ClarkMeasure, points) -> GramReport:
     )
     pref = 1.0 - cm.alpha * np.conj(phis)
 
-    def products(z1, z2):
-        # C_{w_i} conj(C_{w_j}), shaped (P, P, N)
+    measured = 0j
+    for z1, z2, wt in cm.rule(RULE_NODES):
+        # C_{w_i} at the block's nodes, shaped (P, N)
         c = 1.0 / ((1.0 - cw1 * z1) * (1.0 - cw2 * z2))
-        return c[:, None, :] * np.conj(c)
-
-    measured = np.outer(pref, np.conj(pref)) * integrate(cm, products, RULE_NODES)
+        measured = measured + (c * wt) @ c.conj().T
+    measured *= np.outer(pref, np.conj(pref)) / RULE_NODES
     dev = float(np.max(np.abs(measured - target)))
     return GramReport(cm.alpha, tuple(pts), target, measured, dev)
 
@@ -213,7 +215,8 @@ def orthonormality_check(cm: ClarkMeasure, R_list) -> np.ndarray:
     The line contributions are exact: (R_i / p)(tau_k, .) is the constant
     q_i(tau_k) / p2(tau_k) whenever R_i(tau_k, lambda_k) = 0, which is
     required (otherwise the trace is not square integrable and this raises
-    NumericError).  The curve contribution takes the odd nodes of
+    NumericError); a line block of cm.rule can put a node on lambda_k,
+    where R / p is 0/0.  The curve contribution takes the odd nodes of
     cm.node_data(2 * RULE_NODES), the measure's rule offset by half a
     spacing, so that curve-line crossing points, which sit at circle zeros
     of p, do not coincide with quadrature nodes.

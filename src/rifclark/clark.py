@@ -28,11 +28,12 @@ construction, only the verification-side integrals.  The measure keeps the
 pencil numerator u it was built from, and the measure-side checks
 (agler.exceptional_R, gram_isometry_check, orthonormality_check and
 level_set_sample) take the measure instead of rebuilding it from
-(rif, alpha); the quadratures among them run on the measure's own rule,
-integrate or node_data.
+(rif, alpha); the quadratures among them run on the measure's own rule.
 
-Those integrals are rules over the curve's node data: nodes zeta,
-conj(B_alpha(zeta)) and quadrature weights.  One in-place pass over the
+That rule is one list of weighted blocks (z1, z2, w), and an integral is
+the sum over the blocks of the mean of f(z1, z2) w: the curve's node data,
+nodes zeta, conj(B_alpha(zeta)) and weights, then (tau_k, omega, c_k) per
+line, omega the N-th roots of unity.  One in-place pass over the
 Blaschke zeros a_k gives N(zeta) = prod (zeta - a_k) and
 D(zeta) = prod (1 - conj(a_k) zeta), hence conj(B_alpha) = conj(gamma N / D)
 and the weight denominator |u|^2 / prod |zeta - tau_k|^2 = |lead(u)|^2 |N|^2
@@ -65,8 +66,8 @@ the test functions of the verification suites have their poles.  Otherwise b = 0
 roots of unity and the weight numerator comes from one FFT of its
 coefficients.  The map belongs to the curve alone: a line {tau_k} x T
 carries c_k times normalized arclength, and f(tau_k, .) does not see the
-Blaschke zeros, so the lines keep the roots of unity, unweighted, and the
-Jacobian J_b is known only to the curve's node data.
+Blaschke zeros, so the lines keep the roots of unity, weighted c_k, and
+the Jacobian J_b is known only to the curve's node data.
 """
 
 from __future__ import annotations
@@ -269,6 +270,14 @@ class ClarkMeasure:
             self._cache[count] = data
         return data
 
+    def rule(self, count: int) -> list:
+        """The count-node rule as weighted blocks (z1, z2, w): node_data
+        for the curve, then (tau_k, roots of unity, c_k) per line."""
+        omega = circle_nodes(count)
+        return [self.node_data(count)] + [
+            (np.full(count, tau, dtype=complex), omega, np.full(count, mass))
+            for tau, mass in self.lines]
+
     def total_mass(self, count: int | None = None) -> float:
         return float(integrate(self, _ones, count).real)
 
@@ -404,18 +413,18 @@ def integrate(cm: ClarkMeasure, f, count: int | None = RULE_NODES) -> complex | 
     f must be vectorized: called as f(z1_array, z2_array) with N nodes it
     returns N values, and the integral is a complex number; or it returns a
     family of integrands as a (..., N) array, and the integrals come back
-    as a complex (...) array from the same pass over the nodes.  The curve
-    part is the rule of cm.node_data against the weight; each line adds c_k
-    times the uniform rule on the roots of unity in the second coordinate.
-    With count=None the rule starts at the node count where r^N falls to
-    1e-15, r the largest modulus of the Blaschke zeros (64 at least, 4096
-    at most, and 4096 for a mapped measure), and doubles.  After each
-    doubling every component must agree with the previous value to 1e-9
-    (relative) and, below 8192 nodes, also be settled: the difference d is
-    at the 1e-13 roundoff floor, or the geometric model e_N ~ C r^N, which
-    predicts the next difference d (d / d_prev)^2, puts it within 16 eps.
-    The cap is 2**20 nodes.  The rules are nested: a doubling keeps the
-    sums over the old nodes and evaluates f only at the new, odd ones.
+    as a complex (...) array from the same pass over the nodes.  The
+    integral is the sum of f(z1, z2) @ w over the blocks of cm.rule(count),
+    divided by count.  With count=None the rule starts at the node count
+    where r^N falls to 1e-15, r the largest modulus of the Blaschke zeros
+    (64 at least, 4096 at most, and 4096 for a mapped measure), and
+    doubles.  After each doubling every component must agree with the
+    previous value to 1e-9 (relative) and, below 8192 nodes, also be
+    settled: the difference d is at the 1e-13 roundoff floor, or the
+    geometric model e_N ~ C r^N, which predicts the next difference
+    d (d / d_prev)^2, puts it within 16 eps.  The cap is 2**20 nodes.
+    The rules are nested: a doubling keeps the sums over the old nodes and
+    evaluates f only at the new, odd ones.
 
     Poisson integrals at P points, one row of poisson2 each:
 
@@ -427,7 +436,8 @@ def integrate(cm: ClarkMeasure, f, count: int | None = RULE_NODES) -> complex | 
     >>> bool(np.allclose(vals, (1 - abs(phis) ** 2) / abs(-1.0 - phis) ** 2))
     True
     """
-    return _integrate(cm, f, count)[0]
+    value = _integrate(cm, f, count)[0]
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def _start_count(cm: ClarkMeasure) -> int:
@@ -449,45 +459,28 @@ def _integrate(cm: ClarkMeasure, f, count: int | None):
     """integrate's value and the node count it was taken at."""
     fixed = count is not None
     count = int(count) if fixed else _start_count(cm)
-    sums = _node_sums(cm, f, circle_nodes(count), *cm.node_data(count))
-    prev = _rule_value(cm, sums, count)
-    if fixed:
-        return prev, count
     # no previous difference before the first doubling: the model waits
-    prev_diff = 0.0
-    while count < _MAX_ADAPTIVE_NODES:
-        count *= 2
-        z, z2, w = cm.node_data(count)
-        sums += _node_sums(cm, f, circle_nodes(count)[1::2], z[1::2], z2[1::2], w[1::2])
-        cur = _rule_value(cm, sums, count)
-        scale = np.maximum(1.0, np.abs(cur))
-        diff = np.abs(cur - prev)
-        # d (d / d_prev)^2 <= floor, multiplied out so that d_prev = 0 fails
-        settled = ((diff <= _DIFF_FLOOR * scale)
-                   | (diff ** 3 <= _MODEL_FLOOR * scale * prev_diff ** 2))
-        if np.all(diff <= _SETTLE * scale) and (count >= _AGREE_NODES or np.all(settled)):
+    total, nodes, prev, prev_diff = 0j, slice(None), None, 0.0
+    while True:
+        for z1, z2, w in cm.rule(count):
+            total = total + np.asarray(f(z1[nodes], z2[nodes])) @ w[nodes]
+        cur = total / count
+        if fixed:
             return cur, count
-        prev, prev_diff = cur, diff
-    raise NumericError("adaptive quadrature did not settle",
-                       residual=float(np.max(np.abs(prev))))
-
-
-def _node_sums(cm: ClarkMeasure, f, omega, z, z2, w) -> np.ndarray:
-    """Sums of f shaped (1 + lines, ...): along the curve over its node
-    data (z, z2, w), weighted, then along each line {tau} x T, unweighted,
-    with the second coordinate on the roots of unity omega.  Only the
-    curve takes the node map; with b = 0, z is omega."""
-    sums = [np.asarray(f(z, z2)) @ w]
-    for tau, _mass in cm.lines:
-        sums.append(np.asarray(f(np.full_like(omega, tau), omega)).sum(axis=-1))
-    return np.array(sums, dtype=complex)
-
-
-def _rule_value(cm: ClarkMeasure, sums: np.ndarray, count: int) -> complex | np.ndarray:
-    total = sums[0] / count
-    for (_tau, mass), s in zip(cm.lines, sums[1:]):
-        total = total + mass * (s / count)
-    return complex(total) if np.ndim(total) == 0 else total
+        if prev is not None:
+            scale = np.maximum(1.0, np.abs(cur))
+            diff = np.abs(cur - prev)
+            # d (d / d_prev)^2 <= floor, multiplied out so that d_prev = 0 fails
+            settled = ((diff <= _DIFF_FLOOR * scale)
+                       | (diff ** 3 <= _MODEL_FLOOR * scale * prev_diff ** 2))
+            if np.all(diff <= _SETTLE * scale) and (count >= _AGREE_NODES or np.all(settled)):
+                return cur, count
+            prev_diff = diff
+        if count >= _MAX_ADAPTIVE_NODES:
+            raise NumericError("adaptive quadrature did not settle",
+                               residual=float(np.max(np.abs(cur))))
+        # a doubling evaluates f only at each block's new, odd nodes
+        prev, count, nodes = cur, 2 * count, slice(1, None, 2)
 
 
 def classify_unitary(rif: Rif, alpha) -> Unitarity:

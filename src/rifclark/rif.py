@@ -272,6 +272,9 @@ def validate(p: BiPolyN1) -> Rif:
     ...") when p does not define a rational inner function of the supported
     shape.  On success returns a Rif carrying the reflection, the sorted
     singularity list, phi(0, 0), the boundary polynomial t and its split.
+    A split of t whose roots off the circle do not pair across it, one
+    inside for each outside, raises NumericError: the circle zeros it
+    missed would leave singularities out.
     """
     p1_roots = roots(p.p1) if p.p1.degree >= 1 else []
     reason = _stability_violation(p, p1_roots)
@@ -286,6 +289,9 @@ def validate(p: BiPolyN1) -> Rif:
         raise DomainError("degenerate: |p1| = |p2| on the whole circle")
     circle, inside = _split_circle_roots(t)
     sings = _detect_singularities(p, pt, circle)
+    # t's roots off the circle come in mirror pairs, one inside for each
+    if 2 * len(inside) + sum(s.mult for s in sings) != 2 * t.as_poly()[1]:
+        raise NumericError("root pairing across the circle failed")
     phi0 = pt.p1(0.0) / p.p1(0.0)
     return Rif(p, pt, sings, complex(phi0), t, UniPoly.from_roots(inside))
 

@@ -342,7 +342,8 @@ def test_nonzero_center_matches_identity_map(monkeypatch):
 
 def test_line_sums_do_not_depend_on_the_node_map(monkeypatch):
     # the node map serves the curve's Blaschke zeros; each line {tau} x T
-    # keeps the roots of unity, so its sums are the same bits under any centre
+    # keeps the roots of unity with the constant weight c_k, so its block of
+    # the rule, and the sums over it, are the same bits under any centre
     pts = np.array([(0.2 - 0.1j, 0.3j), (-0.4 + 0.1j, 0.45)])
     f = lambda u, v: poisson2(pts, (u, v))
     rif = get("deg31").build()
@@ -350,12 +351,18 @@ def test_line_sums_do_not_depend_on_the_node_map(monkeypatch):
     monkeypatch.setattr(clark, "_map_center", lambda zeros: 0.6 * np.exp(0.4j))
     moved = clark_measure(rif, -1.0)
     assert plain.center == 0 and moved.center != 0 and plain.lines
-    for count, odd in ((clark.RULE_NODES, slice(None)), (2 * clark.RULE_NODES, slice(1, None, 2))):
-        omega = circle_nodes(count)[odd]
-        rows = [clark._node_sums(cm, f, omega, *(a[odd] for a in cm.node_data(count)))
-                for cm in (plain, moved)]
-        assert np.array_equal(rows[0][1:], rows[1][1:]), count
-        assert not np.array_equal(rows[0][0], rows[1][0]), count
+    for count in (clark.RULE_NODES, 2 * clark.RULE_NODES, 1000):
+        rules = [cm.rule(count) for cm in (plain, moved)]
+        assert [len(r) for r in rules] == [1 + len(plain.lines)] * 2
+        for (curve, *lines), cm in zip(rules, (plain, moved)):
+            assert all(a is b for a, b in zip(curve, cm.node_data(count)))
+            for (tau, mass), (z1, z2, w) in zip(cm.lines, lines):
+                assert np.all(z1 == tau) and np.all(w == mass), count
+                assert np.array_equal(z2, circle_nodes(count)), count
+        for odd in (slice(None), slice(1, None, 2)):
+            sums = [[f(z1[odd], z2[odd]) @ w[odd] for z1, z2, w in r] for r in rules]
+            assert all(np.array_equal(a, b) for a, b in zip(sums[0][1:], sums[1][1:])), count
+            assert not np.array_equal(sums[0][0], sums[1][0]), count
 
 
 def test_factored_weight_denominator_matches_trigpoly():

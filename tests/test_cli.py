@@ -312,6 +312,14 @@ def test_verify_single_suite(capsys):
     assert suite["max_deviation"] < 1e-7
 
 
+def test_verify_output_is_byte_deterministic(capsys):
+    outs = []
+    for _ in range(2):
+        assert cli.main(["verify", "fave", "--seed", "0"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "elapsed" not in outs[0]
+
+
 def test_verify_unknown_suite_is_input_error(capsys):
     assert cli.main(["verify", "fave", "--suite=bogus"]) == 2
     assert "unknown suite" in capsys.readouterr().err

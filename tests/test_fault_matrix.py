@@ -8,7 +8,8 @@ catalog entries must then fail at least the suites recorded for the fault
 never pass (without a fault every suite passes there, as
 test_verification checks).  A suite that catches more than its row is
 welcome; one that stops catching, or a fault that stops raising, fails
-here.
+here.  support checks every block of the measure's rule, the lines'
+included, so a moved line abscissa leaves {phi = alpha} and fails it.
 
 Suites that catch none of these faults: reflect, blaschke_modulus,
 weight_positive, unitary, extreme, sos_fixture, atoms_probe, box_mass and
@@ -90,7 +91,8 @@ FAULTS = {
 _CURVE = {"lambda_match", "support", "poisson", "levelset"}
 CAUGHT = {
     "line_mass": dict.fromkeys(ENTRIES, {"mass_identity", "ortho_identity", "poisson", "gram"}),
-    "line_tau": {"fave": {"poisson", "gram"}, "amy": POLE, "amy-variant": POLE, "deg31": POLE},
+    "line_tau": {"fave": {"poisson", "gram", "support"},
+                 "amy": POLE, "amy-variant": POLE, "deg31": POLE},
     "weight_num": dict.fromkeys(ENTRIES, {"mass_identity", "poisson", "gram"}),
     "balpha_constant": {
         "fave": _CURVE | {"gram"},

@@ -367,6 +367,16 @@ def test_wide_span_contacts_survive_without_a_band_trim():
         assert abs(1.0 / abs(s.deriv) - f.masses[k]) <= 1e-6 * f.masses[k]
 
 
+def test_validate_refuses_a_split_of_t_that_does_not_pair():
+    # at this span the split of t counts 68 of its 128 roots inside, where
+    # at most 63 can be, and finds one of the draw's two contacts: the other
+    # alpha_k would be called generic and unitary without a word
+    f = gen.draw(np.random.default_rng([7, 64, 6]), 64, _wide_ring)
+    assert len(f.taus) == 2
+    with pytest.raises(NumericError, match="root pairing across the circle failed"):
+        validate(_poly(f.p1, f.p2, 64))
+
+
 def test_analyze_never_prints_a_wide_span_mass_off_its_closed_form(tmp_path, capsys):
     # the exceptional masses of this draw settle up to 2e-8 off the closed
     # form; analyze must report a mass_residual of at most 1e-8 or exit 3
