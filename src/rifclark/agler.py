@@ -189,8 +189,8 @@ def gram_isometry_check(cm: ClarkMeasure, points) -> GramReport:
     for w1, w2 in pts:
         if abs(w1) >= 1.0 or abs(w2) >= 1.0:
             raise DomainError("Gram points must lie in the open bidisk")
-    phis = np.array([phi_eval(cm.rif, w) for w in pts])
     w = np.array(pts)
+    phis = phi_eval(cm.rif, w)
     # conjugated coordinates as columns, so row i belongs to w_i
     cw1, cw2 = np.conj(w[:, :1]), np.conj(w[:, 1:])
     target = (1.0 - np.conj(phis)[:, None] * phis) / (

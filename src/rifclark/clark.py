@@ -33,11 +33,12 @@ level_set_sample) take the measure instead of rebuilding it from
 That rule is one list of weighted blocks (z1, z2, w), and an integral is
 the sum over the blocks of the mean of f(z1, z2) w: the curve's node data,
 nodes zeta, conj(B_alpha(zeta)) and weights, then (tau_k, omega, c_k) per
-line, omega the N-th roots of unity.  One in-place pass over the
-Blaschke zeros a_k gives N(zeta) = prod (zeta - a_k) and
-D(zeta) = prod (1 - conj(a_k) zeta), hence conj(B_alpha) = conj(gamma N / D)
-and the weight denominator |u|^2 / prod |zeta - tau_k|^2 = |lead(u)|^2 |N|^2
-(the roots of u are the zeros of B_alpha and the matched tau_k).  On the
+line, omega the N-th roots of unity.  One product over the Blaschke
+zeros a_k, N(zeta) = prod (zeta - a_k), gives both: on the circle
+1 - conj(a_k) zeta = zeta conj(zeta - a_k), so conj(B_alpha) =
+conj(gamma) zeta^m conj(N) / N, m the degree of B_alpha, and the weight
+denominator |u|^2 / prod |zeta - tau_k|^2 is |lead(u)|^2 |N|^2 (the
+roots of u are the zeros of B_alpha and the matched tau_k).  On the
 circle the trapezoid rule's error on that data falls like r^N, r the
 largest modulus of the a_k, so adaptive integration starts at the power of
 two N where r^N reaches 1e-15 and doubles N with nested rules: the old
@@ -62,9 +63,15 @@ rule about 36 / delta nodes; when the start count the r^N model predicts
 would pass 4096, the cap of the adaptive start (r^4096 > 1e-15, delta
 below about 8.4e-3), the centre b moves towards it until its pull-back
 balances the other zeros and the interior points of modulus 1/2 where
-the test functions of the verification suites have their poles.  Otherwise b = 0: the nodes are the
-roots of unity and the weight numerator comes from one FFT of its
-coefficients.  The map belongs to the curve alone: a line {tau_k} x T
+the test functions of the verification suites have their poles.
+Otherwise b = 0: the nodes are the roots of unity and the weight
+numerator comes from one FFT of its coefficients.  B_alpha o M_b is
+again a Blaschke product, gamma' times the one with the pulled-back
+zeros a'_k = M_b^{-1}(a_k), so one product N' = prod (omega - a'_k) at
+the roots of unity serves every measure: the centre changes only the
+zeros, the constant and one scale s, and the weight times J_b is
+num(zeta) s |1 + conj(b) omega|^(2m - 2) / |N'|^2, num the weight
+numerator.  The map belongs to the curve alone: a line {tau_k} x T
 carries c_k times normalized arclength, and f(tau_k, .) does not see the
 Blaschke zeros, so the lines keep the roots of unity, weighted c_k, and
 the Jacobian J_b is known only to the curve's node data.
@@ -75,6 +82,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -196,48 +204,58 @@ class ClarkMeasure:
     def alpha(self) -> complex:
         return self.alpha_class.alpha
 
-    def _weight(self, num, zero_prod) -> np.ndarray:
-        """W_alpha from the weight numerator's values and prod (zeta - a_k)."""
-        den = abs(self.u.coeffs[-1]) ** 2 * (zero_prod.real ** 2 + zero_prod.imag ** 2)
-        if not (np.min(den) > 0.0 and np.max(den) < math.inf):
-            raise NumericError("weight denominator is not positive on the circle")
-        return num.real / den
-
     def weight_eval(self, zeta) -> np.ndarray:
         """W_alpha at unimodular points; real, finite, nonnegative."""
         zero_prod, _ = self.balpha.factors(zeta)
-        w = self._weight(self.weight_num.eval(zeta), zero_prod)
+        den = abs(self.u.coeffs[-1]) ** 2 * (zero_prod.real ** 2 + zero_prod.imag ** 2)
+        w = self.weight_num.eval(zeta).real / _positive(den)
         return float(w) if np.ndim(zeta) == 0 else w
 
     def curve_z2(self, zeta):
         """Second coordinate of the level-set graph: conj(B_alpha(zeta))."""
         return np.conj(self.balpha(zeta))
 
-    def _curve_data(self, zeta: np.ndarray, num: np.ndarray):
-        """(conj(B_alpha), W_alpha) at unimodular zeta, given the weight
-        numerator's values there, from one pass over the Blaschke zeros."""
-        zero_prod, pole_prod = self.balpha.factors(zeta)
-        w = self._weight(num, zero_prod)
-        z2 = np.divide(zero_prod, pole_prod, out=zero_prod)
-        z2 *= self.balpha.constant
-        return np.conj(z2, out=z2), w
-
-    def _mapped_data(self, omega: np.ndarray, count: int, half: bool):
+    def _mapped_data(self, count: int, half: bool):
         """(zeta, conj(B_alpha), W_alpha J_b) at zeta = M_b(omega), omega
         the count-th roots of unity, turned by half a spacing with half.
-        With b = 0, zeta is omega and the weight numerator one FFT;
-        otherwise it is evaluated at zeta directly, and the Jacobian
-        J_b = (1 - |b|^2) / |1 + conj(b) omega|^2 is read off zeta as
-        |1 - conj(b) zeta|^2 / (1 - |b|^2)."""
+
+        B_alpha o M_b = gamma' B', B' the Blaschke product of the pulled-back
+        zeros a'_k, and on the circle its denominator is omega^m conj(N'),
+        N' = prod (omega - a'_k), so one product over the zeros gives
+        conj(B_alpha) = conj(gamma') omega^m conj(N')^2 / |N'|^2 and the
+        weight W_alpha J_b = num(zeta) s |1 + conj(b) omega|^(2m - 2) / |N'|^2,
+        s from _pull_back, which forms a'_k, gamma' and s on each call
+        (O(m) work) from the measure's current fields.  With b = 0, zeta
+        is omega and the weight numerator num one FFT; otherwise it is
+        evaluated at zeta.
+        """
+        zeros, gamma, scale = _pull_back(self.balpha, self.center, self.u.coeffs[-1])
+        m = zeros.size
+        full, step = (2 * count, 2) if half else (count, 1)
+        roots = circle_nodes(full)
+        omega = roots[1::2] if half else roots
+        prod = omega - zeros[0] if m else np.ones(omega.shape, dtype=complex)
+        tmp = np.empty(omega.shape, dtype=complex)
+        for a in zeros[1:]:
+            np.subtract(omega, a, out=tmp)
+            prod *= tmp
+        den = _positive(prod.real ** 2 + prod.imag ** 2)
+        inv = np.divide(1.0, den, out=den)
+        # omega^m, exactly, from the roots of unity
+        power = np.take(roots, np.arange(int(half), full, step) * m, mode="wrap")
+        z2 = np.multiply(prod, prod, out=prod)
+        np.conj(z2, out=z2)
+        z2 *= power
+        z2 *= inv
+        z2 *= np.conj(gamma)
+        inv *= scale
         b = self.center
         if not b:
-            return (omega,) + self._curve_data(
-                omega, self.weight_num.node_values(count, half))
-        z = (omega + b) / (1.0 + np.conj(b) * omega)
-        z2, w = self._curve_data(z, self.weight_num.eval(z))
-        d = 1.0 - np.conj(b) * z
-        w *= (d.real ** 2 + d.imag ** 2) / (1.0 - abs(b) ** 2)
-        return z, z2, w
+            return omega, z2, self.weight_num.node_values(count, half).real * inv
+        d = 1.0 + np.conj(b) * omega
+        z = (omega + b) / d
+        inv *= (d.real ** 2 + d.imag ** 2) ** (m - 1)
+        return z, z2, self.weight_num.eval(z).real * inv
 
     def node_data(self, count: int):
         """(nodes, curve z2 values, quadrature weights) of the count-node
@@ -254,14 +272,12 @@ class ClarkMeasure:
         """
         data = self._cache.get(count)
         if data is None:
-            omega = circle_nodes(count)
             coarse = self._cache.get(count // 2) if count % 2 == 0 else None
             if coarse is None:
-                data = self._mapped_data(omega, count, False)
+                data = self._mapped_data(count, False)
             else:
-                z, z2, w = omega, np.empty(count, dtype=complex), np.empty(count)
-                z_odd, z2[1::2], w[1::2] = self._mapped_data(
-                    omega[1::2], count // 2, True)
+                z, z2, w = circle_nodes(count), np.empty(count, dtype=complex), np.empty(count)
+                z_odd, z2[1::2], w[1::2] = self._mapped_data(count // 2, True)
                 z2[::2], w[::2] = coarse[1], coarse[2]
                 if self.center:
                     z = np.empty(count, dtype=complex)
@@ -311,6 +327,13 @@ class ClarkMeasure:
         }
 
 
+def _positive(den: np.ndarray) -> np.ndarray:
+    """den, once every value is checked positive and finite."""
+    if not (np.min(den) > 0.0 and np.max(den) < math.inf):
+        raise NumericError("weight denominator is not positive on the circle")
+    return den
+
+
 def _ones(z1, z2):
     """The integrand 1, whose integral is the total mass."""
     return np.ones_like(z1, dtype=complex)
@@ -322,6 +345,25 @@ def _pullback_gap(b, x):
     d = 1.0 - np.conj(b) * x
     return ((1.0 - np.abs(b) ** 2) * (1.0 - np.abs(x) ** 2)
             / (d.real ** 2 + d.imag ** 2))
+
+
+def _pull_back(balpha: BlaschkeProduct, b: complex, lead: complex):
+    """(a', gamma', s) for the node map M_b: the zeros a'_k = (a_k - b) /
+    (1 - conj(b) a_k) and constant gamma' = gamma prod C_k / conj(C_k),
+    C_k = 1 - conj(b) a_k, of B_alpha o M_b, and the weight scale
+    s = (1 - |b|^2) / (|lead(u)|^2 prod |C_k|^2).  C_k is formed as
+    (1 - |b|^2) + conj(b) (b - a_k), which does not cancel when a_k is near
+    b, and 1 - |b|^2 is rounded once from its exact value."""
+    a = np.array(balpha.zeros, dtype=complex)
+    gamma, scale = balpha.constant, 1.0 / abs(lead) ** 2
+    if b:
+        gap = float(1 - Fraction(b.real) ** 2 - Fraction(b.imag) ** 2)
+        c = gap + np.conj(b) * (b - a)
+        cprod = complex(np.prod(c))
+        a = (a - b) / c
+        gamma *= cprod / np.conj(cprod)
+        scale *= gap / abs(cprod) ** 2
+    return a, gamma, scale
 
 
 def _map_center(zeros) -> complex:
@@ -432,7 +474,7 @@ def integrate(cm: ClarkMeasure, f, count: int | None = RULE_NODES) -> complex | 
     >>> cm = clark_measure(get("deg31").build(), -1.0)
     >>> pts = np.array([(0.2 + 0.1j, -0.3j), (0.0, 0.4)])
     >>> vals = integrate(cm, lambda u, v: poisson2(pts, (u, v)), None).real
-    >>> phis = np.array([phi_eval(cm.rif, z) for z in pts])
+    >>> phis = phi_eval(cm.rif, pts)
     >>> bool(np.allclose(vals, (1 - abs(phis) ** 2) / abs(-1.0 - phis) ** 2))
     True
     """

@@ -99,21 +99,23 @@ def _power_table(y: np.ndarray, size: int) -> np.ndarray:
 
 def _fft_values(coeffs: np.ndarray, low: int, count: int, half: bool = False) -> np.ndarray:
     """sum_i coeffs[i] * zeta**(low + i) at the count nodes
-    zeta_j = exp(2 pi i (j + s) / count), s = 1/2 if half else 0, by one FFT.
+    zeta_j = exp(2 pi i (j + s) / count), s = 1/2 if half else 0, by one
+    inverse FFT.
 
-    Powers are folded modulo count first, so any count >= 1 works; half
-    rotates the coefficients instead of the nodes.
+    Each coefficient is added into the spectrum at its power modulo count,
+    (low + i) mod count, so any count >= 1 works; half rotates the
+    coefficients instead of the nodes.
     """
     count = int(count)
     if count < 1:
         raise DomainError("node count must be positive")
     c = np.asarray(coeffs, dtype=complex)
+    power = np.arange(low, low + c.size)
     if half:
-        c = c * np.exp(1j * np.pi * np.arange(low, low + c.size) / count)
-    folded = np.zeros(-(-c.size // count) * count, dtype=complex)
-    folded[: c.size] = c
-    folded = folded.reshape(-1, count).sum(axis=0)
-    return np.fft.ifft(np.roll(folded, low), norm="forward")
+        c = c * np.exp(1j * np.pi * power / count)
+    spectrum = np.zeros(count, dtype=complex)
+    np.add.at(spectrum, power % count, c)
+    return np.fft.ifft(spectrum, norm="forward")
 
 
 class UniPoly:
@@ -867,7 +869,9 @@ class BlaschkeProduct:
         zeros, in one in-place pass; B = constant * N / D.
 
         Meant for unimodular zeta, where |N| = |D| and neither product can
-        overflow at the degrees handled here.
+        overflow at the degrees handled here.  It serves pointwise
+        evaluation; the quadrature node data of clark forms N alone, since
+        on the circle D = zeta^m conj(N).
         """
         zz = np.asarray(zeta, dtype=complex)
         num = np.ones(zz.shape, dtype=complex)

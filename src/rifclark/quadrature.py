@@ -8,8 +8,8 @@ integrals in this package reduce to such rules.
 The rules nest: the 2N roots of unity are the N roots plus the N roots
 turned by half a spacing, so a doubling keeps the N-node sum and adds the
 new nodes only (clark.integrate does this).  A Laurent polynomial takes its
-values at the N roots of unity from one FFT of its coefficients, folded
-modulo N (TrigPoly.node_values).
+values at the N roots of unity from one inverse FFT of its coefficients,
+each added at its power modulo N (TrigPoly.node_values).
 """
 
 from __future__ import annotations
@@ -116,11 +116,9 @@ def pointmass_probe(rif, alpha, direction) -> list[float]:
         if abs(abs(t) - 1.0) > 1e-6:
             raise DomainError("direction must lie on the torus")
     phi0 = rif.phi_at_origin
-    out = []
-    for r in _PROBE_RADII:
-        ph = phi_eval(rif, (r * t1, r * t2))
-        val = (1.0 - ph * np.conj(phi0)) / (
-            (1.0 - np.conj(a) * ph) * (1.0 - a * np.conj(phi0))
-        )
-        out.append(float((1.0 - r) ** 2 * abs(val)))
-    return out
+    r = np.array(_PROBE_RADII)
+    ph = phi_eval(rif, np.outer(r, (t1, t2)))
+    val = (1.0 - ph * np.conj(phi0)) / (
+        (1.0 - np.conj(a) * ph) * (1.0 - a * np.conj(phi0))
+    )
+    return [float(v) for v in (1.0 - r) ** 2 * np.abs(val)]

@@ -296,20 +296,27 @@ def validate(p: BiPolyN1) -> Rif:
     return Rif(p, pt, sings, complex(phi0), t, UniPoly.from_roots(inside))
 
 
-def phi_eval(rif: Rif, z) -> complex:
-    """phi at a point of the closed bidisk.
+def phi_eval(rif: Rif, z) -> complex | np.ndarray:
+    """phi at a point of the closed bidisk, a pair (z1, z2); or at P points
+    given as a (P, 2) array, whose P values come back as a (P,) array from
+    one pass.
 
-    Raises DomainError at zeros of p (the boundary singularities and the
-    poles on singular lines) and outside the closed bidisk.
+    Raises DomainError when any point lies outside the closed bidisk or at
+    a zero of p (the boundary singularities and the poles on singular
+    lines).
     """
-    z1, z2 = complex(z[0]), complex(z[1])
-    if abs(z1) > 1.0 + 1e-12 or abs(z2) > 1.0 + 1e-12:
+    pts = np.asarray(z, dtype=complex)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+        raise DomainError("phi_eval takes a pair (z1, z2) or a (P, 2) array of them")
+    z1, z2 = pts[..., 0], pts[..., 1]
+    if np.any(np.abs(z1) > 1.0 + 1e-12) or np.any(np.abs(z2) > 1.0 + 1e-12):
         raise DomainError("point outside the closed bidisk")
     den = rif.p.eval(z1, z2)
     sc = max(rif.p.scale(), 1e-300)
-    if abs(den) <= 1e-12 * sc:
+    if np.any(np.abs(den) <= 1e-12 * sc):
         raise DomainError("phi is evaluated at a zero of p")
-    return complex(rif.ptilde.eval(z1, z2) / den)
+    out = rif.ptilde.eval(z1, z2) / den
+    return complex(out) if pts.ndim == 1 else out
 
 
 def is_saturated(rif: Rif) -> bool:

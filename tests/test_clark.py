@@ -22,7 +22,7 @@ from rifclark.clark import (
     level_set_sample,
 )
 from rifclark.errors import DomainError, NumericError
-from rifclark.polynomials import TOL, TrigPoly, UniPoly, cplx_from_json
+from rifclark.polynomials import TOL, BlaschkeProduct, TrigPoly, UniPoly, cplx_from_json
 from rifclark.quadrature import circle_nodes, poisson2
 from rifclark.rif import BiPolyN1, phi_eval, validate
 
@@ -272,12 +272,37 @@ def _measure_cases(near_exceptional: bool):
             yield name, clark_measure(rif, _near_exceptional_alpha(rif, tau, d))
 
 
+def _extended_reference(cm, count):
+    """conj(B_alpha) and W_alpha J_b at the exact nodes M_b(omega), omega
+    the count-th roots of unity, evaluated pointwise in numpy.clongdouble
+    from the measure's Blaschke product, weight numerator and lead(u)."""
+    ld = np.clongdouble
+    pi = 4 * np.arctan(np.longdouble(1))
+    omega = np.exp(ld(1j) * (2 * pi * np.arange(count) / count))
+    b = ld(cm.center)
+    zeta = (omega + b) / (1 + np.conj(b) * omega)
+    blaschke = np.full(count, ld(cm.balpha.constant))
+    zero_prod = np.ones(count, dtype=ld)
+    for a in map(ld, cm.balpha.zeros):
+        blaschke *= (zeta - a) / (1 - np.conj(a) * zeta)
+        zero_prod *= zeta - a
+    num = np.zeros(count, dtype=ld)
+    for c in cm.weight_num.coeffs[::-1]:
+        num = num * zeta + ld(c)
+    num = (num * zeta ** -cm.weight_num.d).real
+    w = num / (abs(ld(cm.u.coeffs[-1])) ** 2 * abs(zero_prod) ** 2)
+    return np.conj(blaschke), w * (1 - abs(b) ** 2) / abs(1 + np.conj(b) * omega) ** 2
+
+
 def test_node_data_matches_pointwise_evaluation():
+    # against an extended-precision evaluation at the exact nodes, so the
+    # reference does not inherit the rounding of the double nodes: next to
+    # a Blaschke zeta - a_k loses eps / |zeta - a_k| relative, 1e-12 at
+    # deg31's zero 7e-5 from the circle at e^{0.37i}, the mapped case.
     # 4096 is computed directly, 8192 reuses it at the even nodes, 1000 is
     # odd.  Near-exceptional alpha is left out: there the weight numerator
     # nearly vanishes next to the contact and is fixed by its coefficients
-    # only to about 1e-12 relative, by FFT and by Horner alike.  deg31 at
-    # e^{0.37i} has a Blaschke zero 7e-5 from the circle and a mapped rule.
+    # only to about 1e-12 relative, by FFT and by Horner alike.
     mapped = set()
     for name, cm in _measure_cases(near_exceptional=False):
         b = cm.center
@@ -290,11 +315,29 @@ def test_node_data_matches_pointwise_evaluation():
                 assert np.max(np.abs(z - (omega + b) / (1 + np.conj(b) * omega))) <= 1e-15
             else:
                 assert np.array_equal(z, omega)
-            jac = (1 - abs(b) ** 2) / np.abs(1 + np.conj(b) * omega) ** 2
-            assert np.max(np.abs(z2 - cm.curve_z2(z))) <= 1e-12, name
-            want = cm.weight_eval(z) * jac
-            assert np.max(np.abs(w - want)) <= 1e-12 * max(1.0, np.max(w)), name
+            want_z2, want_w = _extended_reference(cm, count)
+            assert np.max(np.abs(z2 - want_z2)) <= 1e-12, name
+            assert np.max(np.abs(w - want_w)) <= 1e-12 * max(1.0, np.max(w)), name
     assert mapped == {"deg31"}
+
+
+def test_node_data_makes_no_two_product_pass(monkeypatch):
+    # one product over the (pulled-back) zeros gives the curve data;
+    # BlaschkeProduct.factors serves pointwise evaluation only
+    cases = [clark_measure(get("amy").build(), complex(np.exp(2.1j))),
+             clark_measure(get("fave").build(), -1.0),
+             clark_measure(get("deg31").build(), complex(np.exp(0.37j)))]
+    assert [cm.alpha_class.kind for cm in cases] == [
+        AlphaKind.GENERIC, AlphaKind.EXCEPTIONAL, AlphaKind.GENERIC]
+    assert [bool(cm.center) for cm in cases] == [False, False, True]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("node_data called BlaschkeProduct.factors")
+
+    monkeypatch.setattr(BlaschkeProduct, "factors", refuse)
+    for cm in cases:
+        for count in (4096, 8192, 1000):
+            cm.node_data(count)
 
 
 # Blaschke zeros from 1e-4 down to 1.2e-7 from the circle: of these the

@@ -100,6 +100,27 @@ def test_phi_eval_rejects_outside_closed_bidisk():
         phi_eval(rif, (1.5, 0.0))
 
 
+def test_phi_eval_on_a_point_array_matches_the_pointwise_loop():
+    rng = np.random.default_rng(23)
+    for e in entries().values():
+        rif = e.build()
+        pts = (0.95 * np.sqrt(rng.uniform(size=(40, 2)))
+               * np.exp(2j * np.pi * rng.uniform(size=(40, 2))))
+        got = phi_eval(rif, pts)
+        assert got.shape == (40,)
+        want = np.array([phi_eval(rif, z) for z in pts])
+        assert np.max(np.abs(got - want)) <= 1e-14
+        # one bad point refuses the whole array: outside the closed bidisk,
+        # and at a boundary zero (tau, lam) of p
+        s = rif.singularities[0]
+        for bad in ((0.2, 1.5), (s.tau, s.lam)):
+            with pytest.raises(DomainError):
+                phi_eval(rif, np.vstack([pts, [bad]]))
+        # coordinates as rows are not pairs
+        with pytest.raises(DomainError):
+            phi_eval(rif, pts[:3].T)
+
+
 @pytest.mark.parametrize("name", ["fave", "amy", "amy-variant", "deg31"])
 def test_line_derivative_matches_finite_difference(name):
     # d(phi)/dz1 on {tau} x D, read at the ends of the z2-pencil, against a
