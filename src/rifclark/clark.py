@@ -170,7 +170,7 @@ def classify_alpha(rif: Rif, alpha) -> AlphaClass:
     return AlphaClass(a, kind, matched, dist)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClarkMeasure:
     """Closed-form Clark measure: curve part plus line part.
 
@@ -185,7 +185,9 @@ class ClarkMeasure:
     curve values and weights are computed in that form.  center is the
     centre b of the node map M_b, chosen from the Blaschke zeros on
     construction (0 unless a zero lies near the circle; see the module
-    docstring).  Node data for quadrature is cached per node count.
+    docstring).  The measure is frozen: an edited copy comes from
+    dataclasses.replace, which forms center, the pulled-back zeros and the
+    node cache afresh.  Node data for quadrature is cached per node count.
     """
 
     rif: Rif
@@ -195,10 +197,13 @@ class ClarkMeasure:
     u: UniPoly
     lines: tuple
     center: complex = field(init=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _pulled: tuple = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.center = _map_center(self.balpha.zeros)
+        center = _map_center(self.balpha.zeros)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "_pulled", _pull_back(self.balpha, center, self.u.coeffs[-1]))
 
     @property
     def alpha(self) -> complex:
@@ -224,12 +229,11 @@ class ClarkMeasure:
         N' = prod (omega - a'_k), so one product over the zeros gives
         conj(B_alpha) = conj(gamma') omega^m conj(N')^2 / |N'|^2 and the
         weight W_alpha J_b = num(zeta) s |1 + conj(b) omega|^(2m - 2) / |N'|^2,
-        s from _pull_back, which forms a'_k, gamma' and s on each call
-        (O(m) work) from the measure's current fields.  With b = 0, zeta
-        is omega and the weight numerator num one FFT; otherwise it is
-        evaluated at zeta.
+        s from _pull_back, which formed a'_k, gamma' and s once, on
+        construction.  With b = 0, zeta is omega and the weight numerator
+        num one FFT; otherwise it is evaluated at zeta.
         """
-        zeros, gamma, scale = _pull_back(self.balpha, self.center, self.u.coeffs[-1])
+        zeros, gamma, scale = self._pulled
         m = zeros.size
         full, step = (2 * count, 2) if half else (count, 1)
         roots = circle_nodes(full)

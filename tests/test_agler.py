@@ -138,7 +138,8 @@ def test_exceptional_r_refuses_a_tau_off_the_pencil_zero():
     cm = clark_measure(get("deg31").build(), -1.0)
     turned = [dataclasses.replace(s, tau=s.tau * np.exp(1e-3j))
               for s in cm.rif.singularities]
-    cm.rif = dataclasses.replace(cm.rif, singularities=tuple(turned))
+    cm = dataclasses.replace(
+        cm, rif=dataclasses.replace(cm.rif, singularities=tuple(turned)))
     with pytest.raises(NumericError, match="not a common zero"):
         exceptional_R(cm)
 

@@ -1,5 +1,6 @@
 """Clark measures: classification, closed forms, quadrature, level sets."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -338,6 +339,21 @@ def test_node_data_makes_no_two_product_pass(monkeypatch):
     for cm in cases:
         for count in (4096, 8192, 1000):
             cm.node_data(count)
+
+
+def test_replaced_measure_does_not_reuse_cached_node_data():
+    # an edited copy forms its own node map and cache; the measure itself
+    # cannot be edited, so no cached curve data outlives its fields
+    cm = clark_measure(get("deg31").build(), complex(np.exp(0.37j)))
+    assert cm.center
+    z, z2, _w = cm.node_data(4096)
+    turned = BlaschkeProduct(cm.balpha.constant * np.exp(1e-3j), cm.balpha.zeros)
+    moved = dataclasses.replace(cm, balpha=turned)
+    mz, mz2, _mw = moved.node_data(4096)
+    assert np.max(np.abs(mz2 - moved.curve_z2(mz))) <= 1e-10
+    assert np.max(np.abs(mz2 - z2)) > 1e-4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cm.balpha = turned
 
 
 # Blaschke zeros from 1e-4 down to 1.2e-7 from the circle: of these the

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import rifclark
-from rifclark import cli
+from rifclark import cli, verification
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -39,6 +39,17 @@ def _readme_commands() -> list[str]:
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     return [line for block in blocks for line in block.splitlines()
             if line.startswith("rifclark ")]
+
+
+def test_readme_lists_every_suite_with_its_tolerance():
+    # the verify bullet names every suite, in order, with its tolerance, so
+    # a renamed suite or a moved bound fails here until the README says so
+    text = README.read_text(encoding="utf-8")
+    bullet = text[text.index("- `verify INPUT"):]
+    bullet = bullet[:bullet.index("\n- `")]
+    listed = [(name, float(tol))
+              for name, tol in re.findall(r"`(\w+)` \(([^)]+)\)", bullet)]
+    assert listed == [(name, tol) for name, (_suite, tol) in verification._SUITES.items()]
 
 
 def test_readme_has_command_examples():

@@ -16,6 +16,8 @@ weight_positive, unitary, extreme, sos_fixture, atoms_probe, box_mass and
 weakstar.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,35 +35,36 @@ POLE = "R does not vanish at the line pole"
 
 
 def _line_mass(cm):
-    cm.lines = tuple((tau, c * (1.0 + EPS)) for tau, c in cm.lines)
+    return replace(cm, lines=tuple((tau, c * (1.0 + EPS)) for tau, c in cm.lines))
 
 
 def _line_tau(cm):
-    cm.lines = tuple((tau * np.exp(1j * EPS), c) for tau, c in cm.lines)
+    return replace(cm, lines=tuple((tau * np.exp(1j * EPS), c) for tau, c in cm.lines))
 
 
 def _weight_num(cm):
-    cm.weight_num = (1.0 + EPS) * cm.weight_num
+    return replace(cm, weight_num=(1.0 + EPS) * cm.weight_num)
 
 
 def _balpha_constant(cm):
-    cm.balpha = BlaschkeProduct(cm.balpha.constant * np.exp(1j * EPS), cm.balpha.zeros)
+    return replace(cm, balpha=BlaschkeProduct(cm.balpha.constant * np.exp(1j * EPS),
+                                              cm.balpha.zeros))
 
 
 def _balpha_zero(cm):
     zeros = cm.balpha.zeros
-    if zeros:
-        cm.balpha = BlaschkeProduct(cm.balpha.constant, (zeros[0] * (1.0 + EPS),) + zeros[1:])
+    if not zeros:
+        return cm
+    return replace(cm, balpha=BlaschkeProduct(cm.balpha.constant,
+                                              (zeros[0] * (1.0 + EPS),) + zeros[1:]))
 
 
 def _on_measure(edit):
-    """A fault in every measure the suites build."""
+    """A fault in every measure the suites build: the edited copy of it."""
 
     def wrap(build):
         def faulty(rif, alpha):
-            cm = build(rif, alpha)
-            edit(cm)
-            return cm
+            return edit(build(rif, alpha))
 
         return faulty
 

@@ -136,8 +136,8 @@ def test_run_suites_builds_one_measure_per_alpha(name, monkeypatch):
 @pytest.mark.parametrize("name", names())
 def test_run_suites_root_finds_each_alpha_once(name, monkeypatch):
     # a sweep draw is accepted or rejected on its own measure's Blaschke
-    # zeros, so beyond one root-find per measure built only p1 and t in
-    # validate and t in compute_Q remain
+    # zeros, and compute_Q factors t from validate's roots, so beyond one
+    # root-find per measure built only p1 and t in validate remain
     found = polynomials.roots
     calls = Counter()
 
@@ -159,7 +159,7 @@ def test_run_suites_root_finds_each_alpha_once(name, monkeypatch):
         monkeypatch.setattr(module, "clark_measure", counted_measure, raising=False)
     assert all(r.passed for r in run_suites(get(name), seed=5))
     assert calls["measures"] >= verification.SWEEP_SIZE
-    assert calls["roots"] <= calls["measures"] + 3, calls
+    assert calls["roots"] <= calls["measures"] + 2, calls
 
 
 def test_fave_suites_stay_below_16384_nodes(monkeypatch):
