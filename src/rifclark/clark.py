@@ -263,7 +263,7 @@ class ClarkMeasure:
 
     def node_data(self, count: int):
         """(nodes, curve z2 values, quadrature weights) of the count-node
-        rule, cached per node count.
+        rule, cached per node count; the arrays are read only.
 
         The nodes are zeta_j = M_b(omega_j), the images of the count-th
         roots of unity omega_j under the measure's node map (the roots
@@ -287,6 +287,10 @@ class ClarkMeasure:
                     z = np.empty(count, dtype=complex)
                     z[::2], z[1::2] = coarse[0], z_odd
                 data = (z, z2, w)
+            # integrate hands these arrays to the integrand: no write may
+            # reach the cache
+            for a in data:
+                a.setflags(write=False)
             self._cache[count] = data
         return data
 
@@ -322,7 +326,6 @@ class ClarkMeasure:
                 "den": TrigPoly.modulus_squared(UniPoly.from_roots(
                     self.balpha.zeros, self.u.coeffs[-1])).to_json(),
             },
-            "removable_points": [cplx_to_json(t) for t, _mass in self.lines],
             "lines": [
                 {"tau": cplx_to_json(t), "mass": float(c)} for t, c in self.lines
             ],

@@ -248,19 +248,20 @@ class UniPoly:
         return UniPoly([cplx_from_json(v) for v in obj["coeffs"]])
 
 
+def _nearest(z: np.ndarray) -> np.ndarray:
+    """Each point's exact distance to its nearest other point (inf for a
+    single point)."""
+    gaps = np.abs(z[:, None] - z)
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min(axis=1)
+
+
 def _cluster_members(points, radius: float) -> list[list[int]]:
     """Greedy clustering by centroid distance, as lists of indices into
-    points; deterministic via sorting."""
+    points; deterministic via sorting.  roots calls it only when two of its
+    roots lie within radius (see _nearest)."""
     pts = [complex(p) for p in points]
     order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
-    if len(pts) > 1:
-        # the usual case, every point farther than radius from every other,
-        # gives singletons; skip the quadratic Python loop for it
-        arr = np.array(pts)
-        gaps = np.abs(arr[:, None] - arr[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() > radius:
-            return [[i] for i in order]
     clusters: list[list[int]] = []
     centroids: list[complex] = []
     for i in order:
@@ -444,16 +445,12 @@ def _polish_lone(c: np.ndarray, tables, z: np.ndarray, radius: float):
     meet, and is larger than the root's double resolution.  Clusters are
     left alone: a Newton step would split a multiple root.
 
-    Returns the polished roots and, for each, a lower bound on its
-    distance to its nearest neighbour after the polish (the distance
-    before it, less its own move and the largest move).
+    Returns the polished roots.
     """
-    gaps = np.abs(z[:, None] - z)
-    np.fill_diagonal(gaps, np.inf)
-    nearest = gaps.min(axis=1)
+    nearest = _nearest(z)
     lone = np.flatnonzero(nearest > radius)
     if not lone.size:
-        return z, nearest
+        return z
     cl = c.astype(np.clongdouble)
     z0 = z[lone]
     zl = z0.copy()
@@ -479,9 +476,7 @@ def _polish_lone(c: np.ndarray, tables, z: np.ndarray, radius: float):
                 new[keep], val2[keep], slope2[keep], resid2[keep])
     out = z.copy()
     out[lone] = zl
-    moved = np.zeros(z.size)
-    moved[lone] = np.abs(zl - z0)
-    return out, nearest - moved - moved.max()
+    return out
 
 
 def roots(p, cluster_radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]]:
@@ -492,10 +487,11 @@ def roots(p, cluster_radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]
     backward-stable residual bound |p(r)| <= TOL * sum |c_k||r|^k;
     if the primary iteration cannot certify, a companion-matrix fallback is
     tried, and failure of both raises NumericError.  Non-finite coefficients
-    raise DomainError.  Clusters are decided on the polished roots; when the
-    polish's neighbour distances show that no two of them lie within
-    cluster_radius, every root is certified as a simple one without
-    clustering.
+    raise DomainError.  Clusters are decided once, on the polished roots:
+    when their exact nearest-neighbour distances (_nearest, the same test
+    that picks the roots to polish) put no two of them within
+    cluster_radius, every root is certified as a simple one, and only
+    otherwise does _cluster_members group them.
     """
     q = p if isinstance(p, UniPoly) else UniPoly(p)
     if q.is_zero:
@@ -516,8 +512,8 @@ def roots(p, cluster_radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]
         tables = _eval_tables(c)
 
         def _certify(cands):
-            z, gap = _polish_lone(c, tables, np.asarray(cands, dtype=complex), cluster_radius)
-            if gap.min() > cluster_radius:
+            z = _polish_lone(c, tables, np.asarray(cands, dtype=complex), cluster_radius)
+            if _nearest(z).min() > cluster_radius:
                 centres = z
                 found = [(r, 1) for r in z.tolist()]
             else:

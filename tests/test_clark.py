@@ -356,6 +356,28 @@ def test_replaced_measure_does_not_reuse_cached_node_data():
         cm.balpha = turned
 
 
+def test_cached_node_data_is_read_only():
+    # integrate hands the cached node data to the integrand; one that scales
+    # its argument in place must not corrupt the later integrals
+    rif = get("deg31").build()
+    alpha = complex(np.exp(0.37j))
+    cm = clark_measure(rif, alpha)
+
+    def halve(u, v):
+        v *= 0.5
+        return v
+
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(cm, halve, None)
+    pts = np.array([(0.3 + 0.1j, -0.2j)])
+
+    def poisson(u, v):
+        return poisson2(pts, (u, v))
+
+    fresh = clark_measure(rif, alpha)
+    assert np.array_equal(integrate(cm, poisson, None), integrate(fresh, poisson, None))
+
+
 # Blaschke zeros from 1e-4 down to 1.2e-7 from the circle: of these the
 # uniform rule settles by 2^20 nodes only at d = 1e-2 on amy-variant and
 # deg31; the mapped rule settles on all of them

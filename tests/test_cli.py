@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rifclark import clark, cli
 from rifclark.catalog import get, names
 from rifclark.clark import clark_measure
 from rifclark.errors import DomainError, NumericError
+from rifclark.polynomials import UniPoly
 from rifclark.rif import BiPolyN1, validate
 
 
@@ -352,7 +354,7 @@ def test_levelset_files_and_branches(tmp_path, capsys, monkeypatch):
     paths = capsys.readouterr().out.split()
     assert len(paths) == 2
     for path, theta in zip(paths, (0.0, math.pi)):
-        rows = [r.split(",") for r in open(path).read().splitlines()[1:]]
+        rows = [r.split(",") for r in Path(path).read_text().splitlines()[1:]]
         branches = {r[2] for r in rows}
         assert branches == {"curve", "line_0"}
         line_t1 = {float(r[0]) for r in rows if r[2] == "line_0"}
@@ -364,9 +366,30 @@ def test_levelset_generic_no_lines(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["levelset", "amy", "--alphas=e^{iπ/2}", "--nodes=16"]) == 0
     (path,) = capsys.readouterr().out.split()
-    body = open(path).read()
+    body = Path(path).read_text()
     assert "line" not in body
     assert body.count("curve") == 16
+
+
+def test_cli_refuses_malformed_alphas(capsys):
+    assert cli.main(["levelset", "fave", "--alphas=,"]) == 2
+    assert "empty alpha list" in capsys.readouterr().err
+    assert cli.main(["analyze", "fave", "--alpha=exp(i*1e308*10)"]) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
+def test_verify_without_contacts(tmp_path, capsys):
+    # p = 3 - z1 - z2 has no boundary zero, so no alpha is exceptional and
+    # the suites that need one say so
+    path = tmp_path / "smooth.json"
+    poly = BiPolyN1(UniPoly([3.0, -1.0]), UniPoly([-1.0]), 1)
+    path.write_text(json.dumps(poly.to_json()), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"]
+    suites = {s["name"]: s for s in report["suites"]}
+    for name in ("ortho_identity", "weakstar"):
+        assert suites[name]["details"] == {"skipped": "no exceptional values"}
 
 
 def test_levelset_out_single(tmp_path, capsys):

@@ -6,6 +6,7 @@ from numpy.polynomial import polynomial as P
 
 from rifclark import polynomials
 from rifclark import rif as rif_module
+from rifclark.catalog import get
 from rifclark.clark import clark_measure
 from rifclark.errors import DomainError, NumericError
 from rifclark.polynomials import (
@@ -237,6 +238,13 @@ def test_fejer_riesz_root_next_to_the_circle(gap, extra):
     z = np.exp(2j * np.pi * np.arange(512) / 512)
     assert np.max(np.abs(np.abs(f(z)) ** 2 - t(z).real)) <= 1e-12
     assert all(abs(r) < 1.0 for r, _m in roots(f))
+
+
+def test_circle_zeros_of_a_catalog_boundary_polynomial():
+    # amy's t = |p1|^2 - |p2|^2 has one circle zero, of order four, at 1
+    ((tau, mult),) = get("amy").build().t.circle_zeros()
+    assert mult == 4
+    assert abs(tau - 1.0) <= 1e-12
 
 
 def test_fejer_riesz_rejects_sign_changing():

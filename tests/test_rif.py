@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from rifclark import cli
+from rifclark import cli, polynomials
+from rifclark.agler import compute_Q
 from rifclark.catalog import entries, get
+from rifclark.clark import clark_measure
 from rifclark.errors import DomainError, NumericError, RifClarkError
 from rifclark.polynomials import UniPoly
 from rifclark.rif import (
@@ -386,6 +388,41 @@ def test_wide_span_contacts_survive_without_a_band_trim():
         k = int(np.argmin(np.abs(np.array(f.taus) - s.tau)))
         assert abs(s.tau - f.taus[k]) <= 1e-6
         assert abs(1.0 / abs(s.deriv) - f.masses[k]) <= 1e-6 * f.masses[k]
+
+
+def test_wide_span_refusals():
+    # an odd-order circle zero of t; and a split of t whose inside roots do
+    # not reproduce it, which Q and the exceptional weights both rest on
+    f = gen.draw(np.random.default_rng([7, 48, 1]), 48, _wide_ring)
+    with pytest.raises(NumericError):
+        validate(_poly(f.p1, f.p2, 48))
+    f = gen.draw(np.random.default_rng([7, 48, 9]), 48, _wide_ring)
+    rif = validate(_poly(f.p1, f.p2, 48))
+    with pytest.raises(NumericError):
+        compute_Q(rif)
+    with pytest.raises(NumericError):
+        clark_measure(rif, rif.singularities[0].alpha)
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_validate_clusters_only_roots_that_meet(monkeypatch, n):
+    # roots decides clustering once, from the exact distances between its
+    # polished roots, so every clustering that validate asks for on these
+    # draws groups at least two points (t's double zeros at the contacts)
+    real = polynomials._cluster_members
+    calls = []
+
+    def spy(points, radius):
+        out = real(points, radius)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(polynomials, "_cluster_members", spy)
+    for s in range(3):
+        f = gen.generate(np.random.default_rng([9, n, s]), n)
+        validate(_poly(f.p1, f.p2, n))
+    assert calls
+    assert all(any(len(c) > 1 for c in out) for out in calls)
 
 
 def test_validate_refuses_a_split_of_t_that_does_not_pair():
