@@ -78,8 +78,8 @@ def compute_Q(rif: Rif) -> UniPoly:
     Normalized with a positive real leading coefficient; any unimodular
     multiple satisfies the same identity.
     """
-    halves = [s.tau for s in rif.singularities for _ in range(s.mult // 2)]
-    return _spectral_factor(rif.t, rif.q_inside, halves)
+    halves = tuple(s.tau for s in rif.singularities for _ in range(s.mult // 2))
+    return _spectral_factor(rif.t, rif.inside + halves)
 
 
 def exceptional_R(cm: ClarkMeasure) -> list[SosPiece]:

@@ -42,12 +42,12 @@ roots of u are the zeros of B_alpha and the matched tau_k).  On the
 circle the trapezoid rule's error on that data falls like r^N, r the
 largest modulus of the a_k, so adaptive integration starts at the power of
 two N where r^N reaches 1e-15 and doubles N with nested rules: the old
-sums are kept, and node data and integrand are evaluated only at the N
-new nodes.  It stops once successive values agree to 1e-9 and the
-geometric model e_N ~ C r^N, fitted to the last two differences, puts the
-next one at roundoff; the integrand's own singularities, such as a
-Poisson point near the torus, need not follow r, and the model waits for
-them.
+sums are kept and the integrand is evaluated only at the N new nodes,
+while the node data at 2N comes afresh from the 2N-th roots of unity.
+It stops once successive values agree to 1e-9 and the geometric model
+e_N ~ C r^N, fitted to the last two differences, puts the next one at
+roundoff; the integrand's own singularities, such as a Poisson point
+near the torus, need not follow r, and the model waits for them.
 
 The curve's nodes are the images zeta_j = M_b(omega_j) = (omega_j + b) /
 (1 + conj(b) omega_j) of the N-th roots of unity under one Moebius map of
@@ -220,9 +220,17 @@ class ClarkMeasure:
         """Second coordinate of the level-set graph: conj(B_alpha(zeta))."""
         return np.conj(self.balpha(zeta))
 
-    def _mapped_data(self, count: int, half: bool):
-        """(zeta, conj(B_alpha), W_alpha J_b) at zeta = M_b(omega), omega
-        the count-th roots of unity, turned by half a spacing with half.
+    def node_data(self, count: int):
+        """(nodes, curve z2 values, quadrature weights) of the count-node
+        rule, cached per node count; the arrays are read only.
+
+        The nodes are zeta_j = M_b(omega_j), the images of the count-th
+        roots of unity omega_j under the measure's node map (the roots
+        themselves when center is 0), the z2 values conj(B_alpha(zeta_j)),
+        and the weights W_alpha(zeta_j) J_b(omega_j), so the mean of
+        g(zeta_j) w_j approximates the integral of g against the curve
+        part.  Each count is computed from its own roots of unity, so the
+        data does not depend on which counts were cached before.
 
         B_alpha o M_b = gamma' B', B' the Blaschke product of the pulled-back
         zeros a'_k, and on the circle its denominator is omega^m conj(N'),
@@ -233,11 +241,12 @@ class ClarkMeasure:
         construction.  With b = 0, zeta is omega and the weight numerator
         num one FFT; otherwise it is evaluated at zeta.
         """
+        data = self._cache.get(count)
+        if data is not None:
+            return data
         zeros, gamma, scale = self._pulled
         m = zeros.size
-        full, step = (2 * count, 2) if half else (count, 1)
-        roots = circle_nodes(full)
-        omega = roots[1::2] if half else roots
+        omega = circle_nodes(count)
         prod = omega - zeros[0] if m else np.ones(omega.shape, dtype=complex)
         tmp = np.empty(omega.shape, dtype=complex)
         for a in zeros[1:]:
@@ -245,53 +254,26 @@ class ClarkMeasure:
             prod *= tmp
         den = _positive(prod.real ** 2 + prod.imag ** 2)
         inv = np.divide(1.0, den, out=den)
-        # omega^m, exactly, from the roots of unity
-        power = np.take(roots, np.arange(int(half), full, step) * m, mode="wrap")
         z2 = np.multiply(prod, prod, out=prod)
         np.conj(z2, out=z2)
-        z2 *= power
+        # omega^m, exactly, from the roots of unity
+        z2 *= np.take(omega, np.arange(count) * m, mode="wrap")
         z2 *= inv
         z2 *= np.conj(gamma)
         inv *= scale
         b = self.center
-        if not b:
-            return omega, z2, self.weight_num.node_values(count, half).real * inv
-        d = 1.0 + np.conj(b) * omega
-        z = (omega + b) / d
-        inv *= (d.real ** 2 + d.imag ** 2) ** (m - 1)
-        return z, z2, self.weight_num.eval(z).real * inv
-
-    def node_data(self, count: int):
-        """(nodes, curve z2 values, quadrature weights) of the count-node
-        rule, cached per node count; the arrays are read only.
-
-        The nodes are zeta_j = M_b(omega_j), the images of the count-th
-        roots of unity omega_j under the measure's node map (the roots
-        themselves when center is 0), the z2 values conj(B_alpha(zeta_j)),
-        and the weights W_alpha(zeta_j) J_b(omega_j), so the mean of
-        g(zeta_j) w_j approximates the integral of g against the curve
-        part.  When the data for count/2 is cached it fills the even
-        nodes, and only the odd nodes (the count/2 roots turned by half a
-        spacing, and their images) are computed.
-        """
-        data = self._cache.get(count)
-        if data is None:
-            coarse = self._cache.get(count // 2) if count % 2 == 0 else None
-            if coarse is None:
-                data = self._mapped_data(count, False)
-            else:
-                z, z2, w = circle_nodes(count), np.empty(count, dtype=complex), np.empty(count)
-                z_odd, z2[1::2], w[1::2] = self._mapped_data(count // 2, True)
-                z2[::2], w[::2] = coarse[1], coarse[2]
-                if self.center:
-                    z = np.empty(count, dtype=complex)
-                    z[::2], z[1::2] = coarse[0], z_odd
-                data = (z, z2, w)
-            # integrate hands these arrays to the integrand: no write may
-            # reach the cache
-            for a in data:
-                a.setflags(write=False)
-            self._cache[count] = data
+        if b:
+            d = 1.0 + np.conj(b) * omega
+            z = (omega + b) / d
+            inv *= (d.real ** 2 + d.imag ** 2) ** (m - 1)
+            data = (z, z2, self.weight_num.eval(z).real * inv)
+        else:
+            data = (omega, z2, self.weight_num.node_values(count).real * inv)
+        # integrate hands these arrays to the integrand: no write may
+        # reach the cache
+        for a in data:
+            a.setflags(write=False)
+        self._cache[count] = data
         return data
 
     def rule(self, count: int) -> list:
@@ -442,10 +424,10 @@ def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
         )
     weight_num = rif.t
     if matched:
-        kept = [s.tau for k, s in enumerate(rif.singularities)
-                for _ in range(s.mult // 2 - (k in ac.matched))]
+        kept = tuple(s.tau for k, s in enumerate(rif.singularities)
+                     for _ in range(s.mult // 2 - (k in ac.matched)))
         weight_num = TrigPoly.modulus_squared(
-            _spectral_factor(rif.t, rif.q_inside, kept, [s.tau for s in matched]))
+            _spectral_factor(rif.t, rif.inside + kept, [s.tau for s in matched]))
     return ClarkMeasure(
         rif=rif,
         alpha_class=ac,
@@ -473,7 +455,8 @@ def integrate(cm: ClarkMeasure, f, count: int | None = RULE_NODES) -> complex | 
     geometric model e_N ~ C r^N, which predicts the next difference
     d (d / d_prev)^2, puts it within 16 eps.  The cap is 2**20 nodes.
     The rules are nested: a doubling keeps the sums over the old nodes and
-    evaluates f only at the new, odd ones.
+    evaluates f only at the new, odd ones; the node data at each count is
+    cm.node_data(count).
 
     Poisson integrals at P points, one row of poisson2 each:
 

@@ -97,24 +97,19 @@ def _power_table(y: np.ndarray, size: int) -> np.ndarray:
     return pw
 
 
-def _fft_values(coeffs: np.ndarray, low: int, count: int, half: bool = False) -> np.ndarray:
-    """sum_i coeffs[i] * zeta**(low + i) at the count nodes
-    zeta_j = exp(2 pi i (j + s) / count), s = 1/2 if half else 0, by one
-    inverse FFT.
+def _fft_values(coeffs: np.ndarray, low: int, count: int) -> np.ndarray:
+    """sum_i coeffs[i] * zeta**(low + i) at the count-th roots of unity
+    zeta_j = exp(2 pi i j / count), by one inverse FFT.
 
     Each coefficient is added into the spectrum at its power modulo count,
-    (low + i) mod count, so any count >= 1 works; half rotates the
-    coefficients instead of the nodes.
+    (low + i) mod count, so any count >= 1 works.
     """
     count = int(count)
     if count < 1:
         raise DomainError("node count must be positive")
     c = np.asarray(coeffs, dtype=complex)
-    power = np.arange(low, low + c.size)
-    if half:
-        c = c * np.exp(1j * np.pi * power / count)
     spectrum = np.zeros(count, dtype=complex)
-    np.add.at(spectrum, power % count, c)
+    np.add.at(spectrum, np.arange(low, low + c.size) % count, c)
     return np.fft.ifft(spectrum, norm="forward")
 
 
@@ -646,10 +641,9 @@ class TrigPoly:
 
     __call__ = eval
 
-    def node_values(self, count: int, half: bool = False) -> np.ndarray:
-        """Values at the count-th roots of unity, or, with half, at those
-        roots turned by half a spacing, by one FFT."""
-        return _fft_values(self.coeffs, -self.d, count, half)
+    def node_values(self, count: int) -> np.ndarray:
+        """Values at the count-th roots of unity, by one FFT."""
+        return _fft_values(self.coeffs, -self.d, count)
 
     def theta_eval(self, theta: float, order: int = 0) -> complex:
         """order-th derivative of theta |-> t(e^{i theta}) at a single angle."""
@@ -778,25 +772,25 @@ def _split_circle_roots(t: TrigPoly):
     return circle, inside
 
 
-def _spectral_factor(t: TrigPoly, inside: UniPoly, zeros, cancelled=()) -> UniPoly:
-    """amp * inside * prod (z - r) over zeros: t's spectral factor Q, with
-    one factor (z - c) left out per point c of cancelled.
+def _spectral_factor(t: TrigPoly, zeros, cancelled=()) -> UniPoly:
+    """amp * prod (z - r) over zeros: t's spectral factor Q, with one
+    factor (z - c) left out per point c of cancelled.
 
-    inside is the monic product of t's roots inside the disk; zeros and
-    cancelled hold half of each circle zero.  The product is taken as
-    values at the N-th roots of unity, N the first power of two above
-    2 deg t, and its coefficients come from one FFT.  amp > 0 is fixed by
-    Parseval's identity, the mean of |Q|^2 being t's constant coefficient,
-    and the same values, times prod |zeta - c|^2, are certified against t:
+    zeros are t's roots inside the disk and half of each circle zero but
+    those in cancelled.  The product is taken as values at the N-th roots
+    of unity, N the first power of two above 2 deg t, and its
+    coefficients come from one FFT.  amp > 0 is fixed by Parseval's
+    identity, the mean of |Q|^2 being t's constant coefficient, and the
+    same values, times prod |zeta - c|^2, are certified against t:
     N > 2 deg t samples bound every coefficient of the difference.
     """
     _, d_eff = t.as_poly()
-    degree = inside.degree + len(zeros)
+    degree = len(zeros)
     if degree + len(cancelled) != d_eff:
         raise NumericError("root pairing across the circle failed")
     count = 1 << (2 * t.d).bit_length()
     omega = np.exp(2j * np.pi * np.arange(count) / count)
-    vals = inside.node_values(count)
+    vals = np.ones(count, dtype=complex)
     for r in zeros:
         vals *= omega - r
     full = np.abs(vals) ** 2
@@ -831,7 +825,7 @@ def fejer_riesz(t: TrigPoly) -> UniPoly:
     # an odd-order circle zero fails the degree count in _spectral_factor
     circle, inside = _split_circle_roots(t)
     halves = [tau for tau, m in circle for _ in range(m // 2)]
-    return _spectral_factor(t, UniPoly.from_roots(inside), halves)
+    return _spectral_factor(t, inside + halves)
 
 
 @dataclass(frozen=True)

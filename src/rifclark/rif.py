@@ -104,8 +104,8 @@ class Rif:
     stability analysis.  pt1 and pt2 name the reflection parts so that
     ptilde = pt2 + z2 * pt1 mirrors p = p1 + z2 * p2.  t is the boundary
     polynomial |p1|^2 - |p2|^2 whose circle zeros validate certified as the
-    singularities, q_inside the monic product of its roots inside the disk;
-    everything downstream reads them from here.
+    singularities, and inside holds its roots inside the disk; everything
+    downstream reads them from here.
     """
 
     p: BiPolyN1
@@ -113,7 +113,7 @@ class Rif:
     singularities: tuple
     phi_at_origin: complex
     t: TrigPoly = field(repr=False, compare=False)
-    q_inside: UniPoly = field(repr=False, compare=False)
+    inside: tuple = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -293,7 +293,7 @@ def validate(p: BiPolyN1) -> Rif:
     if 2 * len(inside) + sum(s.mult for s in sings) != 2 * t.as_poly()[1]:
         raise NumericError("root pairing across the circle failed")
     phi0 = pt.p1(0.0) / p.p1(0.0)
-    return Rif(p, pt, sings, complex(phi0), t, UniPoly.from_roots(inside))
+    return Rif(p, pt, sings, complex(phi0), t, tuple(inside))
 
 
 def phi_eval(rif: Rif, z) -> complex | np.ndarray:

@@ -300,10 +300,11 @@ def test_node_data_matches_pointwise_evaluation():
     # reference does not inherit the rounding of the double nodes: next to
     # a Blaschke zeta - a_k loses eps / |zeta - a_k| relative, 1e-12 at
     # deg31's zero 7e-5 from the circle at e^{0.37i}, the mapped case.
-    # 4096 is computed directly, 8192 reuses it at the even nodes, 1000 is
-    # odd.  Near-exceptional alpha is left out: there the weight numerator
-    # nearly vanishes next to the contact and is fixed by its coefficients
-    # only to about 1e-12 relative, by FFT and by Horner alike.
+    # 4096 and 8192 are nested counts, each computed from its own roots of
+    # unity, and 1000 is odd.  Near-exceptional alpha is left out: there
+    # the weight numerator nearly vanishes next to the contact and is fixed
+    # by its coefficients only to about 1e-12 relative, by FFT and by
+    # Horner alike.
     mapped = set()
     for name, cm in _measure_cases(near_exceptional=False):
         b = cm.center
@@ -320,6 +321,18 @@ def test_node_data_matches_pointwise_evaluation():
             assert np.max(np.abs(z2 - want_z2)) <= 1e-12, name
             assert np.max(np.abs(w - want_w)) <= 1e-12 * max(1.0, np.max(w)), name
     assert mapped == {"deg31"}
+
+
+@pytest.mark.parametrize("name, alpha", [("amy", complex(np.exp(2.1j))), ("fave", 1j)],
+                         ids=["amy", "fave"])
+def test_node_data_does_not_depend_on_the_cache(name, alpha):
+    # each count comes from its own roots of unity: the rule of a measure
+    # that cached the half count first is bit for bit the fresh rule
+    rif = get(name).build()
+    fresh = clark_measure(rif, alpha).node_data(4096)
+    cm = clark_measure(rif, alpha)
+    cm.node_data(2048)
+    assert all(np.array_equal(a, b) for a, b in zip(cm.node_data(4096), fresh))
 
 
 def test_node_data_makes_no_two_product_pass(monkeypatch):

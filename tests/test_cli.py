@@ -14,6 +14,7 @@ from rifclark.clark import clark_measure
 from rifclark.errors import DomainError, NumericError
 from rifclark.polynomials import UniPoly
 from rifclark.rif import BiPolyN1, validate
+from rifclark.verification import suite_names
 
 
 def test_parse_alpha_literals_and_cartesian():
@@ -320,6 +321,18 @@ def test_verify_output_is_byte_deterministic(capsys):
         assert cli.main(["verify", "fave", "--seed", "0"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and "elapsed" not in outs[0]
+
+
+@pytest.mark.parametrize("name", names())
+def test_verify_entries_do_not_depend_on_the_suite_order(name, capsys):
+    # suites share the run's measures and their cached node data; an entry
+    # must not show which suite ran first
+    reports = []
+    for extra in ([], ["--suite", ",".join(reversed(suite_names()))]):
+        assert cli.main(["verify", name, "--seed", "0", *extra]) == 0
+        suites = json.loads(capsys.readouterr().out)["suites"]
+        reports.append({s["name"]: json.dumps(s) for s in suites})
+    assert reports[0] == reports[1]
 
 
 def test_verify_unknown_suite_is_input_error(capsys):

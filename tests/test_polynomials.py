@@ -198,11 +198,8 @@ def test_fft_values_match_horner():
         scale_t = np.sum(np.abs(t.coeffs))
         for count in {1, max(1, deg // 3), max(1, deg), deg + 1, 512}:
             z = np.exp(2j * np.pi * np.arange(count) / count)
-            zh = np.exp(2j * np.pi * (np.arange(count) + 0.5) / count)
             assert np.max(np.abs(p.node_values(count) - p(z))) <= 1e-13 * scale_p
             assert np.max(np.abs(t.node_values(count) - t.eval(z))) <= 1e-13 * scale_t
-            got = t.node_values(count, half=True)
-            assert np.max(np.abs(got - t.eval(zh))) <= 1e-13 * scale_t
 
 
 def test_roots_keep_small_leading_coefficients():
