@@ -41,11 +41,11 @@ from .polynomials import (
     TrigPoly,
     UniPoly,
     blaschke_from_rational,
+    circle_nodes,
     fejer_riesz,
     roots,
 )
 from .quadrature import (
-    circle_nodes,
     pointmass_probe,
     poisson2,
 )

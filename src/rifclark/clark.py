@@ -93,10 +93,11 @@ from .polynomials import (
     TrigPoly,
     UniPoly,
     _spectral_factor,
+    _zero_product,
     blaschke_from_rational,
+    circle_nodes,
     cplx_to_json,
 )
-from .quadrature import circle_nodes
 from .rif import Rif, is_saturated
 
 # node count of the fixed rule, and the cap on the adaptive rule's start
@@ -211,7 +212,7 @@ class ClarkMeasure:
 
     def weight_eval(self, zeta) -> np.ndarray:
         """W_alpha at unimodular points; real, finite, nonnegative."""
-        zero_prod, _ = self.balpha.factors(zeta)
+        zero_prod = _zero_product(zeta, self.balpha.zeros)
         den = abs(self.u.coeffs[-1]) ** 2 * (zero_prod.real ** 2 + zero_prod.imag ** 2)
         w = self.weight_num.eval(zeta).real / _positive(den)
         return float(w) if np.ndim(zeta) == 0 else w
@@ -247,11 +248,7 @@ class ClarkMeasure:
         zeros, gamma, scale = self._pulled
         m = zeros.size
         omega = circle_nodes(count)
-        prod = omega - zeros[0] if m else np.ones(omega.shape, dtype=complex)
-        tmp = np.empty(omega.shape, dtype=complex)
-        for a in zeros[1:]:
-            np.subtract(omega, a, out=tmp)
-            prod *= tmp
+        prod = _zero_product(omega, zeros)
         den = _positive(prod.real ** 2 + prod.imag ** 2)
         inv = np.divide(1.0, den, out=den)
         z2 = np.multiply(prod, prod, out=prod)

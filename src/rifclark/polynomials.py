@@ -32,6 +32,9 @@ extraction classifies roots inside a generous band around the circle,
 clusters them by angle, polishes each cluster with a Newton step on an
 angular derivative, and only then certifies the zero and its multiplicity,
 retrying a cluster that fails on its members nearest the circle.
+
+Every product over a list of zeros, lead * prod (x - r), is taken pointwise
+by _zero_product, and every table of roots of unity comes from circle_nodes.
 """
 
 from __future__ import annotations
@@ -97,20 +100,30 @@ def _power_table(y: np.ndarray, size: int) -> np.ndarray:
     return pw
 
 
-def _fft_values(coeffs: np.ndarray, low: int, count: int) -> np.ndarray:
-    """sum_i coeffs[i] * zeta**(low + i) at the count-th roots of unity
-    zeta_j = exp(2 pi i j / count), by one inverse FFT.
+_NODE_CACHE: dict[int, np.ndarray] = {}
 
-    Each coefficient is added into the spectrum at its power modulo count,
-    (low + i) mod count, so any count >= 1 works.
-    """
+
+def circle_nodes(count: int) -> np.ndarray:
+    """The count-th roots of unity, cached; treat the array as read only."""
     count = int(count)
     if count < 1:
         raise DomainError("node count must be positive")
-    c = np.asarray(coeffs, dtype=complex)
-    spectrum = np.zeros(count, dtype=complex)
-    np.add.at(spectrum, np.arange(low, low + c.size) % count, c)
-    return np.fft.ifft(spectrum, norm="forward")
+    nodes = _NODE_CACHE.get(count)
+    if nodes is None:
+        nodes = np.exp(2j * np.pi * np.arange(count) / count)
+        nodes.setflags(write=False)
+        _NODE_CACHE[count] = nodes
+    return nodes
+
+
+def _zero_product(points, zeros, lead=1.0) -> np.ndarray:
+    """lead * prod (points - r) over the zeros r, in one in-place pass."""
+    points = np.asarray(points, dtype=complex)
+    out = np.full(points.shape, complex(lead))
+    tmp = np.empty_like(out)
+    for r in zeros:
+        out *= np.subtract(points, r, out=tmp)
+    return out
 
 
 class UniPoly:
@@ -148,10 +161,6 @@ class UniPoly:
         if np.ndim(z) == 0:
             return complex(out)
         return out
-
-    def node_values(self, count: int) -> np.ndarray:
-        """Values at the count-th roots of unity, by one FFT."""
-        return _fft_values(self.coeffs, 0, count)
 
     def derivative(self) -> "UniPoly":
         if self.coeffs.size <= 1:
@@ -192,11 +201,7 @@ class UniPoly:
         first power of two above the degree, and one FFT, so roundoff does
         not grow factor by factor as in a chain of convolutions."""
         r = np.asarray(roots_list, dtype=complex).ravel()
-        count = 1 << r.size.bit_length()
-        omega = np.exp(2j * np.pi * np.arange(count) / count)
-        vals = np.full(count, complex(leading))
-        for x in r:
-            vals *= omega - x
+        vals = _zero_product(circle_nodes(1 << r.size.bit_length()), r, leading)
         return UniPoly(np.fft.fft(vals, norm="forward")[: r.size + 1])
 
     def padded(self, length: int) -> np.ndarray:
@@ -642,8 +647,14 @@ class TrigPoly:
     __call__ = eval
 
     def node_values(self, count: int) -> np.ndarray:
-        """Values at the count-th roots of unity, by one FFT."""
-        return _fft_values(self.coeffs, -self.d, count)
+        """Values at the count-th roots of unity by one inverse FFT, each
+        coefficient added at its power modulo count (any count >= 1)."""
+        count = int(count)
+        if count < 1:
+            raise DomainError("node count must be positive")
+        spectrum = np.zeros(count, dtype=complex)
+        np.add.at(spectrum, np.arange(-self.d, self.d + 1) % count, self.coeffs)
+        return np.fft.ifft(spectrum, norm="forward")
 
     def theta_eval(self, theta: float, order: int = 0) -> complex:
         """order-th derivative of theta |-> t(e^{i theta}) at a single angle."""
@@ -788,18 +799,13 @@ def _spectral_factor(t: TrigPoly, zeros, cancelled=()) -> UniPoly:
     degree = len(zeros)
     if degree + len(cancelled) != d_eff:
         raise NumericError("root pairing across the circle failed")
-    count = 1 << (2 * t.d).bit_length()
-    omega = np.exp(2j * np.pi * np.arange(count) / count)
-    vals = np.ones(count, dtype=complex)
-    for r in zeros:
-        vals *= omega - r
-    full = np.abs(vals) ** 2
-    for c in cancelled:
-        full *= np.abs(omega - c) ** 2
+    omega = circle_nodes(1 << (2 * t.d).bit_length())
+    vals = _zero_product(omega, zeros)
+    full = np.abs(vals) ** 2 * np.abs(_zero_product(omega, cancelled)) ** 2
     amp2 = float(t.coeffs[t.d].real) / float(np.mean(full))
     if not amp2 > 0.0:
         raise NumericError("spectral factor amplitude is not positive")
-    tv = t.node_values(count).real
+    tv = t.node_values(omega.size).real
     resid = float(np.max(np.abs(amp2 * full - tv)))
     if resid > TOL * max(1.0, float(np.max(np.abs(tv)))):
         raise NumericError("factorization certificate failed", residual=resid)
@@ -830,7 +836,8 @@ def fejer_riesz(t: TrigPoly) -> UniPoly:
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
-    """Finite Blaschke product gamma * prod (z - a) / (1 - conj(a) z).
+    """Finite Blaschke product B = constant * N / D, N = prod (z - a) and
+    D = prod (1 - conj(a) z) over the zeros a.
 
     The constant is unimodular (projected on construction, rejected if off
     by more than 1e-6) and every zero lies strictly inside the open disk.
@@ -854,30 +861,16 @@ class BlaschkeProduct:
     def degree(self) -> int:
         return len(self.zeros)
 
-    def factors(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(N, D) = (prod (zeta - a), prod (1 - conj(a) zeta)) over the
-        zeros, in one in-place pass; B = constant * N / D.
-
-        Meant for unimodular zeta, where |N| = |D| and neither product can
-        overflow at the degrees handled here.  It serves pointwise
-        evaluation; the quadrature node data of clark forms N alone, since
-        on the circle D = zeta^m conj(N).
-        """
-        zz = np.asarray(zeta, dtype=complex)
-        num = np.ones(zz.shape, dtype=complex)
+    def eval(self, z):
+        """B = constant * N / D, N from _zero_product and D from its own loop."""
+        zz = np.asarray(z, dtype=complex)
         den = np.ones(zz.shape, dtype=complex)
         tmp = np.empty(zz.shape, dtype=complex)
         for a in self.zeros:
-            np.subtract(zz, a, out=tmp)
-            num *= tmp
             np.multiply(zz, -np.conj(a), out=tmp)
             tmp += 1.0
             den *= tmp
-        return num, den
-
-    def eval(self, z):
-        num, den = self.factors(z)
-        out = self.constant * num / den
+        out = self.constant * _zero_product(zz, self.zeros) / den
         return complex(out) if np.ndim(z) == 0 else out
 
     __call__ = eval

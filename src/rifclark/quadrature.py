@@ -9,7 +9,8 @@ The rules nest: the 2N roots of unity are the N roots plus the N roots
 turned by half a spacing, so a doubling keeps the N-node sum and adds the
 new nodes only (clark.integrate does this).  A Laurent polynomial takes its
 values at the N roots of unity from one inverse FFT of its coefficients,
-each added at its power modulo N (TrigPoly.node_values).
+each added at its power modulo N (TrigPoly.node_values).  circle_nodes,
+the table of roots of unity, is defined in polynomials and re-exported.
 """
 
 from __future__ import annotations
@@ -17,26 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .polynomials import circle_nodes
 from .rif import phi_eval
 
-_NODE_CACHE: dict[int, np.ndarray] = {}
 # ||w| - 1| <= 1e-6 read on |w|^2
 _TORUS_BAND = ((1.0 - 1e-6) ** 2, (1.0 + 1e-6) ** 2)
 # radii at which pointmass_probe samples the scaled kernel
 _PROBE_RADII = (0.9, 0.99, 0.999, 0.9999)
-
-
-def circle_nodes(count: int) -> np.ndarray:
-    """The count-th roots of unity, cached; treat the array as read only."""
-    count = int(count)
-    if count < 1:
-        raise DomainError("node count must be positive")
-    nodes = _NODE_CACHE.get(count)
-    if nodes is None:
-        nodes = np.exp(2j * np.pi * np.arange(count) / count)
-        nodes.setflags(write=False)
-        _NODE_CACHE[count] = nodes
-    return nodes
 
 
 def poisson2(z, zeta, out: np.ndarray | None = None) -> np.ndarray:

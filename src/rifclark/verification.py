@@ -297,8 +297,7 @@ def _suite_unitary(ctx: _Ctx):
     rif = ctx.rif
     exc = _distinct_exceptional(rif)
     bad = 0
-    for a in np.exp(2j * np.pi * np.arange(64) / 64):
-        a = complex(a)
+    for a in circle_nodes(64).tolist():
         want = (Unitarity.NOT_UNITARY
                 if any(abs(a - b) <= 1e-8 for b in exc) else Unitarity.UNITARY)
         bad += classify_unitary(rif, a) is not want

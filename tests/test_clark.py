@@ -23,7 +23,8 @@ from rifclark.clark import (
     level_set_sample,
 )
 from rifclark.errors import DomainError, NumericError
-from rifclark.polynomials import TOL, BlaschkeProduct, TrigPoly, UniPoly, cplx_from_json
+from rifclark.polynomials import (
+    TOL, BlaschkeProduct, TrigPoly, UniPoly, _zero_product, cplx_from_json)
 from rifclark.quadrature import circle_nodes, poisson2
 from rifclark.rif import BiPolyN1, phi_eval, validate
 
@@ -337,7 +338,8 @@ def test_node_data_does_not_depend_on_the_cache(name, alpha):
 
 def test_node_data_makes_no_two_product_pass(monkeypatch):
     # one product over the (pulled-back) zeros gives the curve data;
-    # BlaschkeProduct.factors serves pointwise evaluation only
+    # BlaschkeProduct.eval, with its second product over the zeros, serves
+    # pointwise evaluation only
     cases = [clark_measure(get("amy").build(), complex(np.exp(2.1j))),
              clark_measure(get("fave").build(), -1.0),
              clark_measure(get("deg31").build(), complex(np.exp(0.37j)))]
@@ -346,9 +348,10 @@ def test_node_data_makes_no_two_product_pass(monkeypatch):
     assert [bool(cm.center) for cm in cases] == [False, False, True]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("node_data called BlaschkeProduct.factors")
+        raise AssertionError("node_data evaluated the Blaschke product")
 
-    monkeypatch.setattr(BlaschkeProduct, "factors", refuse)
+    monkeypatch.setattr(BlaschkeProduct, "eval", refuse)
+    monkeypatch.setattr(BlaschkeProduct, "__call__", refuse)
     for cm in cases:
         for count in (4096, 8192, 1000):
             cm.node_data(count)
@@ -464,7 +467,7 @@ def test_factored_weight_denominator_matches_trigpoly():
     # Blaschke zeros' product and tau_k the matched contacts
     z = np.exp(2j * np.pi * (np.arange(777) + 0.3) / 777)
     for name, cm in _measure_cases(near_exceptional=True):
-        zero_prod, _ = cm.balpha.factors(z)
+        zero_prod = _zero_product(z, cm.balpha.zeros)
         factored = abs(cm.u.coeffs[-1]) ** 2 * np.abs(zero_prod) ** 2
         for tau, _mass in cm.lines:
             factored *= np.abs(z - tau) ** 2

@@ -144,3 +144,65 @@ def test_every_public_name_has_a_caller():
                 if where is None or where[0] != path or not where[1] <= node.lineno <= where[2]:
                     used.add(name)
     assert sorted(set(rifclark.__all__) - used - {"__version__"}) == []
+
+
+def _annotated_class(node, classes):
+    """The package class an annotation names, also as a string, or None."""
+    name = node.value if isinstance(node, ast.Constant) else getattr(node, "id", None)
+    return name if name in classes else None
+
+
+def _method_reads() -> set:
+    """(class, name) of every attribute the package reads, class None where
+    the receiver's class is not known, plus (None, word) for the words of
+    the README's python blocks.  The class is known for a class name, for
+    self, for a parameter annotated with a class and for self.field where
+    the class annotates field; a class body's own names, as in
+    __call__ = eval, are read on the class.  A read inside the function of
+    the same name, on its own class or an unknown one, is not a caller."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "rifclark").glob("*.py"))
+             if path.name != "__init__.py"]
+    classes = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    reads = {(None, word) for word in re.findall(r"\w+", "\n".join(_readme_blocks()))}
+    for tree in trees:
+        scopes = [(None, [n for n in tree.body if not isinstance(n, ast.ClassDef)])]
+        scopes += [(n.name, n.body) for n in tree.body if isinstance(n, ast.ClassDef)]
+        for owner, body in scopes:
+            fields = {n.target.id: _annotated_class(n.annotation, classes) for n in body
+                      if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+            for stmt in body:
+                fn = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+                args = stmt.args.posonlyargs + stmt.args.args if fn else []
+                known = {a.arg: _annotated_class(a.annotation, classes)
+                         for a in args if a.annotation}
+                this = args[0].arg if owner and args else None
+                if this:
+                    known[this] = owner
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name) and owner and not fn:
+                        reads.add((owner, node.id))
+                    if not isinstance(node, ast.Attribute):
+                        continue
+                    recv = node.value
+                    of = None
+                    if isinstance(recv, ast.Name):
+                        of = known.get(recv.id) or (recv.id if recv.id in classes else None)
+                    elif (isinstance(recv, ast.Attribute) and isinstance(recv.value, ast.Name)
+                          and recv.value.id == this):
+                        of = fields.get(recv.attr)
+                    if not (node.attr == fn and of in (None, owner)):
+                        reads.add((of, node.attr))
+    return reads
+
+
+def test_every_public_method_has_a_caller():
+    # the rule above for the public methods of the exported classes, read
+    # per class where the receiver's class is known; TrigPoly.circle_zeros
+    # stays because the benchmark's traced run wraps it by name
+    reads = _method_reads()
+    unused = [name for name, _ in _public_callables() if "." in name
+              and not {(None, name.split(".")[1]), tuple(name.split("."))} & reads]
+    assert unused == ["TrigPoly.circle_zeros"]
+

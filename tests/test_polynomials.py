@@ -191,14 +191,10 @@ def test_fft_values_match_horner():
     # degrees 0 to 256; counts below the degree fold powers modulo count
     rng = np.random.default_rng(7)
     for deg in list(range(17)) + [31, 32, 33, 64, 100, 127, 128, 255, 256]:
-        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        p = UniPoly(c)
         t = TrigPoly(rng.normal(size=2 * deg + 1) + 1j * rng.normal(size=2 * deg + 1), deg)
-        scale_p = np.sum(np.abs(c))
         scale_t = np.sum(np.abs(t.coeffs))
         for count in {1, max(1, deg // 3), max(1, deg), deg + 1, 512}:
             z = np.exp(2j * np.pi * np.arange(count) / count)
-            assert np.max(np.abs(p.node_values(count) - p(z))) <= 1e-13 * scale_p
             assert np.max(np.abs(t.node_values(count) - t.eval(z))) <= 1e-13 * scale_t
 
 
@@ -273,9 +269,7 @@ def test_blaschke_factors_match_eval():
     want = np.full(z.shape, b.constant)
     for a in b.zeros:
         want = want * (z - a) / (1.0 - np.conj(a) * z)
-    num, den = b.factors(z)
     assert np.max(np.abs(b(z) - want)) < 1e-14
-    assert np.max(np.abs(np.abs(num) - np.abs(den))) < 1e-14
     one = b(complex(z[5]))
     assert isinstance(one, complex) and abs(one - want[5]) < 1e-14
 

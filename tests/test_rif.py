@@ -13,7 +13,7 @@ from rifclark.agler import compute_Q
 from rifclark.catalog import entries, get
 from rifclark.clark import clark_measure
 from rifclark.errors import DomainError, NumericError, RifClarkError
-from rifclark.polynomials import UniPoly
+from rifclark.polynomials import TrigPoly, UniPoly
 from rifclark.rif import (
     BiPolyN1,
     _line_derivative,
@@ -431,8 +431,13 @@ def test_validate_refuses_a_split_of_t_that_does_not_pair():
     # alpha_k would be called generic and unitary without a word
     f = gen.draw(np.random.default_rng([7, 64, 6]), 64, _wide_ring)
     assert len(f.taus) == 2
+    poly = _poly(f.p1, f.p2, 64)
     with pytest.raises(NumericError, match="root pairing across the circle failed"):
-        validate(_poly(f.p1, f.p2, 64))
+        validate(poly)
+    # fejer_riesz splits t the same way and refuses it the same way
+    t = TrigPoly.modulus_squared(poly.p1) - TrigPoly.modulus_squared(poly.p2)
+    with pytest.raises(NumericError, match="root pairing across the circle failed"):
+        polynomials.fejer_riesz(t)
 
 
 def test_analyze_never_prints_a_wide_span_mass_off_its_closed_form(tmp_path, capsys):
