@@ -86,17 +86,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, RifClarkError
 from .polynomials import (
     TOL,
     BlaschkeProduct,
     TrigPoly,
     UniPoly,
+    _blaschke,
+    _reflection_constant,
     _spectral_factor,
     _zero_product,
-    blaschke_from_rational,
     circle_nodes,
     cplx_to_json,
+    roots,
 )
 from .rif import Rif, is_saturated
 
@@ -384,28 +386,75 @@ def _map_center(zeros) -> complex:
 def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
     """Construct sigma_alpha exactly from the singularity data.
 
-    The pencil u = pt1 - alpha p2, v = alpha p1 - pt2 goes to
-    blaschke_from_rational as it is, which certifies v = c u* and folds
-    each matched tau_k, a common circle zero of u and v, into the Blaschke
-    constant, so B_alpha keeps degree n - l; the measure keeps only u.
-    The factor |zeta - tau_k|^2 of a matched singularity cancels once from
-    the weight numerator, the boundary polynomial rif.t = |p1|^2 - |p2|^2,
-    and once from the weight denominator |u|^2: the numerator is |Q_red|^2,
-    Q_red the spectral factor of rif.t less one (z - tau_k) per line.  Line
+    The pencil u = pt1 - alpha p2, v = alpha p1 - pt2 is certified as
+    v = c u* on its coefficients, and the roots of u, found once, give
+    B_alpha as blaschke_from_rational would: each matched tau_k, a common
+    circle zero of u and v, folds into the Blaschke constant, so B_alpha
+    keeps degree n - l; the measure keeps only u.  The factor
+    |zeta - tau_k|^2 of a matched singularity cancels once from the weight
+    numerator, the boundary polynomial rif.t = |p1|^2 - |p2|^2, and once
+    from the weight denominator |u|^2: the numerator is |Q_red|^2, Q_red
+    the spectral factor of rif.t less one (z - tau_k) per line.  Line
     masses come from the stored derivative constants, c_k = 1 / |deriv_k|.
+    This is the one-alpha case of _clark_measures.
     """
-    ac = classify_alpha(rif, alpha)
-    u = rif.pt1 - ac.alpha * rif.p2
-    v = ac.alpha * rif.p1 - rif.pt2
-    if u.is_zero or v.is_zero:
-        raise DomainError("degenerate pencil at this alpha")
+    cm = _clark_measures(rif, [alpha])[0]
+    if isinstance(cm, RifClarkError):
+        raise cm
+    return cm
+
+
+def _clark_measures(rif: Rif, alphas) -> list:
+    """clark_measure at every alpha of a list, in order, with the error
+    clark_measure would raise at an alpha in place of its measure.
+
+    The K pencils u and v are formed as one array product, v = c u* is
+    certified row by row, the rows that pass are root-found as one stack
+    (polynomials.roots), and each measure is then assembled on its own.
+    """
+    out: list = []
+    for alpha in alphas:
+        try:
+            out.append(classify_alpha(rif, alpha))
+        except DomainError as err:
+            # an error is kept without its traceback, whose frames hold out
+            out.append(err.with_traceback(None))
+    ks = [k for k, ac in enumerate(out) if isinstance(ac, AlphaClass)]
+    size = rif.n + 1
+    a = np.array([out[k].alpha for k in ks], dtype=complex)[:, None]
+    us = rif.pt1.padded(size) - a * rif.p2.padded(size)
+    vs = a * rif.p1.padded(size) - rif.pt2.padded(size)
+    rows, pencils = [], []
+    for j, (k, u_row, v_row) in enumerate(zip(ks, us, vs)):
+        u, v = UniPoly(u_row), UniPoly(v_row)
+        try:
+            if u.is_zero or v.is_zero:
+                raise DomainError("degenerate pencil at this alpha")
+            pencils.append((k, u, _reflection_constant(u, v)))
+            rows.append(j)
+        except DomainError as err:
+            out[k] = err.with_traceback(None)
+    for (k, u, c), found in zip(pencils, roots(us[rows])):
+        if isinstance(found, RifClarkError):
+            out[k] = found
+            continue
+        try:
+            out[k] = _assemble(rif, out[k], u, _blaschke(u, c, found))
+        except RifClarkError as err:
+            out[k] = err.with_traceback(None)
+    return out
+
+
+def _assemble(rif: Rif, ac: AlphaClass, u: UniPoly, balpha: BlaschkeProduct) -> ClarkMeasure:
+    """The measure at ac.alpha from its pencil numerator u and B_alpha:
+    B_alpha's degree checked against n - l, the weight numerator reduced
+    at the matched contacts, and the line masses."""
     matched = [rif.singularities[k] for k in ac.matched]
-    balpha = blaschke_from_rational(u, v)
     expected = rif.n - len(matched)
     if balpha.degree != expected:
-        # blaschke_from_rational folds a root of u within TOL of the circle
-        # into the constant, one degree per root; the matched tau_k account
-        # for len(matched) of them
+        # the roots of u within TOL of the circle fold into the constant,
+        # one degree per root; the matched tau_k account for len(matched)
+        # of them
         reason = (
             f"; the pencil numerator has {u.degree - len(matched) - balpha.degree} "
             f"zero(s) within {TOL:g} of the unit circle at no matched contact"

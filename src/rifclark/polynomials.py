@@ -20,9 +20,18 @@ and the residual scale at all live iterates at once from one power table;
 iterates outside the unit disk go through the reversed polynomial at 1/z,
 so no power exceeds 1, and roots that pass the residual test are frozen;
 Newton steps whose value of p is taken in extended precision then polish
-each root that is not part of a cluster.  blaschke_from_rational finds the
-roots of the numerator only: the denominator must be a unimodular multiple
-of the numerator's reflection, which it certifies on the coefficients.
+each root that is not part of a cluster.  roots also takes a (K, n + 1)
+stack of coefficient rows, such as the pencils of a family of Clark
+measures: one Aberth iteration runs over the iterates of every row, each
+iterate's Aberth sum over its own row, the Newton polygons of all rows
+come from one matrix of chord slopes, and each row is evaluated by a
+batched product, one BLAS call per row, so a row gets the same bits in a
+stack as alone.  The polish, the clustering decision, the certificate
+and the companion-matrix fallback are decided row by row, and a row that
+fails is returned as its error, leaving the others as they are.
+blaschke_from_rational finds the roots of the numerator only: the
+denominator must be a unimodular multiple of the numerator's reflection,
+which it certifies on the coefficients.
 Structurally multiple roots on the unit circle are a core case here:
 boundary zeros of nonnegative trigonometric polynomials always have even
 order, and a 2m-fold root scatters under coefficient roundoff into a
@@ -92,11 +101,12 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _power_table(y: np.ndarray, size: int) -> np.ndarray:
-    """Rows 1, y, y**2, ..., y**(size - 1), one row per point of y."""
-    pw = np.empty((y.size, size), dtype=y.dtype)
-    pw[:, :1] = 1.0
-    pw[:, 1:] = y[:, None]
-    np.multiply.accumulate(pw, axis=1, out=pw)
+    """Rows 1, y, y**2, ..., y**(size - 1) along a new last axis, one row
+    per point of y."""
+    pw = np.empty(y.shape + (size,), dtype=y.dtype)
+    pw[..., :1] = 1.0
+    pw[..., 1:] = y[..., None]
+    np.multiply.accumulate(pw, axis=-1, out=pw)
     return pw
 
 
@@ -126,6 +136,16 @@ def _zero_product(points, zeros, lead=1.0) -> np.ndarray:
     return out
 
 
+def _coefficient_array(coeffs) -> np.ndarray:
+    """coeffs as a 1-D complex array; a scalar is one coefficient, and an
+    array of more dimensions (a stack of rows, say) is refused, never
+    flattened into one polynomial."""
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim > 1:
+        raise DomainError("coefficients must form a one-dimensional array")
+    return np.atleast_1d(c)
+
+
 class UniPoly:
     """Dense univariate polynomial with complex coefficients.
 
@@ -137,7 +157,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
+        c = _coefficient_array(coeffs)
         nz = np.flatnonzero(c)
         if nz.size:
             self.coeffs = c[: nz[-1] + 1].copy()
@@ -249,11 +269,11 @@ class UniPoly:
 
 
 def _nearest(z: np.ndarray) -> np.ndarray:
-    """Each point's exact distance to its nearest other point (inf for a
-    single point)."""
-    gaps = np.abs(z[:, None] - z)
-    np.fill_diagonal(gaps, np.inf)
-    return gaps.min(axis=1)
+    """Each point's exact distance to its nearest other point in the same
+    row, along the last axis of z (inf for a row of one point)."""
+    gaps = np.abs(z[..., :, None] - z[..., None, :])
+    gaps.reshape(gaps.shape[:-2] + (-1,))[..., :: z.shape[-1] + 1] = np.inf
+    return gaps.min(axis=-1)
 
 
 def _cluster_members(points, radius: float) -> list[list[int]]:
@@ -281,36 +301,43 @@ def _cluster_members(points, radius: float) -> list[list[int]]:
 
 
 def _eval_tables(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient columns for _eval_scaled: c and k*c, and |c| for the
-    backward-error scale."""
-    return np.stack([c, np.arange(len(c)) * c], axis=1), np.abs(c)
+    """Coefficient columns for _eval_scaled from a (K, L) stack of rows:
+    each row's c and k*c side by side, (K, L, 2), and its |c|, (K, L, 1),
+    for the backward-error scale."""
+    cols = np.empty(c.shape + (2,), dtype=complex)
+    cols[..., 0] = c
+    np.multiply(c, np.arange(c.shape[1]), out=cols[..., 1])
+    return cols, np.abs(c)[..., None]
 
 
 def _flipped_powers(z: np.ndarray, size: int, dtype=complex) -> np.ndarray:
-    """One row of powers per point of z, in dtype, n = size - 1: at a
-    point inside the closed disk z**k in column k, and at a point outside
-    it (1/z)**(n - k), so that no power exceeds 1."""
+    """One row of powers per point of z, along a new last axis, in dtype,
+    n = size - 1: at a point inside the closed disk z**k in column k, and
+    at a point outside it (1/z)**(n - k), so that no power exceeds 1."""
     outside = np.abs(z) > 1.0
     y = z.astype(dtype, copy=False)
     if not outside.any():
         return _power_table(y, size)
-    y = y.copy()
-    y[outside] = 1.0 / y[outside]
+    y = np.divide(1.0, y, out=y.copy(), where=outside)
     pw = _power_table(y, size)
     pw[outside] = pw[outside, ::-1]
     return pw
 
 
-def _scaled_values(tables: tuple[np.ndarray, np.ndarray], pw: np.ndarray):
+def _scaled_values(tables, pw: np.ndarray):
     """(value, slope, scale) from a table of _flipped_powers: two matrix
-    products, the scale as |power table| @ |c|."""
-    coef, acoef = tables
-    v = pw @ coef
-    return v[:, 0], v[:, 1], np.abs(pw) @ acoef
+    products, the scale as |power table| @ |c|.  The tables are one row's,
+    (L, 2) and (L, 1), against an (M, L) table of its points, or those of
+    R rows, (R, L, 2) and (R, L, 1), against an (R, m, L) table of each
+    row's points.  A batched product makes one BLAS call per row, so a
+    row's values carry the rounding they get when the row is alone."""
+    v = pw @ tables[0]
+    return v[..., 0], v[..., 1], (np.abs(pw) @ tables[1])[..., 0]
 
 
-def _eval_scaled(tables: tuple[np.ndarray, np.ndarray], z: np.ndarray):
-    """(value, slope, scale) of p at every point of z at once.
+def _eval_scaled(tables, z: np.ndarray):
+    """(value, slope, scale) of p at every point of z: of one row's tables
+    at a 1-D z, or of row k of stacked tables at the points z[k].
 
     Points inside the closed disk are evaluated directly: value p(z), slope
     z*p'(z), scale sum |c_k| |z|**k.  Points outside are evaluated at
@@ -322,11 +349,47 @@ def _eval_scaled(tables: tuple[np.ndarray, np.ndarray], z: np.ndarray):
     Newton correction p(z) / p'(z).  One power table and two matrix
     products give all three, with no select between two sets of columns.
     """
-    return _scaled_values(tables, _flipped_powers(z, tables[1].size))
+    return _scaled_values(tables, _flipped_powers(z, tables[1].shape[-2]))
+
+
+def _row_layout(row: np.ndarray, tables: tuple):
+    """How _by_rows evaluates points sorted by their stack row, row:
+    (tables, shape, take, real).  The points of a single row stay a flat
+    array, against that row's own tables (shape None).  The points of R
+    rows lie as one line per row, shape (R, m), against those rows'
+    tables: as they are, when every row holds m points, or else through
+    take, the (R, m) index of the points line by line, a short line
+    repeating its last point, with real marking the actual points."""
+    if row[0] == row[-1]:
+        r = int(row[0])
+        return tuple(t[r] for t in tables), None, None, None
+    counts = np.bincount(row)
+    rows = np.flatnonzero(counts)
+    counts = counts[rows]
+    tables = tuple(t[rows] for t in tables)
+    m = int(counts.max())
+    if counts.min() == m:
+        return tables, (rows.size, m), None, None
+    j = np.arange(m)
+    take = (np.cumsum(counts) - counts)[:, None] + np.minimum(j, counts[:, None] - 1)
+    return tables, take.shape, take, np.flatnonzero(j < counts[:, None])
+
+
+def _by_rows(evaluate, layout, z: np.ndarray):
+    """evaluate(tables, points) on a _row_layout of the points z, each
+    result back at the points."""
+    tables, shape, take, real = layout
+    if shape is None:
+        return evaluate(tables, z)
+    if take is None:
+        return [a.reshape(-1) for a in evaluate(tables, z.reshape(shape))]
+    return [a.reshape(-1)[real] for a in evaluate(tables, z[take])]
 
 
 def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
-    """Bini's starting points for Aberth, from the Newton polygon of c.
+    """Bini's starting points for Aberth, from the Newton polygon of each
+    row of c: coefficients along the last axis, (..., n + 1) in, (..., n)
+    out.
 
     The upper convex hull of the points (k, log|c_k|), zero coefficients
     skipped, splits the degree into edges; an edge from k1 to k2 gets
@@ -335,102 +398,145 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
     k1 / n of a full turn.  A polynomial with a single edge starts on one
     circle of radius |c_0 / c_n|**(1 / n).  (Bini, "Numerical computation
     of polynomial zeros by means of Aberth's method", Numer. Algorithms 13,
-    1996.)  Assumes c[0] != 0 and c[-1] != 0.
+    1996.)  The hull's vertices of every row come at once from the matrix
+    of chord slopes: k is a vertex when the least slope arriving from the
+    left exceeds the greatest slope leaving to the right.  A zero
+    coefficient has log -inf, so its chords never decide another point's
+    test, and its own test fails.  The points are then made edge by edge,
+    since a row has few edges: making them for every iterate at once
+    takes about 20 more numpy calls, which cost a single polynomial more
+    than the loop.  Assumes c[..., 0] != 0 and c[..., -1] != 0.
     """
-    n = len(c) - 1
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(c)).tolist()
-    # hull vertices (k, log|c_k|, slope of the edge that ends at k)
-    hull = [(0, logs[0], math.inf)]
-    for k in range(1, n + 1):
-        y = logs[k]
-        if y == -math.inf:
-            continue
-        k0, y0, s0 = hull[-1]
-        s = (y - y0) / (k - k0)
-        # the last vertex lies on or below the chord to k: drop it
-        while s >= s0:
-            hull.pop()
-            k0, y0, s0 = hull[-1]
-            s = (y - y0) / (k - k0)
-        hull.append((k, y, s))
+    n = c.shape[-1] - 1
+    k = np.arange(n + 1)
+    gap = k - k[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(np.abs(c.reshape(-1, n + 1)))
+        # slope[:, i, j]: the chord from i to j
+        slope = (y[:, None, :] - y[:, :, None]) / gap
+    chord = gap > 0
+    vertex = (slope.min(axis=1, where=chord, initial=np.inf)
+              > slope.max(axis=2, where=chord, initial=-np.inf))
     z: list[complex] = []
-    for (k1, _, _), (k2, _, s) in zip(hull, hull[1:]):
-        m = k2 - k1
-        r = min(max(math.exp(-s), 0.2), 4.0)
-        turn = 0.41 + 2 * math.pi * k1 / n
-        z += [cmath.rect(r, turn + 2 * math.pi * (j + 0.37) / m) for j in range(m)]
-    return np.array(z)
+    for logs, marks in zip(y.tolist(), vertex.tolist()):
+        hull = [k for k, mark in enumerate(marks) if mark]
+        for k1, k2 in zip(hull, hull[1:]):
+            m = k2 - k1
+            r = min(max(math.exp((logs[k1] - logs[k2]) / m), 0.2), 4.0)
+            turn = 0.41 + 2 * math.pi * k1 / n
+            z += [cmath.rect(r, turn + 2 * math.pi * (j + 0.37) / m) for j in range(m)]
+    return np.array(z).reshape(c.shape[:-1] + (n,))
 
 
 def _aberth(c: np.ndarray) -> np.ndarray:
-    """Simultaneous Aberth-Ehrlich iteration on ascending coefficients.
+    """Simultaneous Aberth-Ehrlich iteration on a (K, n + 1) stack of
+    ascending coefficient rows; returns the (K, n) iterates.
 
-    Assumes c[0] != 0 and c[-1] != 0.  The iterates start from the Newton
-    polygon of c (_newton_polygon_start), so roots on rings of different
-    radii, such as the mirror pairs of a boundary polynomial, start near
-    their own ring: on generated boundary polynomials of degree 32 to 256
-    that takes 16 to 18 sweeps, where one starting circle took 26 to 48.
-    Multiple roots converge linearly to a cluster whose residuals hit the
-    backward-stable floor, which is all the caller needs; no deflation is
-    performed.  The residual test depends only on a root's own iterate, so
-    a root that passes it is frozen: later sweeps evaluate and update the
-    remaining roots only, though their Aberth sums still run over every
-    iterate.  Each sweep makes one _eval_scaled call and about 35 numpy
-    calls in all.  A zero slope (the iterate sits on a critical point) or a
-    zero Aberth denominator makes the step non-finite; only then is the
-    sweep's step formed again with the guards: a fixed nudge in place of
-    the Newton correction at a zero slope, and the plain Newton step where
-    the denominator is below 1e-12.
+    Assumes c[:, 0] != 0 and c[:, -1] != 0.  The iterates start from the
+    Newton polygon of their row (_newton_polygon_start), so roots on rings
+    of different radii, such as the mirror pairs of a boundary polynomial,
+    start near their own ring: on generated boundary polynomials of degree
+    32 to 256 that takes 16 to 18 sweeps, where one starting circle took
+    26 to 48.  Multiple roots converge linearly to a cluster whose
+    residuals hit the backward-stable floor, which is all the caller needs;
+    no deflation is performed.  A sweep evaluates the live iterates of
+    every row at once, with one _eval_scaled call, and each iterate's
+    Aberth sum runs over the iterates of its own row only.  Everything
+    else is decided per row too, so a row takes the same steps in a stack
+    as on its own.  The residual test depends only on a root's own
+    iterate, so a root that passes it is frozen: later sweeps evaluate and
+    update the remaining roots only, though their Aberth sums still run
+    over every iterate of the row.  A row stops once its largest step is
+    below roundoff.  A zero slope (the iterate sits on a critical point)
+    or a zero Aberth denominator makes the step non-finite; only then is
+    that row's step formed again with the guards: a fixed nudge in place
+    of the Newton correction at a zero slope, and the plain Newton step
+    where the denominator is below 1e-12.
     """
-    n = len(c) - 1
+    K, n = c.shape[0], c.shape[1] - 1
     z = _newton_polygon_start(c)
+    flat = z.reshape(-1)
     floor = 8.0 * _EPS * (n + 1)
     tables = _eval_tables(c)
-    active = rows = np.arange(n)
-    # the live iterates, z[active], carried from sweep to sweep
-    za = z.copy()
+    # the live iterates: flat indices into z, their rows and columns, and
+    # their values za = z.flat[active], carried from sweep to sweep
+    active = np.arange(K * n)
+    row, col = np.divmod(active, n)
+    index = active.copy()
+    za = flat.copy()
+    layout = _row_layout(row, tables)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(600):
-            val, slope, scale = _eval_scaled(tables, za)
-            live = ~(np.abs(val) <= floor * scale)
-            if not live.all():
+            val, slope, scale = _by_rows(_eval_scaled, layout, za)
+            frozen = np.abs(val) <= floor * scale
+            if frozen.any():
+                live = ~frozen
                 active, za, val, slope = active[live], za[live], val[live], slope[live]
                 if not active.size:
                     break
+                if K == 1:
+                    col = active
+                else:
+                    row, col = np.divmod(active, n)
+                    # a single row's layout holds for any of its points
+                    if layout[1]:
+                        layout = _row_layout(row, tables)
             w = za * val / slope
-            inv = za[:, None] - z
-            inv[rows[: active.size], active] = np.inf
+            # one row broadcasts against every iterate
+            inv = za[:, None] - (z if K == 1 else z[row])
+            inv[index[: active.size], col] = np.inf
             s = np.reciprocal(inv, out=inv).sum(axis=1)
             step = w / (1.0 - w * s)
-            big = float(np.abs(step).max())
+            size = np.abs(step)
+            big = size.max()
             if not math.isfinite(big):
+                row = active // n
+                redo = np.isin(row, row[~np.isfinite(size)])
                 w = np.where(slope == 0, 0.1 + 0.1j, w)
                 denom = 1.0 - w * s
-                step = np.where(np.abs(denom) < 1e-12, w, w / denom)
-                big = float(np.abs(step).max())
+                step = np.where(redo, np.where(np.abs(denom) < 1e-12, w, w / denom), step)
+                size = np.abs(step)
+                big = size.max()
             za = za - step
-            z[active] = za
-            if big <= 1e-16 * (1.0 + float(np.abs(z).max())):
-                break
+            flat[active] = za
+            # a row stops once all its steps are below roundoff of its
+            # largest iterate
+            if K == 1:
+                if big <= 1e-16 * (1.0 + float(np.abs(flat).max())):
+                    break
+            else:
+                top = np.abs(z).max(axis=1)
+                if big <= 1e-16 * (1.0 + top.min()):
+                    break
+                moving = ~(size <= 1e-16 * (1.0 + top[row]))
+                going = np.bincount(row[moving], minlength=K)[row] > 0
+                if not going.any():
+                    break
+                if not going.all():
+                    active, za = active[going], za[going]
+                    row, col = np.divmod(active, n)
+                    layout = _row_layout(row, tables)
     return z
 
 
-def _eval_extended(cl: np.ndarray, tables, z: np.ndarray):
-    """(value, slope, scale) of p at every point of z as in _eval_scaled,
-    with the value in extended precision: cl is c as numpy.clongdouble,
-    and the value is one product of cl with a power table in that type.
-    The slope and the scale come from the double tables, on the same
-    powers rounded to double.
+def _eval_extended(tables, z: np.ndarray):
+    """(value, slope, scale) of row k at the points z[k] as in
+    _eval_scaled, with the value in extended precision: tables carries
+    the stack as numpy.clongdouble after the two double tables, and the
+    value is the product of each row with its powers in that type.  The
+    slope and the scale come from the double tables, on the same powers
+    rounded to double.
     """
-    pw = _flipped_powers(z, cl.size, cl.dtype)
+    cl = tables[2]
+    pw = _flipped_powers(z, cl.shape[-1], cl.dtype)
     _, slope, scale = _scaled_values(tables, pw.astype(complex))
-    return np.einsum("ij,j->i", pw, cl), slope, scale
+    return np.einsum("ij,j->i" if cl.ndim == 1 else "kij,kj->ki", pw, cl), slope, scale
 
 
 def _polish_lone(c: np.ndarray, tables, z: np.ndarray, radius: float):
     """Up to three Newton steps at every root farther than radius from all
-    others, each kept only where it lowers that root's backward error.
+    others of its row, each kept only where it lowers that root's backward
+    error; c is the (K, n + 1) stack and z the (K, n) roots.
 
     Aberth freezes a root once its residual reaches the floor, which can
     leave an ill-conditioned simple root's forward error far above what its
@@ -447,14 +553,16 @@ def _polish_lone(c: np.ndarray, tables, z: np.ndarray, radius: float):
 
     Returns the polished roots.
     """
-    nearest = _nearest(z)
+    nearest = _nearest(z).reshape(-1)
     lone = np.flatnonzero(nearest > radius)
     if not lone.size:
         return z
-    cl = c.astype(np.clongdouble)
-    z0 = z[lone]
+    row = lone // z.shape[1]
+    tables = tables + (c.astype(np.clongdouble),)
+    z0 = z.reshape(-1)[lone]
     zl = z0.copy()
-    val, slope, scale = _eval_extended(cl, tables, zl)
+    layout = _row_layout(row, tables)
+    val, slope, scale = _by_rows(_eval_extended, layout, zl)
     resid = np.abs(val) / scale
     reach = 0.5 * nearest[lone]
     live = np.arange(lone.size)
@@ -468,18 +576,100 @@ def _polish_lone(c: np.ndarray, tables, z: np.ndarray, radius: float):
             if not live.size:
                 break
             new = (zl[live] - step).astype(complex)
-            val2, slope2, scale2 = _eval_extended(cl, tables, new)
+            # a single row's layout holds for any of its points
+            if layout[1]:
+                layout = _row_layout(row[live], tables)
+            val2, slope2, scale2 = _by_rows(_eval_extended, layout, new)
             resid2 = np.abs(val2) / scale2
             keep = (resid2 < resid[live]) & (np.abs(new - z0[live]) < reach[live])
             live = live[keep]
             zl[live], val[live], slope[live], resid[live] = (
                 new[keep], val2[keep], slope2[keep], resid2[keep])
     out = z.copy()
-    out[lone] = zl
+    out.reshape(-1)[lone] = zl
     return out
 
 
-def roots(p, cluster_radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]]:
+def _certify(c: np.ndarray, tables, z: np.ndarray, radius: float):
+    """(root list, worst residual) of every row of the (K, n) candidate
+    roots z of the stack c: polished, then clustered only in a row where
+    two polished roots lie within radius, and the backward error of every
+    centre taken in one evaluation (a clustered row's centres are padded
+    to n with its first one)."""
+    z = centres = _polish_lone(c, tables, z, radius)
+    found = []
+    for k, simple in enumerate((_nearest(z).min(axis=1) > radius).tolist()):
+        pts = z[k].tolist()
+        if simple:
+            found.append([(r, 1) for r in pts])
+            continue
+        clusters = _cluster_members(pts, radius)
+        mid = [sum(pts[i] for i in idx) / len(idx) for idx in clusters]
+        found.append([(r, len(idx)) for r, idx in zip(mid, clusters)])
+        if centres is z:
+            centres = z.copy()
+        centres[k] = mid + mid[:1] * (len(pts) - len(mid))
+    val, _, scale = _eval_scaled(tables, centres)
+    return found, (np.abs(val) / np.maximum(scale, 1e-300)).max(axis=1)
+
+
+def _stack_roots(c: np.ndarray, radius: float) -> list:
+    """Root list, or NumericError, of every row of a (K, n + 1) stack with
+    nonzero first and last columns: one Aberth pass over the stack, and a
+    row its certificate refuses retried from the companion matrix."""
+    tables = _eval_tables(c)
+    found, worst = _certify(c, tables, _aberth(c), radius)
+    if not (worst <= TOL).all():
+        retry = np.flatnonzero(~(worst <= TOL))
+        cr = c[retry]
+        z = np.array([np.roots(row[::-1]) for row in cr], dtype=complex)
+        again, worst = _certify(cr, _eval_tables(cr), z, radius)
+        for k, f, w in zip(retry.tolist(), again, worst.tolist()):
+            found[k] = f if w <= TOL else NumericError(
+                "root finding did not converge", residual=w)
+    return found
+
+
+def _root_rows(c: np.ndarray, radius: float) -> list:
+    """roots of every row of a 2-D stack, a root list or the error in its
+    place.  Each row is trimmed of its zero coefficients at both ends, a
+    zero constant term giving the root 0, and the rows of each trimmed
+    length go to _stack_roots together."""
+    if not c.shape[1]:
+        c = np.zeros((c.shape[0], 1), dtype=complex)
+    size = c.shape[1]
+    nonzero = c != 0
+    first = nonzero.argmax(axis=1)
+    length = size - first - nonzero[:, ::-1].argmax(axis=1)
+    out: list = []
+    groups: dict[int, list[int]] = {}
+    for k, (k0, m, some, finite) in enumerate(zip(
+            first.tolist(), length.tolist(), nonzero.any(axis=1).tolist(),
+            np.isfinite(c).all(axis=1).tolist())):
+        if not some:
+            out.append(DomainError("the zero polynomial has no well-defined root set"))
+        elif not finite:
+            out.append(DomainError("polynomial coefficients must be finite"))
+        else:
+            out.append([(0j, k0)] if k0 else [])
+            if m > 1:
+                groups.setdefault(m, []).append(k)
+    for m, ks in groups.items():
+        if m < size:
+            stack = c[np.array(ks)[:, None], first[ks, None] + np.arange(m)]
+        else:
+            # rows of full length have nothing to trim
+            stack = c if len(ks) == len(c) else c[ks]
+        for k, found in zip(ks, _stack_roots(stack, radius)):
+            if isinstance(found, NumericError):
+                out[k] = found
+            else:
+                out[k].extend(found)
+                out[k].sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return out
+
+
+def roots(p, cluster_radius: float = CLUSTER_RADIUS):
     """All roots of p as (root, multiplicity) pairs, sorted by (re, im).
 
     Roots closer than cluster_radius merge into one entry whose location is
@@ -492,47 +682,24 @@ def roots(p, cluster_radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]
     that picks the roots to polish) put no two of them within
     cluster_radius, every root is certified as a simple one, and only
     otherwise does _cluster_members group them.
+
+    p may also be a 2-D array, a (K, n + 1) stack of ascending coefficient
+    rows.  Then the result is a list with one entry per row: the root list
+    that the row alone would give, or in its place the DomainError or
+    NumericError that the row alone would raise, returned and not raised.
+    The rows share one Aberth iteration, and each row is trimmed at its
+    own degree and keeps its own clustering decision, certificate and
+    fallback, so a failed row leaves the others as they are.
     """
-    q = p if isinstance(p, UniPoly) else UniPoly(p)
-    if q.is_zero:
-        raise DomainError("the zero polynomial has no well-defined root set")
-    c = q.coeffs
-    if not np.isfinite(c).all():
-        raise DomainError("polynomial coefficients must be finite")
-    if len(c) == 1:
-        return []
-    out: list[tuple[complex, int]] = []
-    k0 = 0
-    while k0 < len(c) - 1 and c[k0] == 0:
-        k0 += 1
-    if k0:
-        out.append((0j, k0))
-        c = c[k0:]
-    if len(c) > 1:
-        tables = _eval_tables(c)
-
-        def _certify(cands):
-            z = _polish_lone(c, tables, np.asarray(cands, dtype=complex), cluster_radius)
-            if _nearest(z).min() > cluster_radius:
-                centres = z
-                found = [(r, 1) for r in z.tolist()]
-            else:
-                pts = z.tolist()
-                clusters = _cluster_members(pts, cluster_radius)
-                centres = np.array([sum(pts[i] for i in idx) / len(idx) for idx in clusters])
-                found = [(complex(r), len(idx)) for r, idx in zip(centres, clusters)]
-            val, _, scale = _eval_scaled(tables, centres)
-            worst = float(np.max(np.abs(val) / np.maximum(scale, 1e-300)))
-            return found, worst
-
-        found, worst = _certify(_aberth(c))
-        if not worst <= TOL:
-            found, worst = _certify(np.roots(c[::-1]))
-            if not worst <= TOL:
-                raise NumericError("root finding did not converge", residual=worst)
-        out.extend(found)
-    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return out
+    if not isinstance(p, UniPoly):
+        c = np.asarray(p, dtype=complex)
+        if c.ndim == 2:
+            return _root_rows(c, cluster_radius)
+        p = UniPoly(c)
+    found = _root_rows(p.coeffs[None], cluster_radius)[0]
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 def _roots_if_any(p: UniPoly) -> list[tuple[complex, int]]:
@@ -601,7 +768,7 @@ class TrigPoly:
     __slots__ = ("coeffs", "d")
 
     def __init__(self, coeffs, d: int):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
+        c = _coefficient_array(coeffs)
         if c.size != 2 * d + 1:
             raise DomainError("coefficient count does not match the band")
         self.coeffs = c.copy()
@@ -882,21 +1049,12 @@ class BlaschkeProduct:
         }
 
 
-def blaschke_from_rational(num, den) -> BlaschkeProduct:
-    """Blaschke product representing num/den after circle cancellation.
-
-    num/den is a constant multiple of a Blaschke product exactly when den is
-    a unimodular multiple c of the degree-m reflection num* of num, m the
-    larger degree, with every zero of num in the closed disk.  That identity
-    is certified on the coefficients, max |den - c num*| <= 4 TOL max |den|,
-    and then num is root-found once: its zeros inside the disk are the
-    zeros of the product, and a zero on the circle (within TOL) is a
-    common zero of num and num*, which cancels and leaves the
-    factor -tau in the constant.  A zero outside the disk, or deg num < m
-    (which puts a zero of den at the origin), raises DomainError.
-    """
-    num = num if isinstance(num, UniPoly) else UniPoly(num)
-    den = den if isinstance(den, UniPoly) else UniPoly(den)
+def _reflection_constant(num: UniPoly, den: UniPoly) -> complex:
+    """The unimodular c with den = c num*, num* the degree-m reflection of
+    num, m the larger degree, certified on the coefficients:
+    max |den - c num*| <= 4 TOL max |den|.  Raises DomainError when either
+    is zero, the identity or |c| = 1 fails, or deg num < m (which puts a
+    zero of den at the origin)."""
     if num.is_zero or den.is_zero:
         raise DomainError("zero numerator or denominator")
     m = max(num.degree, den.degree)
@@ -910,10 +1068,19 @@ def blaschke_from_rational(num, den) -> BlaschkeProduct:
         raise DomainError("quotient constant is not unimodular")
     if num.degree < m:
         raise DomainError("denominator zero inside the closed disk")
+    return complex(c)
+
+
+def _blaschke(num: UniPoly, c: complex, found) -> BlaschkeProduct:
+    """num / (c num*) as a Blaschke product, from the roots of num as
+    roots gives them: a root inside the disk is a zero of the product, a
+    root on the circle (within TOL) is a common zero of num and num*,
+    which cancels and leaves the factor -tau in the constant, and a root
+    outside the disk raises DomainError."""
     lead = num.coeffs[-1]
     gamma = lead / (c * np.conj(lead))
     zeros: list[complex] = []
-    for r, mult in roots(num):
+    for r, mult in found:
         if abs(abs(r) - 1.0) <= TOL:
             gamma *= (-r / abs(r)) ** mult
         elif abs(r) > 1.0:
@@ -922,3 +1089,21 @@ def blaschke_from_rational(num, den) -> BlaschkeProduct:
             zeros.extend([r] * mult)
     # roots() sorts by (re, im), so the zeros come out sorted
     return BlaschkeProduct(gamma, tuple(zeros))
+
+
+def blaschke_from_rational(num, den) -> BlaschkeProduct:
+    """Blaschke product representing num/den after circle cancellation.
+
+    num/den is a constant multiple of a Blaschke product exactly when den is
+    a unimodular multiple c of the degree-m reflection num* of num, m the
+    larger degree, with every zero of num in the closed disk.  That identity
+    is certified on the coefficients (_reflection_constant), and then num
+    is root-found once: its zeros inside the disk are the zeros of the
+    product, and a zero on the circle (within TOL) is a common zero of num
+    and num*, which cancels and leaves the factor -tau in the constant
+    (_blaschke).  A zero outside the disk, or deg num < m (which puts a
+    zero of den at the origin), raises DomainError.
+    """
+    num = num if isinstance(num, UniPoly) else UniPoly(num)
+    den = den if isinstance(den, UniPoly) else UniPoly(den)
+    return _blaschke(num, _reflection_constant(num, den), roots(num))

@@ -42,7 +42,7 @@ from .clark import (
     ClarkMeasure,
     ExtremeStatus,
     Unitarity,
-    clark_measure,
+    _clark_measures,
     classify_extreme,
     classify_unitary,
     integrate,
@@ -95,13 +95,19 @@ def _zero_gap(cm: ClarkMeasure) -> float:
     return 1.0 - max((abs(a) for a in cm.balpha.zeros), default=0.0)
 
 
-def _generic_measure(rif: Rif, alpha: complex) -> ClarkMeasure | None:
-    """The measure at a generic draw, or None when it is refused (a zero of
-    the pencil on or outside the circle)."""
-    try:
-        return clark_measure(rif, alpha)
-    except RifClarkError:
-        return None
+def _raising(built: list) -> list[ClarkMeasure]:
+    """built, a list from _clark_measures, once it holds no error; else
+    its first error is raised."""
+    for cm in built:
+        if isinstance(cm, RifClarkError):
+            raise cm
+    return built
+
+
+def _unit_draws(rng, count: int) -> list[complex]:
+    """count unimodular alphas at uniform angles, one draw of the generator
+    each, in order."""
+    return np.exp(2j * np.pi * rng.uniform(size=max(count, 0))).tolist()
 
 
 def alpha_sweep(rif: Rif, seed: int = 0) -> list[ClarkMeasure]:
@@ -111,26 +117,36 @@ def alpha_sweep(rif: Rif, seed: int = 0) -> list[ClarkMeasure]:
     A generic draw is kept when its Blaschke zeros lie at least
     SWEEP_MIN_DISTANCE inside the circle; when qualifying angles are too
     rare the fallback scans a fixed half-offset grid and keeps the best.
+    The candidates are drawn and built in blocks of as many as the sweep
+    needs, each block as one family (_clark_measures), the exceptional
+    values riding in the first; they are then taken in draw order, and the
+    draws past the last one needed are dropped, so the sweep keeps the
+    alphas that building one draw at a time would keep.
     """
-    exc = [clark_measure(rif, a) for a in _distinct_exceptional(rif)]
-    need = SWEEP_SIZE - len(exc)
+    exc_alphas = _distinct_exceptional(rif)
+    need = SWEEP_SIZE - len(exc_alphas)
     rng = np.random.default_rng([seed, 0x5eed])
+    alphas = exc_alphas + _unit_draws(rng, need)
+    built = _clark_measures(rif, alphas)
+    exc = _raising(built[: len(exc_alphas)])
+    queue = list(zip(alphas, built))[len(exc):]
     picked: list[ClarkMeasure] = []
     attempts = 0
     while len(picked) < need and attempts < 200 * need:
+        if not queue:
+            alphas = _unit_draws(rng, need)
+            queue = list(zip(alphas, _clark_measures(rif, alphas)))
+        a, cm = queue.pop(0)
         attempts += 1
-        a = complex(np.exp(2j * np.pi * rng.uniform()))
-        if any(abs(a - cm.alpha) <= 1e-6 for cm in exc + picked):
+        if any(abs(a - b.alpha) <= 1e-6 for b in exc + picked):
             continue
-        cm = _generic_measure(rif, a)
-        if cm is not None and _zero_gap(cm) >= SWEEP_MIN_DISTANCE:
+        if isinstance(cm, ClarkMeasure) and _zero_gap(cm) >= SWEEP_MIN_DISTANCE:
             picked.append(cm)
     if len(picked) < need:
-        grid = np.exp(2j * np.pi * (np.arange(192) + 0.5) / 192)
-        built = (_generic_measure(rif, complex(a)) for a in grid
-                 if not any(abs(a - cm.alpha) <= 1e-6 for cm in exc))
-        for cm in sorted((cm for cm in built if cm is not None),
-                         key=lambda cm: -_zero_gap(cm)):
+        grid = [a for a in np.exp(2j * np.pi * (np.arange(192) + 0.5) / 192).tolist()
+                if not any(abs(a - cm.alpha) <= 1e-6 for cm in exc)]
+        built = [cm for cm in _clark_measures(rif, grid) if isinstance(cm, ClarkMeasure)]
+        for cm in sorted(built, key=lambda cm: -_zero_gap(cm)):
             if len(picked) >= need:
                 break
             if not any(abs(cm.alpha - b.alpha) <= 1e-9 for b in picked):
@@ -489,8 +505,8 @@ def _suite_weakstar(ctx: _Ctx):
         z = _WEAKSTAR_Z[0]
         lim = float(limits[0][0])
         trend = []
-        for d in (0.3, 0.1, 0.03):
-            cmp_ = clark_measure(rif, a * complex(np.exp(1j * d)))
+        for cmp_ in _raising(_clark_measures(
+                rif, [a * complex(np.exp(1j * d)) for d in (0.3, 0.1, 0.03)])):
             val = integrate(cmp_, lambda u, v: poisson2(z, (u, v)), None).real
             trend.append(abs(val - lim))
         details["trend"] = trend

@@ -26,7 +26,7 @@ from rifclark.errors import DomainError, NumericError
 from rifclark.polynomials import (
     TOL, BlaschkeProduct, TrigPoly, UniPoly, _zero_product, cplx_from_json)
 from rifclark.quadrature import circle_nodes, poisson2
-from rifclark.rif import BiPolyN1, phi_eval, validate
+from rifclark.rif import BiPolyN1, phi_eval, reflect, validate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -97,6 +97,46 @@ def test_generic_measure_has_no_lines():
         cm = clark_measure(get(name).build(), np.exp(0.83j))
         assert cm.alpha_class.kind is AlphaKind.GENERIC
         assert cm.lines == ()
+
+
+def _outcome(build):
+    """build() as a measure's curve data, or the error it raises."""
+    try:
+        cm = build()
+    except (DomainError, NumericError) as err:
+        return type(err), str(err)
+    return cm.alpha, cm.balpha.constant, cm.balpha.zeros, cm.lines
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_family_of_measures_matches_single_calls(name):
+    # one array product, one root-find of the stack, and per alpha the
+    # measure or the error that clark_measure raises there
+    rif = get(name).build()
+    alphas = ([s.alpha for s in rif.singularities] + [1.5]
+              + np.exp(1j * np.linspace(0.1, 6.1, 12)).tolist())
+    family = clark._clark_measures(rif, alphas)
+    assert len(family) == len(alphas)
+    for alpha, cm in zip(alphas, family):
+        got = (type(cm), str(cm)) if isinstance(cm, Exception) else _outcome(lambda: cm)
+        assert got == _outcome(lambda: clark_measure(rif, alpha)), alpha
+
+
+def test_family_refuses_a_pencil_whose_leading_coefficient_cancels():
+    # p1(0) = 1 and lead(p2) = 1: at alpha = 1 the pencil pt1 - alpha p2
+    # loses its top coefficient, and the family gives that row the error
+    # the single call raises while the other rows keep their measures
+    poly = BiPolyN1(UniPoly([1.0, 0.25]), UniPoly([0.3, 1.0]), 1)
+    rif = dataclasses.replace(get("fave").build(), p=poly, ptilde=reflect(poly),
+                              singularities=())
+    u = rif.pt1 - rif.p2
+    assert u.degree == 0
+    with pytest.raises(DomainError) as single:
+        clark_measure(rif, 1.0)
+    family = clark._clark_measures(rif, [1j, 1.0, -1j])
+    assert isinstance(family[1], DomainError) and str(family[1]) == str(single.value)
+    for alpha, cm in zip((1j, -1j), family[::2]):
+        assert _outcome(lambda: cm) == _outcome(lambda: clark_measure(rif, alpha))
 
 
 def test_mass_identity_generic_and_exceptional():

@@ -24,7 +24,7 @@ import pytest
 from rifclark import verification
 from rifclark.agler import SosPiece
 from rifclark.catalog import get
-from rifclark.errors import NumericError
+from rifclark.errors import NumericError, RifClarkError
 from rifclark.polynomials import BlaschkeProduct
 
 EPS = 1e-6
@@ -60,15 +60,23 @@ def _balpha_zero(cm):
 
 
 def _on_measure(edit):
-    """A fault in every measure the suites build: the edited copy of it."""
+    """A fault in every measure the suites build: the edited copy of it,
+    planted in the family builder through which verification obtains
+    every measure."""
 
     def wrap(build):
-        def faulty(rif, alpha):
-            return edit(build(rif, alpha))
+        def faulty(rif, alphas):
+            out = []
+            for cm in build(rif, alphas):
+                try:
+                    out.append(cm if isinstance(cm, RifClarkError) else edit(cm))
+                except RifClarkError as err:
+                    out.append(err)
+            return out
 
         return faulty
 
-    return "clark_measure", wrap
+    return "_clark_measures", wrap
 
 
 def _first_r(pieces):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from rifclark import polynomials
+from rifclark import clark as clark_module
+from rifclark import polynomials, verification
 from rifclark import rif as rif_module
 from rifclark.catalog import get
 from rifclark.clark import clark_measure
@@ -423,16 +424,16 @@ def test_aberth_sweeps_on_the_boundary_polynomial(monkeypatch, n):
     sweeps = []
     real = polynomials._eval_scaled
 
-    def counted(tables, z):
+    def counted(*args):
         sweeps[-1] += 1
-        return real(tables, z)
+        return real(*args)
 
     monkeypatch.setattr(polynomials, "_eval_scaled", counted)
     for seed in range(3):
         poly, _taus = _generated_rif(n, seed)
         t = TrigPoly.modulus_squared(poly.p1) - TrigPoly.modulus_squared(poly.p2)
         sweeps.append(0)
-        polynomials._aberth(t.as_poly()[0].coeffs)
+        polynomials._aberth(t.as_poly()[0].coeffs[None])
     assert max(sweeps) <= 24, sweeps
 
 
@@ -446,8 +447,8 @@ def test_aberth_sweeps_on_the_boundary_polynomial(monkeypatch, n):
 def test_aberth_guards_a_non_finite_step(monkeypatch, start):
     # the guards run only once a sweep's step comes out non-finite
     c = np.array([-1.0, 0.0, 1.0], dtype=complex)
-    monkeypatch.setattr(polynomials, "_newton_polygon_start", lambda _c: np.array(start))
-    z = np.sort_complex(polynomials._aberth(c))
+    monkeypatch.setattr(polynomials, "_newton_polygon_start", lambda _c: np.array([start]))
+    z = np.sort_complex(polynomials._aberth(c[None])[0])
     assert np.allclose(z, [-1.0, 1.0], rtol=0, atol=1e-14)
     found = roots(UniPoly(c))
     assert [m for _r, m in found] == [1, 1]
@@ -471,6 +472,73 @@ def test_roots_fall_back_to_the_companion_matrix(monkeypatch):
     assert np.all(np.abs(P.polyval(z, c)) <= polynomials.TOL * scale)
     for r in true_roots:
         assert np.min(np.abs(z - r)) < 1e-12
+
+
+def _stack_rows():
+    """Rows of one seven-column stack, each a case that a stack must keep
+    apart from its neighbours: the row alone gives the same answer."""
+    rng = np.random.default_rng(28)
+    return {
+        "plain": P.polyfromroots(_ring(rng, 6, 0.5, 1.5)),
+        # the pencils of amy-variant have the root 0 at every alpha
+        "zero-constant": P.polyfromroots(np.r_[0.0, _ring(rng, 5, 0.4, 1.6)]),
+        "clustered": P.polyfromroots(np.r_[0.3, 0.3, _ring(rng, 4, 0.6, 1.4)]),
+        # degree 5 in a stack of degree 6: root-found at its own degree
+        "top-zero": np.r_[P.polyfromroots(_ring(rng, 5, 0.5, 1.5)), 0.0],
+        "fallback": P.polyfromroots(_ring(rng, 6, 0.7, 1.3)),
+        "refused": P.polyfromroots(_ring(rng, 6, 0.6, 1.2)),
+        "also-plain": P.polyfromroots(_ring(rng, 6, 0.2, 3.0)),
+    }
+
+
+def test_roots_of_a_stack_match_each_row_alone(monkeypatch):
+    rows = _stack_rows()
+    # Aberth leaves two rows at their starting points, so their certificate
+    # fails; the companion matrix then certifies one and not the other
+    aberth, eig = polynomials._aberth, np.roots
+
+    def stalled(c):
+        z = aberth(c)
+        for k, row in enumerate(c):
+            if any(np.array_equal(row, rows[name]) for name in ("fallback", "refused")):
+                z[k] = polynomials._newton_polygon_start(row[None])[0]
+        return z
+
+    def companion(a):
+        calls.append(a[::-1])
+        if np.array_equal(a[::-1], rows["refused"]):
+            return np.full(a.size - 1, 0.5 + 0.5j)
+        return eig(a)
+
+    monkeypatch.setattr(polynomials, "_aberth", stalled)
+    monkeypatch.setattr(polynomials.np, "roots", companion)
+    calls = []
+    stacked = roots(np.array(list(rows.values())))
+    assert len(calls) == 2
+    for name, got in zip(rows, stacked):
+        try:
+            alone = roots(UniPoly(rows[name]))
+        except NumericError as err:
+            assert name == "refused"
+            assert isinstance(got, NumericError) and str(got) == str(err)
+            continue
+        assert [m for _r, m in got] == [m for _r, m in alone], name
+        assert np.allclose([r for r, _m in got], [r for r, _m in alone], rtol=0, atol=1e-15), name
+    found = dict(zip(rows, stacked))
+    assert found["zero-constant"][[r for r, _m in found["zero-constant"]].index(0j)] == (0j, 1)
+    assert sorted(m for _r, m in found["clustered"]) == [1, 1, 1, 1, 2]
+    assert sum(m for _r, m in found["top-zero"]) == 5
+    assert sum(m for _r, m in found["fallback"]) == 6
+
+
+def test_roots_of_a_stack_refuse_rows_one_by_one():
+    stack = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, np.nan, 1.0], [0.0, 2.0, 0.0]])
+    got = roots(stack)
+    assert [m for _r, m in got[0]] == [1, 1]
+    assert isinstance(got[1], DomainError) and "zero polynomial" in str(got[1])
+    assert isinstance(got[2], DomainError) and "finite" in str(got[2])
+    assert got[3] == [(0j, 1)]
+    assert roots(np.zeros((0, 3))) == []
 
 
 @pytest.mark.parametrize("n,mult,radius", [
@@ -583,8 +651,8 @@ def test_one_root_find_per_polynomial(monkeypatch):
         found.append(p)
         return real_roots(p, *args, **kwargs)
 
-    monkeypatch.setattr(polynomials, "roots", counted)
-    monkeypatch.setattr(rif_module, "roots", counted)
+    for module in (polynomials, rif_module, clark_module):
+        monkeypatch.setattr(module, "roots", counted)
     poly, _taus = _generated_rif(8, 0)
     rif = validate(poly)
     # p1 and |p1|^2 - |p2|^2 only: stability reads |p2 / p1| off the circle
@@ -595,6 +663,18 @@ def test_one_root_find_per_polynomial(monkeypatch):
     for alpha in (1j, rif.singularities[0].alpha):
         found.clear()
         clark_measure(rif, alpha)
-        # the pencil numerator u only: the denominator is its reflection,
-        # certified on the coefficients
-        assert len(found) == 1
+        # the pencil numerator u only, as a stack of one row: the
+        # denominator is its reflection, certified on the coefficients
+        assert len(found) == 1 and np.shape(found[0]) == (1, 9)
+    # a 16-measure sweep root-finds its candidate alphas by blocks, about
+    # 20 pencils in one to three calls, and its exceptional pencils ride
+    # in the first block
+    rif = get("deg31").build()
+    exc = verification._distinct_exceptional(rif)
+    size = rif.n + 1
+    for seed in range(8):
+        found.clear()
+        assert len(verification.alpha_sweep(rif, seed)) == verification.SWEEP_SIZE
+        assert 1 <= len(found) <= 3, (seed, len(found))
+        want = [rif.pt1.padded(size) - a * rif.p2.padded(size) for a in exc]
+        assert np.array_equal(found[0][: len(exc)], want)

@@ -33,6 +33,11 @@ REFUSALS = [
     ("circle-zeros-not-real", NOT_REAL.circle_zeros, "not real on the circle"),
     ("trig-coefficient-count", lambda: TrigPoly([1.0, 2.0], 1),
      "coefficient count does not match the band"),
+    # a stack of rows is never read as one polynomial
+    ("unipoly-stack", lambda: UniPoly([[1.0, 2.0], [3.0, 4.0]]),
+     "coefficients must form a one-dimensional array"),
+    ("trig-stack", lambda: TrigPoly([[1.0, 2.0, 1.0]], 1),
+     "coefficients must form a one-dimensional array"),
     ("conj-reflect-order", lambda: UniPoly([1.0, 2.0, 3.0]).conj_reflect(1),
      "reflection order smaller than the degree"),
     ("padded-length", lambda: UniPoly([1.0, 2.0, 3.0]).padded(2),

@@ -8,7 +8,7 @@ import pytest
 from rifclark import agler, clark, polynomials, verification
 from rifclark import rif as rif_module
 from rifclark.catalog import get, names
-from rifclark.errors import DomainError
+from rifclark.errors import DomainError, RifClarkError
 from rifclark.polynomials import roots
 from rifclark.verification import (
     SWEEP_MIN_DISTANCE,
@@ -63,6 +63,63 @@ def test_alpha_sweep_grid_fallback_keeps_the_best_measures(monkeypatch):
     assert gaps == sorted(gaps, reverse=True)
 
 
+def _reference_sweep(rif, seed):
+    """alpha_sweep built one clark_measure per draw, in draw order: the
+    loop whose alphas the blocks of candidates must reproduce."""
+    exc = [clark.clark_measure(rif, a) for a in verification._distinct_exceptional(rif)]
+    need = verification.SWEEP_SIZE - len(exc)
+    rng = np.random.default_rng([seed, 0x5eed])
+    picked, attempts = [], 0
+    while len(picked) < need and attempts < 200 * need:
+        attempts += 1
+        a = complex(np.exp(2j * np.pi * rng.uniform()))
+        if any(abs(a - cm.alpha) <= 1e-6 for cm in exc + picked):
+            continue
+        try:
+            cm = clark.clark_measure(rif, a)
+        except RifClarkError:
+            continue
+        if verification._zero_gap(cm) >= verification.SWEEP_MIN_DISTANCE:
+            picked.append(cm)
+    if len(picked) < need:
+        built = []
+        for a in np.exp(2j * np.pi * (np.arange(192) + 0.5) / 192):
+            if any(abs(a - cm.alpha) <= 1e-6 for cm in exc):
+                continue
+            try:
+                built.append(clark.clark_measure(rif, complex(a)))
+            except RifClarkError:
+                pass
+        for cm in sorted(built, key=lambda cm: -verification._zero_gap(cm)):
+            if len(picked) >= need:
+                break
+            if not any(abs(cm.alpha - b.alpha) <= 1e-9 for b in picked):
+                picked.append(cm)
+    return exc + picked
+
+
+def _assert_same_sweep(got, want):
+    assert [cm.alpha for cm in got] == [cm.alpha for cm in want]
+    for a, b in zip(got, want):
+        assert len(a.balpha.zeros) == len(b.balpha.zeros)
+        assert np.allclose(a.balpha.zeros, b.balpha.zeros, rtol=0, atol=1e-15)
+        assert abs(a.balpha.constant - b.balpha.constant) <= 1e-15
+
+
+@pytest.mark.parametrize("name", names())
+def test_alpha_sweep_blocks_pick_the_alphas_of_single_draws(name):
+    rif = get(name).build()
+    for seed in range(6):
+        _assert_same_sweep(alpha_sweep(rif, seed=seed), _reference_sweep(rif, seed))
+
+
+def test_alpha_sweep_grid_fallback_matches_single_draws(monkeypatch):
+    monkeypatch.setattr(verification, "SWEEP_MIN_DISTANCE", 1.5)
+    monkeypatch.setattr(verification, "SWEEP_SIZE", 5)
+    rif = get("fave").build()
+    _assert_same_sweep(alpha_sweep(rif, seed=5), _reference_sweep(rif, 5))
+
+
 def test_run_suites_selection_and_order():
     res = run_suites(get("fave"), ["reflect", "lambda_match"], seed=0)
     assert [r.name for r in res] == ["reflect", "lambda_match"]
@@ -115,51 +172,57 @@ def test_weakstar_runs_trend_for_degree_one():
     assert trend is not None and trend[0] > trend[-1]
 
 
+def _count_families(monkeypatch, calls):
+    """Count every alpha that clark._clark_measures builds, and its calls;
+    clark_measure builds through it, and so does every sweep block."""
+    built = clark._clark_measures
+
+    def counted(rif, alphas):
+        calls["families"] += 1
+        for alpha in alphas:
+            calls[complex(alpha)] += 1
+        return built(rif, alphas)
+
+    for module in (clark, verification):
+        monkeypatch.setattr(module, "_clark_measures", counted)
+
+
 @pytest.mark.parametrize("name", names())
 def test_run_suites_builds_one_measure_per_alpha(name, monkeypatch):
     # every measure-side check reads the measure the suites share
-    built = clark.clark_measure
     calls = Counter()
-
-    def counted(rif, alpha):
-        calls[complex(alpha)] += 1
-        return built(rif, alpha)
-
-    for module in (clark, agler, verification):
-        monkeypatch.setattr(module, "clark_measure", counted, raising=False)
+    _count_families(monkeypatch, calls)
     results = run_suites(get(name), seed=5)
     assert all(r.passed for r in results)
-    assert len(calls) >= verification.SWEEP_SIZE
-    assert set(calls.values()) == {1}, calls.most_common(3)
+    alphas = {k: v for k, v in calls.items() if k != "families"}
+    assert len(alphas) >= verification.SWEEP_SIZE
+    assert set(alphas.values()) == {1}, Counter(alphas).most_common(3)
 
 
 @pytest.mark.parametrize("name", names())
 def test_run_suites_root_finds_each_alpha_once(name, monkeypatch):
     # a sweep draw is accepted or rejected on its own measure's Blaschke
     # zeros, and compute_Q factors t from validate's roots, so beyond one
-    # root-find per measure built only p1 and t in validate remain
+    # root-find per family of measures built only p1 and t in validate
+    # remain, and no pencil is root-found twice
     found = polynomials.roots
     calls = Counter()
 
-    def counted_roots(*args, **kwargs):
+    def counted_roots(p, *args, **kwargs):
         calls["roots"] += 1
-        return found(*args, **kwargs)
-
-    built = clark.clark_measure
-
-    def counted_measure(rif, alpha):
-        calls["measures"] += 1
-        return built(rif, alpha)
+        calls["rows"] += len(p) if np.ndim(p) == 2 else 1
+        return found(p, *args, **kwargs)
 
     # every binding of polynomials.roots in the package is counted
     for module in (polynomials, rif_module, clark, agler, verification):
         if getattr(module, "roots", None) is found:
             monkeypatch.setattr(module, "roots", counted_roots)
-    for module in (clark, agler, verification):
-        monkeypatch.setattr(module, "clark_measure", counted_measure, raising=False)
+    _count_families(monkeypatch, calls)
     assert all(r.passed for r in run_suites(get(name), seed=5))
-    assert calls["measures"] >= verification.SWEEP_SIZE
-    assert calls["roots"] <= calls["measures"] + 2, calls
+    measures = sum(v for k, v in calls.items() if isinstance(k, complex))
+    assert measures >= verification.SWEEP_SIZE
+    assert calls["roots"] <= calls["families"] + 2, calls
+    assert calls["rows"] <= measures + 2, calls
 
 
 def test_fave_suites_stay_below_16384_nodes(monkeypatch):
