@@ -23,10 +23,13 @@ Newton steps whose value of p is taken in extended precision then polish
 each root that is not part of a cluster.  roots also takes a (K, n + 1)
 stack of coefficient rows, such as the pencils of a family of Clark
 measures: one Aberth iteration runs over the iterates of every row, each
-iterate's Aberth sum over its own row, the Newton polygons of all rows
-come from one matrix of chord slopes, and each row is evaluated by a
+iterate's Aberth sum over its own row, each row's Newton polygon is a
+monotone chain over its coefficients, and each row is evaluated by a
 batched product, one BLAS call per row, so a row gets the same bits in a
-stack as alone.  The polish, the clustering decision, the certificate
+stack as alone.  A single polynomial is the stack of one row, through the
+same code: its coefficient tables are built once, and a sweep whose
+iterates all lie on one side of the circle makes its power table without
+picking rows out.  The polish, the clustering decision, the certificate
 and the companion-matrix fallback are decided row by row, and a row that
 fails is returned as its error, leaving the others as they are.
 blaschke_from_rational finds the roots of the numerator only: the
@@ -40,7 +43,8 @@ That is far wider than the accuracy of simple roots, so circle-zero
 extraction classifies roots inside a generous band around the circle,
 clusters them by angle, polishes each cluster with a Newton step on an
 angular derivative, and only then certifies the zero and its multiplicity,
-retrying a cluster that fails on its members nearest the circle.
+retrying a cluster that fails on its members nearest the circle; the
+derivatives a step or a certificate needs share one exp(ik theta).
 
 Every product over a list of zeros, lead * prod (x - r), is taken pointwise
 by _zero_product, and every table of roots of unity comes from circle_nodes.
@@ -89,14 +93,15 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     A 0-d point is evaluated from one power table and one dot product, so
     the cost does not grow with one numpy call per coefficient; an array of
-    points runs Horner's rule, since a power table for 2**19 nodes would
-    take hundreds of MB.
+    points runs Horner's rule in place, since a power table for 2**19
+    nodes would take hundreds of MB.
     """
     if z.ndim == 0:
         return _power_table(z[None], coeffs.size)[0] @ coeffs
     out = np.zeros_like(z, dtype=complex)
     for c in coeffs[::-1]:
-        out = out * z + c
+        out *= z
+        out += c
     return out
 
 
@@ -104,8 +109,8 @@ def _power_table(y: np.ndarray, size: int) -> np.ndarray:
     """Rows 1, y, y**2, ..., y**(size - 1) along a new last axis, one row
     per point of y."""
     pw = np.empty(y.shape + (size,), dtype=y.dtype)
+    pw[...] = y[..., None]
     pw[..., :1] = 1.0
-    pw[..., 1:] = y[..., None]
     np.multiply.accumulate(pw, axis=-1, out=pw)
     return pw
 
@@ -313,11 +318,16 @@ def _eval_tables(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _flipped_powers(z: np.ndarray, size: int, dtype=complex) -> np.ndarray:
     """One row of powers per point of z, along a new last axis, in dtype,
     n = size - 1: at a point inside the closed disk z**k in column k, and
-    at a point outside it (1/z)**(n - k), so that no power exceeds 1."""
+    at a point outside it (1/z)**(n - k), so that no power exceeds 1.  When
+    every point lies on one side, as every root of a stable p1 does, no
+    point is picked out: the table is made at z, or at 1/z and reversed."""
     outside = np.abs(z) > 1.0
-    y = z.astype(dtype, copy=False)
-    if not outside.any():
+    count = np.count_nonzero(outside)
+    y = z if z.dtype == dtype else z.astype(dtype)
+    if not count:
         return _power_table(y, size)
+    if count == outside.size:
+        return _power_table(np.divide(1.0, y), size)[..., ::-1].copy()
     y = np.divide(1.0, y, out=y.copy(), where=outside)
     pw = _power_table(y, size)
     pw[outside] = pw[outside, ::-1]
@@ -398,39 +408,43 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
     k1 / n of a full turn.  A polynomial with a single edge starts on one
     circle of radius |c_0 / c_n|**(1 / n).  (Bini, "Numerical computation
     of polynomial zeros by means of Aberth's method", Numer. Algorithms 13,
-    1996.)  The hull's vertices of every row come at once from the matrix
-    of chord slopes: k is a vertex when the least slope arriving from the
-    left exceeds the greatest slope leaving to the right.  A zero
-    coefficient has log -inf, so its chords never decide another point's
-    test, and its own test fails.  The points are then made edge by edge,
-    since a row has few edges: making them for every iterate at once
-    takes about 20 more numpy calls, which cost a single polynomial more
-    than the loop.  Assumes c[..., 0] != 0 and c[..., -1] != 0.
+    1996.)  Each row's hull is a monotone chain over its coefficients, in
+    Python: a row has few vertices, and the chain costs a single polynomial
+    less than any numpy formulation.  Assumes c[..., 0] != 0 and
+    c[..., -1] != 0.
     """
     n = c.shape[-1] - 1
-    k = np.arange(n + 1)
-    gap = k - k[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(np.abs(c.reshape(-1, n + 1)))
-        # slope[:, i, j]: the chord from i to j
-        slope = (y[:, None, :] - y[:, :, None]) / gap
-    chord = gap > 0
-    vertex = (slope.min(axis=1, where=chord, initial=np.inf)
-              > slope.max(axis=2, where=chord, initial=-np.inf))
+    with np.errstate(divide="ignore"):
+        rows = np.log(np.abs(c.reshape(-1, n + 1))).tolist()
+    two_pi, rect = 2 * math.pi, cmath.rect
     z: list[complex] = []
-    for logs, marks in zip(y.tolist(), vertex.tolist()):
-        hull = [k for k, mark in enumerate(marks) if mark]
-        for k1, k2 in zip(hull, hull[1:]):
+    for logs in rows:
+        # hull vertices (k, log|c_k|, slope of the edge that ends at k)
+        hull = [(0, logs[0], math.inf)]
+        for k in range(1, n + 1):
+            y = logs[k]
+            if y == -math.inf:
+                continue
+            k0, y0, s0 = hull[-1]
+            s = (y - y0) / (k - k0)
+            # the last vertex lies on or below the chord to k: drop it
+            while s >= s0:
+                hull.pop()
+                k0, y0, s0 = hull[-1]
+                s = (y - y0) / (k - k0)
+            hull.append((k, y, s))
+        for (k1, _, _), (k2, _, s) in zip(hull, hull[1:]):
             m = k2 - k1
-            r = min(max(math.exp((logs[k1] - logs[k2]) / m), 0.2), 4.0)
-            turn = 0.41 + 2 * math.pi * k1 / n
-            z += [cmath.rect(r, turn + 2 * math.pi * (j + 0.37) / m) for j in range(m)]
+            r = min(max(math.exp(-s), 0.2), 4.0)
+            turn = 0.41 + two_pi * k1 / n
+            z += [rect(r, turn + two_pi * (j + 0.37) / m) for j in range(m)]
     return np.array(z).reshape(c.shape[:-1] + (n,))
 
 
-def _aberth(c: np.ndarray) -> np.ndarray:
+def _aberth(c: np.ndarray, tables) -> np.ndarray:
     """Simultaneous Aberth-Ehrlich iteration on a (K, n + 1) stack of
-    ascending coefficient rows; returns the (K, n) iterates.
+    ascending coefficient rows, with its _eval_tables; returns the (K, n)
+    iterates.
 
     Assumes c[:, 0] != 0 and c[:, -1] != 0.  The iterates start from the
     Newton polygon of their row (_newton_polygon_start), so roots on rings
@@ -441,56 +455,65 @@ def _aberth(c: np.ndarray) -> np.ndarray:
     residuals hit the backward-stable floor, which is all the caller needs;
     no deflation is performed.  A sweep evaluates the live iterates of
     every row at once, with one _eval_scaled call, and each iterate's
-    Aberth sum runs over the iterates of its own row only.  Everything
-    else is decided per row too, so a row takes the same steps in a stack
-    as on its own.  The residual test depends only on a root's own
-    iterate, so a root that passes it is frozen: later sweeps evaluate and
-    update the remaining roots only, though their Aberth sums still run
-    over every iterate of the row.  A row stops once its largest step is
-    below roundoff.  A zero slope (the iterate sits on a critical point)
-    or a zero Aberth denominator makes the step non-finite; only then is
-    that row's step formed again with the guards: a fixed nudge in place
-    of the Newton correction at a zero slope, and the plain Newton step
-    where the denominator is below 1e-12.
+    Aberth sum runs over the iterates of its own row only, in one buffer
+    kept from sweep to sweep.  Everything else is decided per row too, so
+    a row takes the same steps in a stack as on its own.  The residual test
+    depends only on a root's own iterate, so a root that passes it is
+    frozen: later sweeps evaluate and update the remaining roots only,
+    though their Aberth sums still run over every iterate of the row.  A
+    row stops once its largest step is below roundoff.  A zero slope (the
+    iterate sits on a critical point) or a zero Aberth denominator makes
+    the step non-finite; only then is that row's step formed again with the
+    guards: a fixed nudge in place of the Newton correction at a zero
+    slope, and the plain Newton step where the denominator is below 1e-12.
     """
     K, n = c.shape[0], c.shape[1] - 1
     z = _newton_polygon_start(c)
     flat = z.reshape(-1)
     floor = 8.0 * _EPS * (n + 1)
-    tables = _eval_tables(c)
-    # the live iterates: flat indices into z, their rows and columns, and
-    # their values za = z.flat[active], carried from sweep to sweep
+    # line i of the Aberth sums, the sum of live iterate i, starts at flat
+    # position i * n of the buffer
+    sums = np.empty((K * n, n), dtype=complex)
+    spots = sums.reshape(-1)
+    lines = np.arange(0, sums.size, n)
+
+    def place(active, layout):
+        """The rows of the live iterates, their lines of sums, the flat
+        position in sums of each one's own term, which is left out, and
+        their _row_layout; a single row's layout holds for any of its
+        points."""
+        row, col = np.divmod(active, n)
+        if layout is None or layout[1]:
+            layout = _row_layout(row, tables)
+        return row, sums[: active.size], lines[: active.size] + col, layout
+
+    # the live iterates: flat indices into z, and their values
+    # za = z.flat[active], carried from sweep to sweep
     active = np.arange(K * n)
-    row, col = np.divmod(active, n)
-    index = active.copy()
     za = flat.copy()
-    layout = _row_layout(row, tables)
+    row, inv, own, layout = place(active, None)
+    # a bound on every |z|: a sweep moves no iterate by more than its
+    # largest step
+    bound = float(np.abs(flat).max())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(600):
             val, slope, scale = _by_rows(_eval_scaled, layout, za)
             frozen = np.abs(val) <= floor * scale
-            if frozen.any():
+            if np.count_nonzero(frozen):
                 live = ~frozen
                 active, za, val, slope = active[live], za[live], val[live], slope[live]
                 if not active.size:
                     break
-                if K == 1:
-                    col = active
-                else:
-                    row, col = np.divmod(active, n)
-                    # a single row's layout holds for any of its points
-                    if layout[1]:
-                        layout = _row_layout(row, tables)
+                row, inv, own, layout = place(active, layout)
             w = za * val / slope
             # one row broadcasts against every iterate
-            inv = za[:, None] - (z if K == 1 else z[row])
-            inv[index[: active.size], col] = np.inf
+            np.subtract(za[:, None], z if K == 1 else z[row], out=inv)
+            spots[own] = np.inf
             s = np.reciprocal(inv, out=inv).sum(axis=1)
             step = w / (1.0 - w * s)
             size = np.abs(step)
             big = size.max()
             if not math.isfinite(big):
-                row = active // n
                 redo = np.isin(row, row[~np.isfinite(size)])
                 w = np.where(slope == 0, 0.1 + 0.1j, w)
                 denom = 1.0 - w * s
@@ -500,22 +523,25 @@ def _aberth(c: np.ndarray) -> np.ndarray:
             za = za - step
             flat[active] = za
             # a row stops once all its steps are below roundoff of its
-            # largest iterate
-            if K == 1:
-                if big <= 1e-16 * (1.0 + float(np.abs(flat).max())):
-                    break
-            else:
-                top = np.abs(z).max(axis=1)
-                if big <= 1e-16 * (1.0 + top.min()):
-                    break
+            # largest iterate; with one row, the first test decides.  No
+            # row can stop while the least of the rows' largest steps (big
+            # for one row, at least size.min() for any) is above roundoff
+            # of the bound on |z|, whose factor 1.01 covers the rounding
+            bound = 1.01 * (bound + big)
+            if (big if K == 1 else size.min()) > 1e-16 * (1.0 + bound):
+                continue
+            top = np.abs(z).max(axis=1)
+            bound = float(top.max())
+            if big <= 1e-16 * (1.0 + top.min()):
+                break
+            if K > 1:
                 moving = ~(size <= 1e-16 * (1.0 + top[row]))
                 going = np.bincount(row[moving], minlength=K)[row] > 0
                 if not going.any():
                     break
                 if not going.all():
                     active, za = active[going], za[going]
-                    row, col = np.divmod(active, n)
-                    layout = _row_layout(row, tables)
+                    row, inv, own, layout = place(active, layout)
     return z
 
 
@@ -554,39 +580,47 @@ def _polish_lone(c: np.ndarray, tables, z: np.ndarray, radius: float):
     Returns the polished roots.
     """
     nearest = _nearest(z).reshape(-1)
-    lone = np.flatnonzero(nearest > radius)
-    if not lone.size:
+    at = np.flatnonzero(nearest > radius)
+    if not at.size:
         return z
-    row = lone // z.shape[1]
     tables = tables + (c.astype(np.clongdouble),)
-    z0 = z.reshape(-1)[lone]
-    zl = z0.copy()
-    layout = _row_layout(row, tables)
+    out = z.copy()
+    flat = out.reshape(-1)
+    # the roots still stepping: their flat indices, values, starts and
+    # reach, and p's value, slope and backward error there
+    zl = z0 = flat[at]
+    reach = 0.5 * nearest[at]
+    layout = _row_layout(at // z.shape[1], tables)
     val, slope, scale = _by_rows(_eval_extended, layout, zl)
     resid = np.abs(val) / scale
-    reach = 0.5 * nearest[lone]
-    live = np.arange(lone.size)
     # a step that overflows gives a NaN residual and is not kept
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(3):
-            step = zl[live] * val[live] / slope[live]
+            step = zl * val / slope
             # steps below the double resolution of the root change nothing
-            moving = np.abs(step) > _EPS * np.abs(zl[live])
-            live, step = live[moving], step[moving]
-            if not live.size:
+            moving = np.abs(step) > _EPS * np.abs(zl)
+            count = np.count_nonzero(moving)
+            if not count:
                 break
-            new = (zl[live] - step).astype(complex)
-            # a single row's layout holds for any of its points
-            if layout[1]:
-                layout = _row_layout(row[live], tables)
-            val2, slope2, scale2 = _by_rows(_eval_extended, layout, new)
-            resid2 = np.abs(val2) / scale2
-            keep = (resid2 < resid[live]) & (np.abs(new - z0[live]) < reach[live])
-            live = live[keep]
-            zl[live], val[live], slope[live], resid[live] = (
-                new[keep], val2[keep], slope2[keep], resid2[keep])
-    out = z.copy()
-    out.reshape(-1)[lone] = zl
+            if count < at.size:
+                at, zl, z0, reach, resid, step = (
+                    a[moving] for a in (at, zl, z0, reach, resid, step))
+                # a single row's layout holds for any of its points
+                if layout[1]:
+                    layout = _row_layout(at // z.shape[1], tables)
+            new = (zl - step).astype(complex)
+            val, slope, scale = _by_rows(_eval_extended, layout, new)
+            resid2 = np.abs(val) / scale
+            keep = (resid2 < resid) & (np.abs(new - z0) < reach)
+            if np.count_nonzero(keep) < at.size:
+                at, new, z0, reach, resid2, val, slope = (
+                    a[keep] for a in (at, new, z0, reach, resid2, val, slope))
+                if not at.size:
+                    break
+                if layout[1]:
+                    layout = _row_layout(at // z.shape[1], tables)
+            flat[at] = zl = new
+            resid = resid2
     return out
 
 
@@ -618,7 +652,7 @@ def _stack_roots(c: np.ndarray, radius: float) -> list:
     nonzero first and last columns: one Aberth pass over the stack, and a
     row its certificate refuses retried from the companion matrix."""
     tables = _eval_tables(c)
-    found, worst = _certify(c, tables, _aberth(c), radius)
+    found, worst = _certify(c, tables, _aberth(c, tables), radius)
     if not (worst <= TOL).all():
         retry = np.flatnonzero(~(worst <= TOL))
         cr = c[retry]
@@ -640,18 +674,19 @@ def _root_rows(c: np.ndarray, radius: float) -> list:
     size = c.shape[1]
     nonzero = c != 0
     first = nonzero.argmax(axis=1)
-    length = size - first - nonzero[:, ::-1].argmax(axis=1)
     out: list = []
     groups: dict[int, list[int]] = {}
-    for k, (k0, m, some, finite) in enumerate(zip(
-            first.tolist(), length.tolist(), nonzero.any(axis=1).tolist(),
+    for k, (k0, k1, finite) in enumerate(zip(
+            first.tolist(), nonzero[:, ::-1].argmax(axis=1).tolist(),
             np.isfinite(c).all(axis=1).tolist())):
-        if not some:
+        # a row of zeros has its first nonzero at 0, and that is zero
+        if not nonzero[k, k0]:
             out.append(DomainError("the zero polynomial has no well-defined root set"))
         elif not finite:
             out.append(DomainError("polynomial coefficients must be finite"))
         else:
             out.append([(0j, k0)] if k0 else [])
+            m = size - k0 - k1
             if m > 1:
                 groups.setdefault(m, []).append(k)
     for m, ks in groups.items():
@@ -874,17 +909,30 @@ class TrigPoly:
         return {"d": self.d, "coeffs": [cplx_to_json(c) for c in self.coeffs]}
 
 
-def _polish_circle_zero(t: TrigPoly, theta0: float, m: int) -> float | None:
-    """Newton refinement of a candidate order-m circle zero of t.
+def _angular_terms(t: TrigPoly, top: int):
+    """(ik, rows, bounds) for t's angular derivatives of order up to top:
+    ik = 1j * k for k = -d..d, rows[j] = c_k (ik)**j, whose terms times
+    exp(ik theta) sum to the j-th derivative at theta, as
+    TrigPoly.theta_eval forms them, and bounds[j] the certificate's
+    threshold _CERT_REL * max(derivative_scale(j), 1) for j < top."""
+    ik = 1j * np.arange(-t.d, t.d + 1)
+    rows = np.array([t.coeffs * (ik ** j if j else np.ones_like(ik)) for j in range(top + 1)])
+    return ik, rows, [_CERT_REL * max(t.derivative_scale(j), 1.0) for j in range(top)]
+
+
+def _polish_circle_zero(terms, theta0: float, m: int) -> float | None:
+    """Newton refinement of a candidate order-m circle zero of t, given by
+    its _angular_terms.
 
     Iterates on the (m-1)-th angular derivative, whose zero at the cluster
-    center is simple.  Returns the refined angle, or None if the iteration
-    runs away from the cluster (the candidate was not a circle zero).
+    center is simple; both derivatives of a step share one exp(ik theta).
+    Returns the refined angle, or None if the iteration runs away from the
+    cluster (the candidate was not a circle zero).
     """
+    ik, rows, _ = terms
     th = float(theta0)
     for _ in range(60):
-        h = t.theta_eval(th, m - 1).real
-        hp = t.theta_eval(th, m).real
+        h, hp = (rows[m - 1: m + 1] * np.exp(ik * th)).sum(axis=1).real.tolist()
         if hp == 0.0:
             break
         step = h / hp
@@ -896,18 +944,19 @@ def _polish_circle_zero(t: TrigPoly, theta0: float, m: int) -> float | None:
     return th
 
 
-def _certify_circle_zero(t: TrigPoly, members: list[complex]) -> complex | None:
+def _certify_circle_zero(terms, members: list[complex]) -> complex | None:
     """The circle zero of order m = len(members) that the roots in members
-    scatter around, or None if t's first m angular derivatives do not all
-    reach the machine floor there."""
+    scatter around, or None if the first m angular derivatives of t, given
+    by its _angular_terms, do not all reach the machine floor there."""
+    ik, rows, bounds = terms
     m = len(members)
     center = sum(r / abs(r) for r in members) / m
-    theta = _polish_circle_zero(t, math.atan2(center.imag, center.real), m)
+    theta = _polish_circle_zero(terms, math.atan2(center.imag, center.real), m)
     if theta is None:
         return None
-    for j in range(m):
-        if abs(t.theta_eval(theta, j)) > _CERT_REL * max(t.derivative_scale(j), 1.0):
-            return None
+    values = (rows[:m] * np.exp(ik * theta)).sum(axis=1).tolist()
+    if any(abs(v) > b for v, b in zip(values, bounds)):
+        return None
     return complex(math.cos(theta), math.sin(theta))
 
 
@@ -928,17 +977,17 @@ def _split_circle_roots(t: TrigPoly):
     P, d_eff = t.as_poly()
     if d_eff == 0 or P.degree < 1:
         return [], []
-    flat: list[complex] = []
+    near: list[complex] = []
+    far: list[complex] = []
     for r, mult in roots(P, cluster_radius=1e-12):
-        flat.extend([r] * mult)
-    near = [r for r in flat if abs(abs(r) - 1.0) <= _CANDIDATE_BAND]
-    far = [r for r in flat if abs(abs(r) - 1.0) > _CANDIDATE_BAND]
+        (near if abs(abs(r) - 1.0) <= _CANDIDATE_BAND else far).extend([r] * mult)
     circle: list[tuple[complex, int]] = []
     # members are keyed by index: a mirror pair has one projection for both
     for idx in _cluster_members([r / abs(r) for r in near], CIRCLE_BAND):
         members = sorted((near[i] for i in idx), key=lambda r: abs(abs(r) - 1.0))
+        terms = _angular_terms(t, len(members))
         for m in range(len(members), 0, -1):
-            tau = _certify_circle_zero(t, members[:m])
+            tau = _certify_circle_zero(terms, members[:m])
             if tau is not None:
                 circle.append((tau, m))
                 far.extend(members[m:])

@@ -1,5 +1,9 @@
 """Univariate and trigonometric polynomial layer."""
 
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -20,6 +24,10 @@ from rifclark.polynomials import (
     roots,
 )
 from rifclark.rif import BiPolyN1, validate
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import gen  # noqa: E402
 
 RNG = np.random.default_rng(101)
 EPS = float(np.finfo(float).eps)
@@ -433,7 +441,8 @@ def test_aberth_sweeps_on_the_boundary_polynomial(monkeypatch, n):
         poly, _taus = _generated_rif(n, seed)
         t = TrigPoly.modulus_squared(poly.p1) - TrigPoly.modulus_squared(poly.p2)
         sweeps.append(0)
-        polynomials._aberth(t.as_poly()[0].coeffs[None])
+        c = t.as_poly()[0].coeffs[None]
+        polynomials._aberth(c, polynomials._eval_tables(c))
     assert max(sweeps) <= 24, sweeps
 
 
@@ -448,7 +457,7 @@ def test_aberth_guards_a_non_finite_step(monkeypatch, start):
     # the guards run only once a sweep's step comes out non-finite
     c = np.array([-1.0, 0.0, 1.0], dtype=complex)
     monkeypatch.setattr(polynomials, "_newton_polygon_start", lambda _c: np.array([start]))
-    z = np.sort_complex(polynomials._aberth(c[None])[0])
+    z = np.sort_complex(polynomials._aberth(c[None], polynomials._eval_tables(c[None]))[0])
     assert np.allclose(z, [-1.0, 1.0], rtol=0, atol=1e-14)
     found = roots(UniPoly(c))
     assert [m for _r, m in found] == [1, 1]
@@ -462,7 +471,8 @@ def test_roots_fall_back_to_the_companion_matrix(monkeypatch):
     c = P.polyfromroots(true_roots)
     calls = []
     eig = np.roots
-    monkeypatch.setattr(polynomials, "_aberth", polynomials._newton_polygon_start)
+    monkeypatch.setattr(polynomials, "_aberth",
+                        lambda c, _tables: polynomials._newton_polygon_start(c))
     monkeypatch.setattr(polynomials.np, "roots", lambda a: calls.append(a) or eig(a))
     found = roots(UniPoly(c))
     assert len(calls) == 1
@@ -497,8 +507,8 @@ def test_roots_of_a_stack_match_each_row_alone(monkeypatch):
     # fails; the companion matrix then certifies one and not the other
     aberth, eig = polynomials._aberth, np.roots
 
-    def stalled(c):
-        z = aberth(c)
+    def stalled(c, tables):
+        z = aberth(c, tables)
         for k, row in enumerate(c):
             if any(np.array_equal(row, rows[name]) for name in ("fallback", "refused")):
                 z[k] = polynomials._newton_polygon_start(row[None])[0]
@@ -529,6 +539,114 @@ def test_roots_of_a_stack_match_each_row_alone(monkeypatch):
     assert sorted(m for _r, m in found["clustered"]) == [1, 1, 1, 1, 2]
     assert sum(m for _r, m in found["top-zero"]) == 5
     assert sum(m for _r, m in found["fallback"]) == 6
+
+
+def test_one_row_root_find_builds_its_tables_once(monkeypatch):
+    # _stack_roots hands the coefficient tables it builds to _aberth
+    shapes = []
+    real = polynomials._eval_tables
+
+    def counted(c):
+        shapes.append(c.shape)
+        return real(c)
+
+    monkeypatch.setattr(polynomials, "_eval_tables", counted)
+    found = roots(UniPoly(P.polyfromroots([0.5, -0.3 + 0.8j, 1.7j, -2.0])))
+    assert [m for _r, m in found] == [1] * 4
+    assert shapes == [(1, 5)]
+
+
+def test_points_all_outside_evaluate_as_next_to_an_inside_point():
+    # when every point lies outside the disk the power table is made at 1/z
+    # and reversed whole; each point must get the bits it gets when an
+    # inside point makes the table pick the outside rows one by one.  The
+    # two sets have the same size, since BLAS may round a product of
+    # another shape differently
+    rng = np.random.default_rng(29)
+    c = P.polyfromroots(_ring(rng, 9, 0.5, 1.5))
+    tables = tuple(t[0] for t in polynomials._eval_tables(c[None]))
+    wide = tables + (c.astype(np.clongdouble),)
+    for count in (1, 6, 9, 11, 17, 31):
+        z = rng.uniform(1.01, 3.0, count + 1) * np.exp(2j * np.pi * rng.uniform(size=count + 1))
+        mixed = np.r_[z[:-1], 0.3 - 0.4j]
+        for evaluate, tabs in ((polynomials._eval_scaled, tables),
+                               (polynomials._eval_extended, wide)):
+            for got, want in zip(evaluate(tabs, z), evaluate(tabs, mixed)):
+                assert got[:-1].tobytes() == want[:-1].tobytes(), (evaluate.__name__, count)
+
+
+def _theta_eval_certificate(t):
+    """_certify_circle_zero as it was before its derivatives shared one
+    exp(ik theta) per angle: a Newton polish on the (m-1)-th angular
+    derivative and a certificate on the first m, each derivative from
+    TrigPoly.theta_eval and each bound from TrigPoly.derivative_scale."""
+
+    def polish(theta0, m):
+        th = float(theta0)
+        for _ in range(60):
+            h = t.theta_eval(th, m - 1).real
+            hp = t.theta_eval(th, m).real
+            if hp == 0.0:
+                break
+            step = h / hp
+            th -= step
+            if abs(step) <= 1e-15:
+                break
+            if abs(th - theta0) > 2 * polynomials.CIRCLE_BAND + 0.01:
+                return None
+        return th
+
+    def certify(_terms, members):
+        m = len(members)
+        center = sum(r / abs(r) for r in members) / m
+        theta = polish(math.atan2(center.imag, center.real), m)
+        if theta is None:
+            return None
+        for j in range(m):
+            if abs(t.theta_eval(theta, j)) > polynomials._CERT_REL * max(t.derivative_scale(j), 1.0):
+                return None
+        return complex(math.cos(theta), math.sin(theta))
+
+    return certify
+
+
+def _boundary_polynomials():
+    """(t, number of failed certificate attempts)."""
+    for n in (8, 24, 48):
+        for s in range(2):
+            f = gen.generate(np.random.default_rng([9, n, s]), n)
+            p1, p2 = UniPoly(f.p1), UniPoly(f.p2)
+            yield pytest.param(TrigPoly.modulus_squared(p1) - TrigPoly.modulus_squared(p2), 0,
+                               id=f"ladder-{n}-{s}")
+    # amy's boundary polynomial has a zero of order 4 at tau = 1
+    yield pytest.param(get("amy").build().t, 0, id="amy")
+    # a double zero at 1 and the mirror pair 1.001 e^{2i}, e^{2i} / 1.001:
+    # that cluster fails at orders 2 and 1 and is demoted
+    yield pytest.param(TrigPoly.modulus_squared(UniPoly(P.polyfromroots(
+        [1.0, 1.001 * np.exp(2j), 0.5j]))), 2, id="mirror-pair")
+
+
+@pytest.mark.parametrize("t,failed", list(_boundary_polynomials()))
+def test_circle_zeros_keep_their_bits_and_decisions(monkeypatch, t, failed):
+    # every certificate attempt, (order, zero or None), and the split itself
+    # must come out as they did from TrigPoly.theta_eval
+    def run(certify):
+        decisions = []
+
+        def recorded(terms, members):
+            tau = certify(terms, members)
+            decisions.append((len(members), tau))
+            return tau
+
+        monkeypatch.setattr(polynomials, "_certify_circle_zero", recorded)
+        circle, inside = polynomials._split_circle_roots(t)
+        return repr((circle, inside)), decisions
+
+    got = run(polynomials._certify_circle_zero)
+    want = run(_theta_eval_certificate(t))
+    assert got == want
+    assert sum(tau is None for _m, tau in got[1]) == failed
+    assert any(tau is not None for _m, tau in got[1])
 
 
 def test_roots_of_a_stack_refuse_rows_one_by_one():
