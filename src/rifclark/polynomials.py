@@ -25,9 +25,13 @@ stack of coefficient rows, such as the pencils of a family of Clark
 measures: one Aberth iteration runs over the iterates of every row, each
 iterate's Aberth sum over its own row, each row's Newton polygon is a
 monotone chain over its coefficients, and each row is evaluated by a
-batched product, one BLAS call per row, so a row gets the same bits in a
-stack as alone.  A single polynomial is the stack of one row, through the
-same code: its coefficient tables are built once, and a sweep whose
+batched product, one BLAS call per row, against its own coefficients
+only.  That product may round a row's values differently, in the last
+bits of a value or scale, when it carries another count of points, as a
+row padded to its stack's longest line does; so a row's roots in a stack
+pass the same per-row certificate as alone but need not carry the same
+bits.  A single polynomial is the stack of one row, through the same
+code: its coefficient tables are built once, and a sweep whose
 iterates all lie on one side of the circle makes its power table without
 picking rows out.  The polish, the clustering decision, the certificate
 and the companion-matrix fallback are decided row by row, and a row that
@@ -340,7 +344,8 @@ def _scaled_values(tables, pw: np.ndarray):
     (L, 2) and (L, 1), against an (M, L) table of its points, or those of
     R rows, (R, L, 2) and (R, L, 1), against an (R, m, L) table of each
     row's points.  A batched product makes one BLAS call per row, so a
-    row's values carry the rounding they get when the row is alone."""
+    row's values do not depend on the other rows' coefficients; their
+    rounding may still depend on how many points the call carries."""
     v = pw @ tables[0]
     return v[..., 0], v[..., 1], (np.abs(pw) @ tables[1])[..., 0]
 
@@ -719,8 +724,9 @@ def roots(p, cluster_radius: float = CLUSTER_RADIUS):
     otherwise does _cluster_members group them.
 
     p may also be a 2-D array, a (K, n + 1) stack of ascending coefficient
-    rows.  Then the result is a list with one entry per row: the root list
-    that the row alone would give, or in its place the DomainError or
+    rows.  Then the result is a list with one entry per row: the row's
+    root list, certified as the row alone is but not always with the same
+    bits (see the module docstring), or in its place the DomainError or
     NumericError that the row alone would raise, returned and not raised.
     The rows share one Aberth iteration, and each row is trimmed at its
     own degree and keeps its own clustering decision, certificate and

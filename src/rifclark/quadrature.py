@@ -27,7 +27,7 @@ _TORUS_BAND = ((1.0 - 1e-6) ** 2, (1.0 + 1e-6) ** 2)
 _PROBE_RADII = (0.9, 0.99, 0.999, 0.9999)
 
 
-def poisson2(z, zeta, out: np.ndarray | None = None) -> np.ndarray:
+def poisson2(z, zeta) -> np.ndarray:
     """Two-variable Poisson kernel P(z, zeta) for points z in the open bidisk.
 
     z is one point (a pair of complex numbers) or P points as a (P, 2)
@@ -44,12 +44,6 @@ def poisson2(z, zeta, out: np.ndarray | None = None) -> np.ndarray:
     eps (1 + |z_i|)^2 / (1 - |z_i|)^2 relative: 2e-15 at |z_i| = 0.5,
     9e-12 at |z_i| = 0.99.
 
-    out, in numpy's idiom, is an optional float (2, P, N) workspace (P = 1
-    for one point): the two denominators are written into it and the
-    kernel comes back in out[0], so a caller that integrates many
-    families of one shape reuses one pair of buffers instead of faulting
-    in fresh pages per call.  Each call then overwrites the last result.
-
     >>> pts = np.array([(0.3 + 0.2j, -0.4j), (0.0, 0.5)])
     >>> zeta = (circle_nodes(64), circle_nodes(64) ** 3)
     >>> poisson2(pts, zeta).shape
@@ -60,28 +54,40 @@ def poisson2(z, zeta, out: np.ndarray | None = None) -> np.ndarray:
     pts = np.asarray(z, dtype=complex)
     if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
         raise DomainError("Poisson kernel points must be pairs, one per row")
-    if not np.all(np.abs(pts) < 1.0):
-        raise DomainError("Poisson kernel point must lie in the open bidisk")
     rows = pts.reshape(-1, 2)
     ws = np.broadcast_arrays(*(np.atleast_1d(np.asarray(w, dtype=complex)) for w in zeta))
-    num = 1.0
-    dens = []
-    for zi, w, work in zip(rows.T, ws, (None, None) if out is None else out):
-        ww = w.real ** 2 + w.imag ** 2
-        if not np.all((ww >= _TORUS_BAND[0]) & (ww <= _TORUS_BAND[1])):
-            raise DomainError("Poisson kernel is sampled on the torus only")
-        zz = zi.real ** 2 + zi.imag ** 2
-        num = num * (1.0 - zz)
-        dens.append(np.matmul(
-            np.stack([-2.0 * zi.real, -2.0 * zi.imag, np.ones_like(zz), zz], axis=1),
-            np.stack([w.real, w.imag, ww, np.ones_like(ww)]),
-            out=work,
-        ))
-    den, den2 = dens
+    (num, den), (num2, den2) = (_kernel_factor(zi, w) for zi, w in zip(rows.T, ws))
     den *= den2
-    kernel = np.divide(num[:, None], den, out=den)
+    kernel = np.divide((num * num2)[:, None], den, out=den)
     shape = np.broadcast_shapes(np.shape(zeta[0]), np.shape(zeta[1]))
     return kernel.reshape(pts.shape[:-1] + shape)
+
+
+def _kernel_factor(zi, w, out: np.ndarray | None = None):
+    """One coordinate of poisson2: (1 - |zi|^2, |w - zi|^2) for P points zi
+    and N nodes w, shaped (P,) and (P, N), the second written into out
+    when it is given, a float (P, N) array.  The one-variable Poisson
+    kernel is their ratio, (1 - |zi|^2) / |w - zi|^2.
+
+    The denominator is the expanded square |w|^2 + |zi|^2
+    - 2 Re(conj(zi) w), one real (P, 4) @ (4, N) product (see poisson2).
+    Raises DomainError unless every |zi| < 1 and every w lies within 1e-6
+    of the unit circle.
+    """
+    zi = np.asarray(zi, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    if not np.all(np.abs(zi) < 1.0):
+        raise DomainError("Poisson kernel point must lie in the open bidisk")
+    ww = w.real ** 2 + w.imag ** 2
+    if not np.all((ww >= _TORUS_BAND[0]) & (ww <= _TORUS_BAND[1])):
+        raise DomainError("Poisson kernel is sampled on the torus only")
+    zz = zi.real ** 2 + zi.imag ** 2
+    den = np.matmul(
+        np.stack([-2.0 * zi.real, -2.0 * zi.imag, np.ones_like(zz), zz], axis=1),
+        np.stack([w.real, w.imag, ww, np.ones_like(ww)]),
+        out=out,
+    )
+    return 1.0 - zz, den
 
 
 def pointmass_probe(rif, alpha, direction) -> list[float]:

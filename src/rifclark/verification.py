@@ -9,6 +9,17 @@ once, and run_suites, the engine behind the command-line verify
 subcommand, times a selection of them; a suite passes when ok holds and
 deviation <= tol.
 
+Two suites cost only their arithmetic.  poisson does not pass the whole
+kernel to clark.integrate but splits the bidisk Poisson kernel by
+coordinate (_poisson_integrals): the first coordinate's table on the
+roots of unity is built once per run and serves every curve with centre
+0, each curve adds only its second coordinate's denominators, and a line
+needs one kernel value and the row means of one table.  box_mass
+integrates box indicators that are exactly 0 wherever the first angle
+lies outside the widest box, so _box_indicators takes the second angle
+and the smooth steps only on the nodes near the box, with the bits of the
+dense formula.
+
 Sweep construction (a list of Clark measures, one per alpha, shared by the
 suites): quadrature error for the curve part decays like
 exp(-N s) where the analyticity strip s is proportional to the distance d
@@ -50,12 +61,14 @@ from .clark import (
 )
 from .errors import DomainError, RifClarkError
 from .polynomials import TOL
-from .quadrature import circle_nodes, pointmass_probe, poisson2
+from .quadrature import _kernel_factor, circle_nodes, pointmass_probe, poisson2
 from .rif import Rif, phi_eval, reflect
 
 SWEEP_SIZE = 16
 SWEEP_MIN_DISTANCE = 0.02
-# box_mass resolves boxes down to 0.025 with transitions a tenth as wide
+# box_mass weighs boxes of these half-widths, with transitions a tenth as
+# wide, resolved on _BOX_NODES nodes
+_BOX_EPSS = (0.1, 0.05, 0.025)
 _BOX_NODES = 16384
 
 
@@ -154,15 +167,21 @@ def alpha_sweep(rif: Rif, seed: int = 0) -> list[ClarkMeasure]:
     return exc + picked
 
 
-def _interior_points(rng, count: int):
+def _interior_points(rng, count: int) -> np.ndarray:
+    """count points of the bidisk of radius PROBE_RADIUS, a (count, 2)
+    complex array.  Each candidate is a row of four uniform draws in
+    (-r, r), the real and imaginary parts of z1 and z2, kept when |z1| and
+    |z2| are both below r; the rows come in blocks of 2 count and are
+    taken in order, so the points are those that drawing one row at a time
+    would keep, and the draws past the last point kept go unused."""
     r = PROBE_RADIUS
-    pts = []
-    while len(pts) < count:
-        z1 = rng.uniform(-r, r) + 1j * rng.uniform(-r, r)
-        z2 = rng.uniform(-r, r) + 1j * rng.uniform(-r, r)
-        if abs(z1) < r and abs(z2) < r:
-            pts.append((complex(z1), complex(z2)))
-    return pts
+    kept = [np.empty((0, 2), dtype=complex)]
+    found = 0
+    while found < count:
+        z = rng.uniform(-r, r, size=(2 * count, 4)).view(complex)
+        kept.append(z[np.all(np.abs(z) < r, axis=1)])
+        found += len(kept[-1])
+    return np.concatenate(kept)[:count]
 
 
 def _torus_grid(n1: int, n2: int):
@@ -284,20 +303,60 @@ def _poisson_closed_form(phis: np.ndarray, alpha: complex) -> np.ndarray:
     return (1.0 - np.abs(phis) ** 2) / np.abs(alpha - phis) ** 2
 
 
+def _kernel_table(zi, nodes, out=None) -> np.ndarray:
+    """The one-variable Poisson kernels (1 - |zi|^2) / |w - zi|^2 of the
+    points zi at the nodes w, a (P, N) array, written into out when it is
+    given."""
+    num, den = _kernel_factor(zi, nodes, out)
+    return np.divide(num[:, None], den, out=den)
+
+
+def _poisson_integrals(pts: np.ndarray, measures):
+    """The Poisson integrals of each measure at the (P, 2) points pts on
+    its RULE_NODES rule, one real (P,) array per measure, in order: what
+    integrate(cm, lambda u, v: poisson2(pts, (u, v)), RULE_NODES).real
+    gives, up to rounding.
+
+    The bidisk kernel is the product of the kernels of the two coordinates
+    (Rudin, Function Theory in Polydiscs, 1969, ch. 2).  On the curve it is
+    the first coordinate's (P, N) table at the nodes zeta_j divided by
+    |conj(B_alpha(zeta_j)) - z2|^2, and 1 - |z2|^2 multiplies each row
+    after the product with the weights.  The nodes of every measure with
+    centre 0 are the roots of unity, so their table is built once; a
+    mapped measure builds its own from its nodes.  A line (tau_k, c_k)
+    integrates to c_k P(z1, tau_k) times the mean of the second
+    coordinate's kernel over the roots of unity, the row means of one
+    table built at the first line.  The denominators of the curves and
+    that table go into one kept (P, N) workspace, so the pages of a fresh
+    buffer are not faulted in per measure.
+    """
+    z1, z2 = np.asarray(pts, dtype=complex).T
+    omega = circle_nodes(RULE_NODES)
+    first = _kernel_table(z1, omega)
+    work = np.empty_like(first)
+    line_means = None
+    for cm in measures:
+        nodes, curve_z2, w = cm.node_data(RULE_NODES)
+        table = first if nodes is omega else _kernel_table(z1, nodes)
+        num, den = _kernel_factor(z2, curve_z2, work)
+        got = (np.divide(table, den, out=den) @ w) * (num / RULE_NODES)
+        for tau, mass in cm.lines:
+            if line_means is None:
+                line_means = np.mean(_kernel_table(z2, omega, work), axis=1)
+            got += mass * _kernel_table(z1, [tau])[:, 0] * line_means
+        yield got
+
+
 def _suite_poisson(ctx: _Ctx):
     rif = ctx.rif
-    pts = np.array(_interior_points(ctx.rng(1), 50))
+    pts = _interior_points(ctx.rng(1), 50)
     phis = phi_eval(rif, pts)
+    sweep = ctx.sweep()
     dev = 0.0
-    # one pair of kernel buffers for every call: integrate consumes each
-    # family before it asks for the next
-    work = np.empty((2, len(pts), RULE_NODES))
-    for cm in ctx.sweep():
-        got = integrate(cm, lambda u, v: poisson2(pts, (u, v), out=work),
-                        RULE_NODES)
+    for cm, got in zip(sweep, _poisson_integrals(pts, sweep)):
         want = _poisson_closed_form(phis, cm.alpha)
-        dev = max(dev, float(np.max(np.abs(got.real - want))))
-    return dev, True, {"points": len(pts), "alphas": len(ctx.sweep())}
+        dev = max(dev, float(np.max(np.abs(got - want))))
+    return dev, True, {"points": len(pts), "alphas": len(sweep)}
 
 
 def _suite_gram(ctx: _Ctx):
@@ -393,33 +452,51 @@ def _suite_atoms(ctx: _Ctx):
 
 
 def _bump(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        b = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return a / (a + b)
+    """C-infinity step: exactly 0 for t <= 0 and 1 for t >= 1, NaN at NaN,
+    and exp(-1/t) / (exp(-1/t) + exp(-1/(1 - t))) in between, the only
+    place where it takes an exp."""
+    t = np.asarray(t, dtype=float)
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    out[np.isnan(t)] = np.nan
+    band = (t > 0.0) & (t < 1.0)
+    tb = t[band]
+    a = np.exp(-1.0 / np.maximum(tb, 1e-300))
+    b = np.exp(-1.0 / np.maximum(1.0 - tb, 1e-300))
+    out[band] = a / (a + b)
+    return out
 
 
 def _box_indicators(center1: float, center2: float, epss):
     """Smoothed indicators of the eps-boxes of angles around (center1,
     center2), one row per eps, transition eps/10; the angles are taken
-    once for the whole family."""
+    once for the whole family.
+
+    The first coordinate's step is exactly 0 where its angle t1 is at
+    least eps, and there the indicator is 0 times a step in [0, 1].  So
+    the second angle and the steps are taken only where t1 is below the
+    widest eps or z2 is not finite (0 times NaN is NaN); every other entry
+    is an exact 0."""
+    widest = max(epss)
 
     def f(z1, z2):
         t1 = np.abs(np.angle(np.asarray(z1) * np.exp(-1j * center1)))
-        t2 = np.abs(np.angle(np.asarray(z2) * np.exp(-1j * center2)))
-        return np.array([
-            _bump((eps - t1) / (eps / 10.0)) * _bump((eps - t2) / (eps / 10.0))
-            for eps in epss
-        ])
+        z2 = np.asarray(z2)
+        near = ~(t1 >= widest) | ~np.isfinite(z2)
+        t1 = t1[near]
+        t2 = np.abs(np.angle(z2[near] * np.exp(-1j * center2)))
+        out = np.zeros((len(epss),) + near.shape)
+        for row, eps in zip(out, epss):
+            row[near] = _bump((eps - t1) / (eps / 10.0)) * _bump((eps - t2) / (eps / 10.0))
+        return out
 
     return f
 
 
-def _suite_box_mass(ctx: _Ctx):
+def _box_targets(ctx: _Ctx) -> list:
+    """(measure, theta1, theta2) of every box that box_mass weighs: each
+    contact (tau_k, lambda_k) on the sweep's measure at its alpha, and the
+    curve point at theta1 = 0.7 of the first generic measure."""
     rif = ctx.rif
-    epss = (0.1, 0.05, 0.025)
     exc = ctx.exceptional()
     targets = []
     for s in rif.singularities:
@@ -432,10 +509,15 @@ def _suite_box_mass(ctx: _Ctx):
         th1 = 0.7
         z2 = complex(cm.curve_z2(np.exp(1j * th1)))
         targets.append((cm, th1, math.atan2(z2.imag, z2.real)))
+    return targets
+
+
+def _suite_box_mass(ctx: _Ctx):
+    epss = _BOX_EPSS
     ratio = 0.0
     monotone = True
     rows = []
-    for cm, c1, c2 in targets:
+    for cm, c1, c2 in _box_targets(ctx):
         masses = [float(m) for m in integrate(
             cm, _box_indicators(c1, c2, epss), _BOX_NODES).real]
         if any(b >= m for m, b in zip(masses, masses[1:])):

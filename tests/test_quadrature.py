@@ -6,6 +6,7 @@ import pytest
 from rifclark.catalog import get
 from rifclark.errors import DomainError
 from rifclark.quadrature import (
+    _kernel_factor,
     circle_nodes,
     pointmass_probe,
     poisson2,
@@ -78,17 +79,22 @@ def test_poisson2_batched_matches_direct_formula():
     assert np.allclose(poisson2(pts[3], (w1, w2)), got[3], rtol=1e-15, atol=0.0)
 
 
-def test_poisson2_workspace_gives_the_same_kernel():
+def test_kernel_factor_workspace_gives_the_same_denominators():
+    # the one-coordinate factor that poisson2 and the poisson suite share
+    # writes its (P, N) denominators into a kept workspace when given one
     rng = np.random.default_rng(13)
     pts = 0.5 * np.sqrt(rng.uniform(size=(7, 2))) * np.exp(2j * np.pi * rng.uniform(size=(7, 2)))
-    w1, w2 = _torus_samples(pts, rng)
-    work = np.empty((2, 7, w1.size))
-    for rows in (pts, pts[::-1]):
-        got = poisson2(rows, (w1, w2), out=work)
-        assert np.shares_memory(got, work[0])
-        assert np.array_equal(got, poisson2(rows, (w1, w2)))
-    one = poisson2(pts[2], (w1, w2), out=work[:, :1])
-    assert np.array_equal(one, poisson2(pts[2], (w1, w2)))
+    w1, _w2 = _torus_samples(pts, rng)
+    work = np.empty((7, w1.size))
+    for zi in (pts[:, 0], pts[::-1, 1]):
+        num, den = _kernel_factor(zi, w1, work)
+        assert den is work
+        fresh = _kernel_factor(zi, w1)
+        assert np.array_equal(num, fresh[0]) and np.array_equal(den, fresh[1])
+        assert np.array_equal(poisson2(np.column_stack([zi, zi]), (w1, w1)),
+                              (num * num)[:, None] / (den * den))
+    one = _kernel_factor(pts[2, :1], w1, work[:1])[1]
+    assert np.array_equal(one, _kernel_factor(pts[2, :1], w1)[1])
 
 
 def test_poisson2_expanded_square_bound_near_the_boundary():

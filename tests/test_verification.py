@@ -1,6 +1,7 @@
 """Suite engine: sweep construction, registry, determinism."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -241,9 +242,10 @@ def test_fave_suites_stay_below_16384_nodes(monkeypatch):
 
 
 def test_poisson_integrals_take_one_pass_per_measure(monkeypatch):
-    # poisson integrates all its points in one call per sweep alpha, and
-    # weakstar all its points in one call per exceptional alpha plus the
-    # three scalar trend calls of the order-one contact
+    # poisson reads each sweep measure's node data once and builds one
+    # first-coordinate kernel table per run, and weakstar integrates all its
+    # points in one call per exceptional alpha plus the three scalar trend
+    # calls of the order-one contact
     calls = Counter()
     integrate = verification.integrate
 
@@ -251,10 +253,189 @@ def test_poisson_integrals_take_one_pass_per_measure(monkeypatch):
         calls[suite] += 1
         return integrate(cm, f, count)
 
+    reads = Counter()
+    node_data = clark.ClarkMeasure.node_data
+
+    def read(cm, count):
+        if suite == "poisson":
+            reads[id(cm), count] += 1
+        return node_data(cm, count)
+
+    tables = []
+    kernel_table = verification._kernel_table
+
+    def table(zi, nodes, out=None):
+        tables.append((np.array(zi), len(nodes)))
+        return kernel_table(zi, nodes, out)
+
     monkeypatch.setattr(verification, "integrate", counted)
+    monkeypatch.setattr(clark.ClarkMeasure, "node_data", read)
+    monkeypatch.setattr(verification, "_kernel_table", table)
     entry = get("fave")
     rif = entry.build()
     for suite in ("poisson", "weakstar"):
         assert run_suites(entry, names=[suite], seed=5)[0].passed
-    assert calls["poisson"] == len(alpha_sweep(rif, seed=5)) == verification.SWEEP_SIZE
+    sweep = alpha_sweep(rif, seed=5)
+    assert len(sweep) == verification.SWEEP_SIZE
+    assert not any(cm.center for cm in sweep)
+    assert calls["poisson"] == 0
+    assert len(reads) == verification.SWEEP_SIZE
+    assert set(reads.values()) == {1}
+    assert {count for _id, count in reads} == {clark.RULE_NODES}
+    z1 = verification._interior_points(np.random.default_rng([5, 1]), 50)[:, 0]
+    # the line's P(z1, tau) is a one-node table
+    assert sum(np.array_equal(zi, z1) and size > 1 for zi, size in tables) == 1
     assert calls["weakstar"] == len(verification._distinct_exceptional(rif)) + 3
+
+
+def _mapped_with_lines(monkeypatch):
+    # fave's exceptional measure with its curve nodes moved by a node map
+    rif = get("fave").build()
+    monkeypatch.setattr(clark, "_map_center", lambda zeros: 0.6 * np.exp(0.4j))
+    cm = clark.clark_measure(rif, -1.0)
+    monkeypatch.undo()
+    return cm
+
+
+def test_split_poisson_kernel_matches_integrate(monkeypatch):
+    # the poisson suite's integrals, the kernel split by coordinate, against
+    # integrate with the whole kernel poisson2 on the same rule
+    measures = []
+    for name in names():
+        for seed in (0, 5):
+            pts = verification._interior_points(np.random.default_rng([seed, 1]), 50)
+            measures += [(pts, cm) for cm in alpha_sweep(get(name).build(), seed=seed)]
+    mapped = [clark.clark_measure(get("deg31").build(), complex(np.exp(0.37j))),
+              _mapped_with_lines(monkeypatch)]
+    assert all(cm.center for cm in mapped) and mapped[1].lines
+    pts = verification._interior_points(np.random.default_rng([0, 1]), 50)
+    measures += [(pts, cm) for cm in mapped]
+    assert any(cm.lines for _pts, cm in measures)
+    for pts, cm in measures:
+        got, = verification._poisson_integrals(pts, [cm])
+        want = verification.integrate(
+            cm, lambda u, v: verification.poisson2(pts, (u, v)), clark.RULE_NODES)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), cm.alpha
+
+
+def test_split_poisson_kernel_keeps_the_domain_checks():
+    # points in the open bidisk, and every node within 1e-6 of the torus:
+    # the curve's first and second coordinates and each line's tau
+    omega = clark.circle_nodes(clark.RULE_NODES)
+    off = omega.copy()
+    off[17] *= 1.001
+    w = np.ones(omega.size)
+    pts = np.array([(0.1, 0.2j), (0.3, -0.1)])
+    good = SimpleNamespace(node_data=lambda count: (omega, omega, w), lines=())
+    assert len(list(verification._poisson_integrals(pts, [good]))) == 1
+    bad = [
+        SimpleNamespace(node_data=lambda count: (omega, off, w), lines=()),
+        SimpleNamespace(node_data=lambda count: (off, omega, w), lines=()),
+        SimpleNamespace(node_data=lambda count: (omega, omega, w), lines=((1.001, 0.5),)),
+    ]
+    for cm in bad:
+        with pytest.raises(DomainError, match="torus"):
+            list(verification._poisson_integrals(pts, [cm]))
+    for row, col in ((0, 0), (1, 1)):
+        out = pts.copy()
+        out[row, col] = 1.0
+        with pytest.raises(DomainError, match="bidisk"):
+            list(verification._poisson_integrals(out, [good]))
+
+
+def _scalar_interior_points(rng, count):
+    # one candidate at a time, four draws each
+    r = clark.PROBE_RADIUS
+    pts = []
+    while len(pts) < count:
+        z1 = rng.uniform(-r, r) + 1j * rng.uniform(-r, r)
+        z2 = rng.uniform(-r, r) + 1j * rng.uniform(-r, r)
+        if abs(z1) < r and abs(z2) < r:
+            pts.append((complex(z1), complex(z2)))
+    return pts
+
+
+def test_interior_points_are_those_of_the_scalar_loop():
+    for seed in range(200):
+        for salt, count in ((1, 50), (2, 5)):
+            got = verification._interior_points(np.random.default_rng([seed, salt]), count)
+            want = _scalar_interior_points(np.random.default_rng([seed, salt]), count)
+            assert got.shape == (count, 2) and got.dtype == complex
+            assert got.tobytes() == np.array(want).tobytes(), (seed, count)
+    assert verification._interior_points(np.random.default_rng(0), 0).shape == (0, 2)
+
+
+def _dense_bump(t):
+    # the step evaluated everywhere, exp included
+    t = np.clip(t, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        b = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+        return a / (a + b)
+
+
+def _dense_box_indicators(center1, center2, epss):
+    def f(z1, z2):
+        t1 = np.abs(np.angle(np.asarray(z1) * np.exp(-1j * center1)))
+        t2 = np.abs(np.angle(np.asarray(z2) * np.exp(-1j * center2)))
+        return np.array([
+            _dense_bump((eps - t1) / (eps / 10.0)) * _dense_bump((eps - t2) / (eps / 10.0))
+            for eps in epss
+        ])
+
+    return f
+
+
+def _same_bits(got, want):
+    # the same bits at every number, and NaN at the same places (the sign
+    # and payload of a NaN are not compared)
+    nan = np.isnan(got)
+    return (np.array_equal(nan, np.isnan(want))
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def test_bump_matches_the_dense_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    t = np.concatenate([
+        [0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 1e-310,
+         0.5, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52, -1e-300, 2.0, -3.0],
+        rng.uniform(size=1000), rng.uniform(-2.0, 3.0, size=1000),
+    ])
+    # exp underflows to 0 near the ends of the band, as numpy allows by
+    # default; nothing else may warn
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = verification._bump(t)
+    assert _same_bits(got, _dense_bump(t))
+    assert got[0] == 0.0 and got[2] == 1.0 and np.isnan(got[5])
+
+
+def test_box_indicators_match_the_dense_formula_bit_for_bit():
+    epss = verification._BOX_EPSS
+    for name in names():
+        ctx = verification._Ctx(get(name), 0)
+        targets = verification._box_targets(ctx)
+        assert targets
+        for cm, c1, c2 in targets:
+            f = verification._box_indicators(c1, c2, epss)
+            ref = _dense_box_indicators(c1, c2, epss)
+            for z1, z2, _w in cm.rule(verification._BOX_NODES):
+                got = f(z1, z2)
+                assert got.shape == (len(epss), z1.size)
+                assert _same_bits(got, ref(z1, z2)), (name, c1, c2)
+
+
+def test_box_indicators_keep_nan_nodes():
+    # a non-finite node in either coordinate gives NaN in every row, inside
+    # the box and far from it
+    f = verification._box_indicators(0.0, 0.0, verification._BOX_EPSS)
+    z = clark.circle_nodes(64)
+    for col in (0, 32):  # angle 0, inside every box, and angle pi, outside
+        for bad in (np.nan, complex(np.nan, 0.0), complex(np.inf, np.nan)):
+            for which in (0, 1):
+                pair = [z.copy(), z.copy()]
+                pair[which][col] = bad
+                got = f(*pair)
+                assert np.all(np.isnan(got[:, col])), (col, bad, which)
+                with np.errstate(invalid="ignore"):
+                    ref = _dense_box_indicators(0.0, 0.0, verification._BOX_EPSS)(*pair)
+                assert _same_bits(got, ref)
