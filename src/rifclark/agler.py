@@ -18,9 +18,13 @@ graph part of the level set and are supported on the lines, which is
 what the orthonormality check verifies against that measure.  The
 measure-side functions here (exceptional_R, gram_isometry_check,
 orthonormality_check) take the ClarkMeasure and never build one, and
-integrate against it with its own rule, the weighted blocks of cm.rule;
-on the lines R / p is 0/0 at (tau_k, lambda_k), so the orthonormality
-check takes their exact constant traces instead.  The closed-form list
+integrate against it with its own rule: its curve's node data and its
+lines.  The Gram check splits the Cauchy kernel by coordinate and runs
+over a family of measures (_gram_reports): the first coordinate's factor
+on the roots of unity is built once for every measure with centre 0, and
+each line needs one shared second-coordinate Gram matrix.  On the lines
+R / p is 0/0 at (tau_k, lambda_k), so the orthonormality check takes
+their exact constant traces instead.  The closed-form list
 is a partial family (l of n pieces), so it is checked by orthonormality,
 not by the full two-squares identity; complete documented decompositions
 are checked by sos_residual.
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .polynomials import UniPoly, _spectral_factor
+from .polynomials import UniPoly, _spectral_factor, circle_nodes
 from .clark import RULE_NODES, AlphaKind, ClarkMeasure
 from .rif import Rif, phi_eval
 
@@ -179,33 +183,75 @@ def gram_isometry_check(cm: ClarkMeasure, points) -> GramReport:
     For interior points w_i, the embedding sends the kernel k_{w_i} to
     (1 - alpha conj(phi(w_i))) C_{w_i} on the level set of cm, with C_w the
     two-variable Cauchy kernel.  The measured matrix integrates those
-    images pairwise against sigma_alpha, one product (C w) C^H per block of
-    cm.rule, C the (P, N) kernels there; the target is the kernel matrix
-    k(w_j, w_i).  Agreement at quadrature accuracy for every alpha is the
-    isometry property; for exceptional alpha the embedding is still an
-    isometry (the defect shows up in surjectivity, not in these Grams).
+    images pairwise against sigma_alpha on cm's RULE_NODES rule; the
+    target is the kernel matrix k(w_j, w_i).  Agreement at quadrature
+    accuracy for every alpha is the isometry property; for exceptional
+    alpha the embedding is still an isometry (the defect shows up in
+    surjectivity, not in these Grams).  This is the one-measure case of
+    _gram_reports, which the verification suite runs over a whole sweep.
     """
-    pts = [(complex(w[0]), complex(w[1])) for w in points]
+    return next(_gram_reports(points, [cm]))
+
+
+def _cauchy(cw, nodes, out=None, num=1.0) -> np.ndarray:
+    """num times the one-variable Cauchy kernels 1 / (1 - cw nodes) of the
+    (P, 1) conjugated coordinates cw at the N nodes, a (P, N) array,
+    written into out when it is given."""
+    out = np.multiply(cw, nodes, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.divide(num, out, out=out)
+
+
+def _gram_reports(points, measures):
+    """gram_isometry_check of each measure at the same points, one
+    GramReport per measure, in order, from one pass.
+
+    C_w is the product of one Cauchy kernel per coordinate, so the measured
+    matrix of the curve is (c w) c^H with c the first coordinate's (P, N)
+    factor 1 / (1 - conj(w1) zeta_j) times the second's
+    1 / (1 - conj(w2) z2_j).  The nodes of every measure with centre 0 are
+    the roots of unity (nodes is circle_nodes(RULE_NODES), the convention
+    of verification._poisson_integrals), so their first factor is built
+    once; a mapped measure builds its own from its nodes.  Each curve
+    divides that factor by its own 1 - conj(w2) z2_j, one division per
+    entry, and c, its conjugate and the weighted c go into two kept (P, N)
+    workspaces.  A line (tau_k, c_k) adds c_k a a^H times,
+    entry by entry, the second coordinate's Gram matrix on the roots of
+    unity, a = 1 / (1 - conj(w1) tau_k); that matrix is built at the first
+    line.  phi at the points, and the target, are taken once per Rif.
+    """
+    pts = tuple((complex(w[0]), complex(w[1])) for w in points)
     for w1, w2 in pts:
         if abs(w1) >= 1.0 or abs(w2) >= 1.0:
             raise DomainError("Gram points must lie in the open bidisk")
     w = np.array(pts)
-    phis = phi_eval(cm.rif, w)
     # conjugated coordinates as columns, so row i belongs to w_i
     cw1, cw2 = np.conj(w[:, :1]), np.conj(w[:, 1:])
-    target = (1.0 - np.conj(phis)[:, None] * phis) / (
-        (1.0 - cw1 * w[:, 0]) * (1.0 - cw2 * w[:, 1])
-    )
-    pref = 1.0 - cm.alpha * np.conj(phis)
-
-    measured = 0j
-    for z1, z2, wt in cm.rule(RULE_NODES):
-        # C_{w_i} at the block's nodes, shaped (P, N)
-        c = 1.0 / ((1.0 - cw1 * z1) * (1.0 - cw2 * z2))
-        measured = measured + (c * wt) @ c.conj().T
-    measured *= np.outer(pref, np.conj(pref)) / RULE_NODES
-    dev = float(np.max(np.abs(measured - target)))
-    return GramReport(cm.alpha, tuple(pts), target, measured, dev)
+    omega = circle_nodes(RULE_NODES)
+    first = _cauchy(cw1, omega)
+    c, cc = np.empty_like(first), np.empty_like(first)
+    rif = line_gram = None
+    for cm in measures:
+        if cm.rif is not rif:
+            rif = cm.rif
+            phis = phi_eval(rif, w)
+            target = (1.0 - np.conj(phis)[:, None] * phis) / (
+                (1.0 - cw1 * w[:, 0]) * (1.0 - cw2 * w[:, 1]))
+        nodes, z2, wt = cm.node_data(RULE_NODES)
+        table = first if nodes is omega else _cauchy(cw1, nodes)
+        _cauchy(cw2, z2, c, table)
+        np.conj(c, out=cc)
+        measured = np.multiply(c, wt, out=c) @ cc.T
+        for tau, mass in cm.lines:
+            if line_gram is None:
+                second = _cauchy(cw2, omega, c)
+                line_gram = second @ np.conj(second, out=cc).T
+            a = _cauchy(cw1, tau)[:, 0]
+            measured += mass * np.outer(a, np.conj(a)) * line_gram
+        pref = 1.0 - cm.alpha * np.conj(phis)
+        measured *= np.outer(pref, np.conj(pref)) / RULE_NODES
+        dev = float(np.max(np.abs(measured - target)))
+        yield GramReport(cm.alpha, pts, target.copy(), measured, dev)
 
 
 def orthonormality_check(cm: ClarkMeasure, R_list) -> np.ndarray:

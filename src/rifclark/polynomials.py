@@ -803,17 +803,21 @@ class TrigPoly:
     powers evaluate through 1/zeta, so evaluation is defined off the circle
     as the Laurent extension.  Hermitian symmetry (c_{-k} = conj(c_k)) makes
     t real on the circle; ``modulus_squared`` guarantees it and consumers
-    that need it check ``hermitian_defect``.
+    that need it check ``hermitian_defect``.  The coefficient array is read
+    only; an edited polynomial is a new TrigPoly.
     """
 
-    __slots__ = ("coeffs", "d")
+    __slots__ = ("coeffs", "d", "_values")
 
     def __init__(self, coeffs, d: int):
         c = _coefficient_array(coeffs)
         if c.size != 2 * d + 1:
             raise DomainError("coefficient count does not match the band")
+        # read only, so that the values node_values keeps cannot go stale
         self.coeffs = c.copy()
+        self.coeffs.setflags(write=False)
         self.d = int(d)
+        self._values = {}
 
     @staticmethod
     def modulus_squared(p: UniPoly) -> "TrigPoly":
@@ -856,13 +860,22 @@ class TrigPoly:
 
     def node_values(self, count: int) -> np.ndarray:
         """Values at the count-th roots of unity by one inverse FFT, each
-        coefficient added at its power modulo count (any count >= 1)."""
+        coefficient added at its power modulo count (any count >= 1).
+
+        The values are cached per count, as circle_nodes caches its nodes,
+        and read only: every generic Clark measure of a Rif has rif.t as
+        its weight numerator, so its measures share one FFT per count."""
         count = int(count)
         if count < 1:
             raise DomainError("node count must be positive")
-        spectrum = np.zeros(count, dtype=complex)
-        np.add.at(spectrum, np.arange(-self.d, self.d + 1) % count, self.coeffs)
-        return np.fft.ifft(spectrum, norm="forward")
+        values = self._values.get(count)
+        if values is None:
+            spectrum = np.zeros(count, dtype=complex)
+            np.add.at(spectrum, np.arange(-self.d, self.d + 1) % count, self.coeffs)
+            values = np.fft.ifft(spectrum, norm="forward")
+            values.setflags(write=False)
+            self._values[count] = values
+        return values
 
     def theta_eval(self, theta: float, order: int = 0) -> complex:
         """order-th derivative of theta |-> t(e^{i theta}) at a single angle."""

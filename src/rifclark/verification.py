@@ -7,18 +7,25 @@ that are not measured against the tolerance held (True when it has none),
 and a JSON-ready dict.  _SUITES states each suite's name and tolerance
 once, and run_suites, the engine behind the command-line verify
 subcommand, times a selection of them; a suite passes when ok holds and
-deviation <= tol.
+deviation <= tol.  A suite collects its worst deviation with _worst, so a
+NaN anywhere makes the suite fail, where Python's max would drop it.
 
-Two suites cost only their arithmetic.  poisson does not pass the whole
-kernel to clark.integrate but splits the bidisk Poisson kernel by
-coordinate (_poisson_integrals): the first coordinate's table on the
-roots of unity is built once per run and serves every curve with centre
-0, each curve adds only its second coordinate's denominators, and a line
-needs one kernel value and the row means of one table.  box_mass
-integrates box indicators that are exactly 0 wherever the first angle
-lies outside the widest box, so _box_indicators takes the second angle
-and the smooth steps only on the nodes near the box, with the bits of the
-dense formula.
+Four suites cost only their arithmetic.  Every sweep measure with centre
+0 has the roots of unity as its nodes, so what depends only on the first
+coordinate there, or only on the Rif, is built once per run, and each
+measure adds only its second coordinate's work; a mapped measure builds
+its own first-coordinate data from its nodes.  poisson does not pass the
+whole kernel to clark.integrate but splits the bidisk Poisson kernel by
+coordinate (_poisson_integrals): one first-coordinate table, each curve's
+second-coordinate denominators, and for a line one kernel value and the
+row means of one table.  gram splits the Cauchy kernel the same way
+(agler._gram_reports).  support evaluates the parts of p and ptilde, which
+depend on z1 alone, once at the roots of unity and forms each measure's
+residual from them with the bits of _support_residual
+(_support_residuals).  box_mass integrates box indicators that are
+exactly 0 wherever the first angle lies outside the widest box, so
+_box_indicators takes the second angle and the smooth steps only on the
+nodes near the box, with the bits of the dense formula.
 
 Sweep construction (a list of Clark measures, one per alpha, shared by the
 suites): quadrature error for the curve part decays like
@@ -40,9 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agler import (
+    _gram_reports,
     compute_Q,
     exceptional_R,
-    gram_isometry_check,
     orthonormality_check,
     sos_residual,
 )
@@ -93,6 +100,18 @@ class SuiteResult:
             "tol": float(self.tol),
             "details": self.details,
         }
+
+
+def _worst(*values) -> float:
+    """The largest of values, NaN when one of them is NaN.  Python's max
+    keeps its first argument when a later one is NaN, so a suite that
+    collected its deviation with it would pass a NaN."""
+    out = -math.inf
+    for v in map(float, values):
+        # a NaN replaces out and is never replaced
+        if v > out or v != v:
+            out = v
+    return out
 
 
 def _distinct_exceptional(rif: Rif) -> list[complex]:
@@ -212,12 +231,54 @@ class _Ctx:
         return np.random.default_rng([self.seed, salt])
 
 
-def _support_residual(rif: Rif, alpha: complex, z1, z2) -> float:
-    """max |p~ - alpha p| / max(1, max |p|) at the points (z1, z2): how far
-    they lie from the level set {phi = alpha}."""
-    pz = rif.p.eval(z1, z2)
-    num = rif.ptilde.eval(z1, z2) - alpha * pz
+def _parts(rif: Rif, z1) -> tuple:
+    """p1, p2, ptilde.p1 and ptilde.p2 at the points z1: p = p1 + z2 p2
+    and ptilde = ptilde.p1 + z2 ptilde.p2 at any z2 over them."""
+    return rif.p.p1(z1), rif.p.p2(z1), rif.ptilde.p1(z1), rif.ptilde.p2(z1)
+
+
+def _level_residual(alpha: complex, parts: tuple, z2) -> float:
+    """max |p~ - alpha p| / max(1, max |p|) at the points (z1, z2), from the
+    parts of p and ptilde at z1 (_parts), formed as BiPolyN1.eval forms
+    them."""
+    p1, p2, pt1, pt2 = parts
+    z2 = np.asarray(z2, dtype=complex)
+    pz = p1 + z2 * p2
+    num = (pt1 + z2 * pt2) - alpha * pz
     return float(np.max(np.abs(num))) / max(1.0, float(np.max(np.abs(pz))))
+
+
+def _support_residual(rif: Rif, alpha: complex, z1, z2) -> float:
+    """How far the points (z1, z2) lie from the level set {phi = alpha}:
+    _level_residual there."""
+    return _level_residual(alpha, _parts(rif, z1), z2)
+
+
+def _support_residuals(rif: Rif, measures):
+    """Each measure's support residual on its RULE_NODES rule, one float
+    per measure, in order: the largest _support_residual over the blocks
+    of cm.rule(RULE_NODES), bit for bit.
+
+    The parts of p and ptilde depend on z1 alone, so at the roots of unity,
+    the nodes of every measure with centre 0 (nodes is
+    circle_nodes(RULE_NODES)), they are evaluated once; a mapped measure
+    evaluates them at its nodes.  A line block (tau_k, omega) takes them at
+    tau_k alone, from a block of two copies: numpy passes a one-element
+    array to its loops with stride 0, and Horner's in-place complex
+    products then round otherwise than on a longer block of tau_k."""
+    omega = circle_nodes(RULE_NODES)
+    shared = None
+    for cm in measures:
+        nodes, z2, _w = cm.node_data(RULE_NODES)
+        if nodes is omega:
+            if shared is None:
+                shared = _parts(rif, omega)
+            parts = shared
+        else:
+            parts = _parts(rif, nodes)
+        yield _worst(_level_residual(cm.alpha, parts, z2), *(
+            _level_residual(cm.alpha, [v[:1] for v in _parts(rif, np.full(2, tau))], omega)
+            for tau, _mass in cm.lines))
 
 
 def _factor_residual(rif: Rif, q, count: int) -> float:
@@ -254,8 +315,7 @@ def _suite_blaschke(ctx: _Ctx):
     zeros_inside = True
     for cm in ctx.sweep():
         b = cm.balpha
-        dev = max(dev, float(np.max(np.abs(np.abs(b(z)) - 1.0))))
-        dev = max(dev, abs(abs(b.constant) - 1.0))
+        dev = _worst(dev, np.max(np.abs(np.abs(b(z)) - 1.0)), abs(abs(b.constant) - 1.0))
         if any(abs(w) >= 1.0 for w in b.zeros):
             zeros_inside = False
     return dev, zeros_inside, {"zeros_inside": zeros_inside}
@@ -266,16 +326,12 @@ def _suite_lambda_match(ctx: _Ctx):
     for cm in ctx.sweep():
         b = cm.balpha
         for s in ctx.rif.singularities:
-            dev = max(dev, abs(np.conj(b(s.tau)) - s.lam))
+            dev = _worst(dev, abs(np.conj(b(s.tau)) - s.lam))
     return dev, True, {"singularities": len(ctx.rif.singularities)}
 
 
 def _suite_support(ctx: _Ctx):
-    dev = 0.0
-    for cm in ctx.sweep():
-        for z, z2, _w in cm.rule(RULE_NODES):
-            dev = max(dev, _support_residual(ctx.rif, cm.alpha, z, z2))
-    return dev, True, {}
+    return _worst(0.0, *_support_residuals(ctx.rif, ctx.sweep())), True, {}
 
 
 def _suite_weight_positive(ctx: _Ctx):
@@ -283,8 +339,8 @@ def _suite_weight_positive(ctx: _Ctx):
     wmax = 0.0
     for cm in ctx.sweep():
         _z, _z2, w = cm.node_data(RULE_NODES)
-        dev = max(dev, float(max(0.0, -np.min(w))))
-        wmax = max(wmax, float(np.max(w)))
+        dev = _worst(dev, -np.min(w))
+        wmax = _worst(wmax, np.max(w))
         if not np.all(np.isfinite(w)):
             return math.inf, False, {}
     return dev, True, {"max_weight": wmax}
@@ -293,7 +349,7 @@ def _suite_weight_positive(ctx: _Ctx):
 def _suite_mass_identity(ctx: _Ctx):
     dev = 0.0
     for cm in ctx.sweep():
-        dev = max(dev, abs(cm.total_mass(count=None) - cm.closed_form_mass()))
+        dev = _worst(dev, abs(cm.total_mass(count=None) - cm.closed_form_mass()))
     return dev, True, {}
 
 
@@ -355,16 +411,13 @@ def _suite_poisson(ctx: _Ctx):
     dev = 0.0
     for cm, got in zip(sweep, _poisson_integrals(pts, sweep)):
         want = _poisson_closed_form(phis, cm.alpha)
-        dev = max(dev, float(np.max(np.abs(got - want))))
+        dev = _worst(dev, np.max(np.abs(got - want)))
     return dev, True, {"points": len(pts), "alphas": len(sweep)}
 
 
 def _suite_gram(ctx: _Ctx):
     pts = _interior_points(ctx.rng(2), 5)
-    dev = 0.0
-    for cm in ctx.sweep():
-        rep = gram_isometry_check(cm, pts)
-        dev = max(dev, rep.max_abs_deviation)
+    dev = _worst(0.0, *(rep.max_abs_deviation for rep in _gram_reports(pts, ctx.sweep())))
     return dev, True, {"points": len(pts)}
 
 
@@ -407,7 +460,7 @@ def _sospiece_vanishing(rif: Rif, pieces) -> float:
             float(np.max(np.abs(piece.q.coeffs), initial=0.0)),
         )
         for s in rif.singularities:
-            dev = max(dev, abs(piece.eval(s.tau, s.lam)) / scale)
+            dev = _worst(dev, abs(piece.eval(s.tau, s.lam)) / scale)
     return dev
 
 
@@ -418,10 +471,8 @@ def _suite_sos_fixture(ctx: _Ctx):
     rif = ctx.rif
     resid = sos_residual(rif, fx.Q, list(fx.R), seed=ctx.seed)
     vanish = _sospiece_vanishing(rif, fx.R)
-    qzero = max(
-        (abs(fx.Q(s.tau)) for s in rif.singularities), default=0.0
-    )
-    dev = max(resid, _factor_residual(rif, fx.Q, 1024), vanish, qzero)
+    qzero = _worst(0.0, *(abs(fx.Q(s.tau)) for s in rif.singularities))
+    dev = _worst(resid, _factor_residual(rif, fx.Q, 1024), vanish, qzero)
     return dev, True, {"identity_residual": resid}
 
 
@@ -434,9 +485,9 @@ def _suite_ortho(ctx: _Ctx):
     for cm in ctx.exceptional():
         pieces = exceptional_R(cm)
         gram = orthonormality_check(cm, pieces)
-        dev = max(dev, float(np.max(np.abs(gram - np.eye(len(pieces))))))
-        vanish = max(vanish, _sospiece_vanishing(rif, pieces))
-    return max(dev, vanish), True, {"vanishing_deviation": vanish}
+        dev = _worst(dev, np.max(np.abs(gram - np.eye(len(pieces)))))
+        vanish = _worst(vanish, _sospiece_vanishing(rif, pieces))
+    return _worst(dev, vanish), True, {"vanishing_deviation": vanish}
 
 
 def _suite_atoms(ctx: _Ctx):
@@ -447,7 +498,7 @@ def _suite_atoms(ctx: _Ctx):
         probe = pointmass_probe(rif, s.alpha, (s.tau, s.lam))
         if any(b >= a for a, b in zip(probe, probe[1:])):
             monotone = False
-        worst = max(worst, probe[-1])
+        worst = _worst(worst, probe[-1])
     return worst, monotone, {"monotone": monotone}
 
 
@@ -524,7 +575,7 @@ def _suite_box_mass(ctx: _Ctx):
             monotone = False
         kconst = 1.25 * masses[0] / epss[0]
         for e, m in zip(epss, masses):
-            ratio = max(ratio, m / (kconst * e))
+            ratio = _worst(ratio, m / (kconst * e))
         rows.append({"alpha": [cm.alpha.real, cm.alpha.imag], "masses": masses})
     return ratio, monotone, {"monotone": monotone, "boxes": rows}
 
@@ -539,7 +590,7 @@ def _suite_levelset(ctx: _Ctx):
         sample = level_set_sample(cm, n_points=256)
         z1 = np.exp(1j * sample.curve[:, 0])
         z2 = np.exp(1j * sample.curve[:, 1])
-        dev = max(dev, _support_residual(rif, cm.alpha, z1, z2))
+        dev = _worst(dev, _support_residual(rif, cm.alpha, z1, z2))
         matched = [s for s in rif.singularities if abs(s.alpha - cm.alpha) <= 1e-8]
         if len(sample.line_abscissae) != len(matched):
             lines_ok = False
@@ -578,7 +629,7 @@ def _suite_weakstar(ctx: _Ctx):
     for cm in exc:
         lim = integrate(cm, lambda u, v: poisson2(pts, (u, v)), None).real
         pert = _poisson_closed_form(phis, cm.alpha * complex(np.exp(1j * delta)))
-        dev = max(dev, float(np.max(np.abs(lim - pert))))
+        dev = _worst(dev, np.max(np.abs(lim - pert)))
         limits.append(lim)
     details: dict = {"delta": delta}
     monotone = True

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rifclark.catalog import get
-from rifclark import clark
+from rifclark import agler, clark
 from rifclark.agler import exceptional_R, gram_isometry_check, orthonormality_check
 from rifclark.clark import (
     AlphaKind,
@@ -472,6 +472,11 @@ def test_nonzero_center_matches_identity_map(monkeypatch):
         gram = gram_isometry_check(moved, pts)
         want = gram_isometry_check(plain, pts)
         assert np.max(np.abs(gram.measured - want.measured)) <= 1e-12, name
+        # the Gram family gives each measure, mapped or not, the bits of its
+        # one-measure call, whatever it holds besides
+        for rep, one in zip(agler._gram_reports(pts, [plain, moved]), (want, gram)):
+            assert np.array_equal(rep.measured, one.measured), name
+            assert rep.max_abs_deviation == one.max_abs_deviation, name
         ortho = orthonormality_check(moved, exceptional_R(moved))
         want = orthonormality_check(plain, exceptional_R(plain))
         assert np.max(np.abs(ortho - want)) <= 1e-12, name

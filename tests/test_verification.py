@@ -1,12 +1,16 @@
 """Suite engine: sweep construction, registry, determinism."""
 
+import dataclasses
+import math
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rifclark import agler, clark, polynomials, verification
+from rifclark import agler, cli, clark, polynomials, verification
 from rifclark import rif as rif_module
 from rifclark.catalog import get, names
 from rifclark.errors import DomainError, RifClarkError
@@ -17,6 +21,9 @@ from rifclark.verification import (
     run_suites,
     suite_names,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import gen  # noqa: E402
 
 
 def test_alpha_sweep_contains_all_exceptional():
@@ -439,3 +446,141 @@ def test_box_indicators_keep_nan_nodes():
                 with np.errstate(invalid="ignore"):
                     ref = _dense_box_indicators(0.0, 0.0, verification._BOX_EPSS)(*pair)
                 assert _same_bits(got, ref)
+
+
+def test_worst_keeps_a_nan():
+    # Python's max(dev, nan) is dev: a NaN deviation would pass its suite
+    nan = float("nan")
+    assert max(0.0, nan) == 0.0
+    for values in ((nan, 1.0), (1.0, nan), (0.0, 2.0, nan, 3.0), (np.float64(nan),)):
+        assert math.isnan(verification._worst(*values)), values
+    assert verification._worst(0.0, 2.0, np.float64(3.0), 1.0) == 3.0
+    assert verification._worst(0.0, -0.0, -1.0) == 0.0
+
+
+def _with_nan(value):
+    if isinstance(value, agler.GramReport):
+        return dataclasses.replace(value, max_abs_deviation=math.nan)
+    value = np.array(value, dtype=float)
+    value.flat[0] = math.nan
+    return value
+
+
+@pytest.mark.parametrize("suite, family", [
+    ("gram", "_gram_reports"), ("poisson", "_poisson_integrals"),
+    ("support", "_support_residuals"),
+])
+@pytest.mark.parametrize("at", [0, 7, -1])
+def test_a_nan_in_one_measure_fails_its_suite(suite, family, at, monkeypatch, capsys):
+    # a NaN in one sweep measure's result, first, in the middle or last,
+    # fails the suite, and verify ends with exit 3, never 0
+    made = getattr(verification, family)
+
+    def planted(first, measures):
+        out = list(made(first, measures))
+        out[at] = _with_nan(out[at])
+        return iter(out)
+
+    monkeypatch.setattr(verification, family, planted)
+    result, = run_suites(get("fave"), [suite], seed=0)
+    assert not result.passed and math.isnan(result.max_deviation)
+    assert cli.main(["verify", "fave", "--suite", suite, "--seed", "0"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def _family_measures(monkeypatch):
+    # (rif, seed, measures) per sweep of the four entries at seeds 0 and 5,
+    # then the two mapped measures, one of them with a line
+    out = [(get(name).build(), seed) for name in names() for seed in (0, 5)]
+    out = [(rif, seed, alpha_sweep(rif, seed=seed)) for rif, seed in out]
+    mapped = [clark.clark_measure(get("deg31").build(), complex(np.exp(0.37j))),
+              _mapped_with_lines(monkeypatch)]
+    assert all(cm.center for cm in mapped) and mapped[1].lines
+    out += [(cm.rif, 0, [cm]) for cm in mapped]
+    assert any(cm.lines for _rif, _seed, sweep in out for cm in sweep)
+    return out
+
+
+def _gram_reference(cm, pts):
+    # the one-measure check as it was: C_w formed whole on each block of the
+    # rule and (c w) @ c^H summed over the blocks
+    w = np.asarray(pts, dtype=complex)
+    phis = verification.phi_eval(cm.rif, w)
+    cw1, cw2 = np.conj(w[:, :1]), np.conj(w[:, 1:])
+    measured = 0j
+    for z1, z2, wt in cm.rule(clark.RULE_NODES):
+        c = 1.0 / ((1.0 - cw1 * z1) * (1.0 - cw2 * z2))
+        measured = measured + (c * wt) @ c.conj().T
+    pref = 1.0 - cm.alpha * np.conj(phis)
+    return measured * np.outer(pref, np.conj(pref)) / clark.RULE_NODES
+
+
+def test_gram_family_matches_the_per_block_reference(monkeypatch):
+    # one family per sweep, as the gram suite runs it: the shared
+    # first-coordinate factor, a mapped measure's own, and the shared
+    # second-coordinate Gram matrix of the lines
+    for _rif, seed, measures in _family_measures(monkeypatch):
+        pts = verification._interior_points(np.random.default_rng([seed, 2]), 5)
+        reps = list(verification._gram_reports(pts, measures))
+        assert len(reps) == len(measures)
+        for cm, rep in zip(measures, reps):
+            want = _gram_reference(cm, pts)
+            assert np.all(np.abs(rep.measured - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), cm.alpha
+            assert rep.max_abs_deviation == float(np.max(np.abs(rep.measured - rep.target)))
+
+
+def _support_reference(rif, cm):
+    # the support residual as it was: p and ptilde evaluated whole on each
+    # block of the rule, a line's tau repeated at every node
+    dev = 0.0
+    for z1, z2, _w in cm.rule(clark.RULE_NODES):
+        pz = rif.p.eval(z1, z2)
+        num = rif.ptilde.eval(z1, z2) - cm.alpha * pz
+        dev = max(dev, float(np.max(np.abs(num))) / max(1.0, float(np.max(np.abs(pz)))))
+    return dev
+
+
+def test_support_residuals_match_the_block_formula_bit_for_bit(monkeypatch):
+    cases = _family_measures(monkeypatch)
+    for n in (16, 48):
+        for s in (0, 1):
+            f = gen.generate(np.random.default_rng([9, n, s]), n)
+            rif = rif_module.validate(rif_module.BiPolyN1(
+                polynomials.UniPoly(f.p1), polynomials.UniPoly(f.p2), n))
+            cases.append((rif, 0, alpha_sweep(rif, seed=0)))
+            assert any(cm.lines for cm in cases[-1][2])
+    for rif, _seed, measures in cases:
+        got = list(verification._support_residuals(rif, measures))
+        assert got == [_support_reference(rif, cm) for cm in measures]
+
+
+def test_generic_measures_share_t_node_values(monkeypatch):
+    # every generic measure of a Rif has rif.t as its weight numerator, so a
+    # sweep's node data takes one FFT of t per node count, and one per
+    # exceptional measure, whose numerator is its own
+    ffts = []
+    ifft = np.fft.ifft
+
+    def counted(a, *args, **kwargs):
+        ffts.append(len(a))
+        return ifft(a, *args, **kwargs)
+
+    rif = get("fave").build()
+    sweep = alpha_sweep(rif, seed=5)
+    generic = [cm for cm in sweep if not cm.lines]
+    assert len(generic) > 1 and all(cm.weight_num is rif.t for cm in generic)
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    for cm in sweep:
+        cm.node_data(clark.RULE_NODES)
+    assert ffts.count(clark.RULE_NODES) == 1 + len(sweep) - len(generic)
+    monkeypatch.undo()
+    t, count = rif.t, clark.RULE_NODES
+    values = t.node_values(count)
+    assert values is t.node_values(count) and not values.flags.writeable
+    spectrum = np.zeros(count, dtype=complex)
+    np.add.at(spectrum, np.arange(-t.d, t.d + 1) % count, t.coeffs)
+    assert np.array_equal(values, np.fft.ifft(spectrum, norm="forward"))
+    with pytest.raises(ValueError):
+        t.coeffs[t.d] = 0.0
+    with pytest.raises(ValueError):
+        values[0] = 0.0
