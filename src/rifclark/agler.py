@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _check_seed
 from .polynomials import UniPoly, _spectral_factor, circle_nodes
 from .clark import RULE_NODES, AlphaKind, ClarkMeasure
 from .rif import Rif, phi_eval
@@ -141,6 +141,7 @@ def sos_residual(rif: Rif, Q: UniPoly, R_list, seed: int = 0) -> float:
     |p(z) conj(p(w))| seen.  A complete decomposition drives this to
     roundoff; a partial R list does not.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
 
     def draw(count):
@@ -220,11 +221,12 @@ def _gram_reports(points, measures):
     unity, a = 1 / (1 - conj(w1) tau_k); that matrix is built at the first
     line.  phi at the points, and the target, are taken once per Rif.
     """
-    pts = tuple((complex(w[0]), complex(w[1])) for w in points)
-    for w1, w2 in pts:
-        if abs(w1) >= 1.0 or abs(w2) >= 1.0:
-            raise DomainError("Gram points must lie in the open bidisk")
-    w = np.array(pts)
+    w = np.array(points, dtype=complex)
+    if w.ndim != 2 or w.shape[1] != 2 or not len(w):
+        raise DomainError("Gram points must be a nonempty list of pairs (w1, w2)")
+    if not (np.abs(w) < 1.0).all():
+        raise DomainError("Gram points must lie in the open bidisk")
+    pts = tuple(map(tuple, w.tolist()))
     # conjugated coordinates as columns, so row i belongs to w_i
     cw1, cw2 = np.conj(w[:, :1]), np.conj(w[:, 1:])
     omega = circle_nodes(RULE_NODES)

@@ -580,13 +580,13 @@ def classify_extreme(rif: Rif, alpha) -> ExtremeDecision:
     reflection keeps full degree; remaining generic cases are outside the
     certified criteria and return Undetermined.
     """
-    phi0 = rif.phi_at_origin
-    if abs(phi0) > TOL:
+    # alpha is checked before the phi(0) branch returns
+    ac = classify_alpha(rif, alpha)
+    if abs(rif.phi_at_origin) > TOL:
         return ExtremeDecision(
             ExtremeStatus.UNDETERMINED,
             "criteria require phi(0) = 0, which fails here",
         )
-    ac = classify_alpha(rif, alpha)
     if ac.kind is AlphaKind.EXCEPTIONAL:
         return ExtremeDecision(
             ExtremeStatus.NOT_EXTREME,

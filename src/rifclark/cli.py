@@ -17,8 +17,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import catalog
 from .catalog import CatalogEntry
 from .clark import (
@@ -194,7 +192,7 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     entry = _load_entry(args.input)
     names = None
-    if args.suite:
+    if args.suite is not None:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
     results = run_suites(entry, names, seed=args.seed)
     report = {
@@ -216,9 +214,9 @@ def _levelset_csv(rif, alpha, n_points: int) -> str:
     rows = ["theta1,theta2,branch"]
     for theta1, theta2 in sample.curve:
         rows.append(f"{theta1:.12f},{theta2:.12f},curve")
-    grid = 2.0 * math.pi * np.arange(n_points) / n_points
     for k, t1 in enumerate(sample.line_abscissae):
-        for t2 in grid:
+        # a line {t1} x T takes the curve's first angles as its second
+        for t2 in sample.curve[:, 0]:
             rows.append(f"{t1:.12f},{t2:.12f},line_{k}")
     return "\n".join(rows) + "\n"
 

@@ -26,3 +26,9 @@ class NumericError(RifClarkError):
             message = f"{message} (residual {residual:.3e})"
         super().__init__(message)
         self.residual = residual
+
+
+def _check_seed(seed) -> None:
+    """DomainError for a seed numpy's generators refuse as negative."""
+    if not seed >= 0:
+        raise DomainError(f"seed must be nonnegative, not {seed!r}")

@@ -206,9 +206,7 @@ class UniPoly:
         """
         if self.degree > n:
             raise DomainError("reflection order smaller than the degree")
-        padded = np.zeros(n + 1, dtype=complex)
-        padded[: self.coeffs.size] = self.coeffs
-        return UniPoly(np.conj(padded[::-1]))
+        return UniPoly(np.conj(self.padded(n + 1)[::-1]))
 
     def deflate(self, root) -> tuple["UniPoly", complex]:
         """Synthetic division by (z - root); returns (quotient, remainder)."""
@@ -695,11 +693,7 @@ def _root_rows(c: np.ndarray, radius: float) -> list:
             if m > 1:
                 groups.setdefault(m, []).append(k)
     for m, ks in groups.items():
-        if m < size:
-            stack = c[np.array(ks)[:, None], first[ks, None] + np.arange(m)]
-        else:
-            # rows of full length have nothing to trim
-            stack = c if len(ks) == len(c) else c[ks]
+        stack = c[np.array(ks)[:, None], first[ks, None] + np.arange(m)]
         for k, found in zip(ks, _stack_roots(stack, radius)):
             if isinstance(found, NumericError):
                 out[k] = found
@@ -1083,12 +1077,12 @@ class BlaschkeProduct:
 
     def __post_init__(self):
         g = complex(self.constant)
-        if abs(abs(g) - 1.0) > 1e-6:
+        if not abs(abs(g) - 1.0) <= 1e-6:
             raise DomainError("Blaschke constant must be unimodular")
         object.__setattr__(self, "constant", g / abs(g))
         zs = tuple(complex(a) for a in self.zeros)
         for a in zs:
-            if abs(a) >= 1.0:
+            if not abs(a) < 1.0:
                 raise DomainError("Blaschke zero outside the open unit disk")
         object.__setattr__(self, "zeros", zs)
 

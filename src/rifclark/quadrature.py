@@ -102,12 +102,12 @@ def pointmass_probe(rif, alpha, direction) -> list[float]:
     of nonconstant inner functions carry no atoms.
     """
     a = complex(alpha)
-    if abs(abs(a) - 1.0) > 1e-6:
+    if not abs(abs(a) - 1.0) <= 1e-6:
         raise DomainError("alpha must be unimodular")
     a /= abs(a)
     t1, t2 = complex(direction[0]), complex(direction[1])
     for t in (t1, t2):
-        if abs(abs(t) - 1.0) > 1e-6:
+        if not abs(abs(t) - 1.0) <= 1e-6:
             raise DomainError("direction must lie on the torus")
     phi0 = rif.phi_at_origin
     r = np.array(_PROBE_RADII)

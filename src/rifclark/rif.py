@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .polynomials import TrigPoly, UniPoly, _split_circle_roots, roots
+from .polynomials import TrigPoly, UniPoly, _split_circle_roots, circle_nodes, roots
 
 @dataclass(frozen=True)
 class BiPolyN1:
@@ -178,7 +178,7 @@ def _stability_violation(p: BiPolyN1, p1_roots: list) -> str | None:
     # a zero of p1 just outside the circle makes |p2 / p1| peak narrower
     # than the node spacing, at the circle point nearest that zero
     samples = np.concatenate([
-        np.exp(2j * np.pi * (np.arange(512) + 0.5) / 512),
+        circle_nodes(1024)[1::2],
         [r / abs(r) for r, _ in p1_roots],
     ])
     p1v = p1(samples)
@@ -309,7 +309,7 @@ def phi_eval(rif: Rif, z) -> complex | np.ndarray:
     if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
         raise DomainError("phi_eval takes a pair (z1, z2) or a (P, 2) array of them")
     z1, z2 = pts[..., 0], pts[..., 1]
-    if np.any(np.abs(z1) > 1.0 + 1e-12) or np.any(np.abs(z2) > 1.0 + 1e-12):
+    if not (np.abs(pts) <= 1.0 + 1e-12).all():
         raise DomainError("point outside the closed bidisk")
     den = rif.p.eval(z1, z2)
     sc = max(rif.p.scale(), 1e-300)

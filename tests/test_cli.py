@@ -340,6 +340,18 @@ def test_verify_unknown_suite_is_input_error(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "seed must be nonnegative"),
+    (["--suite", ","], "empty suite list"),
+    (["--suite", ""], "empty suite list"),
+])
+def test_verify_refuses_a_negative_seed_and_an_empty_selection(argv, message, capsys):
+    assert cli.main(["verify", "fave", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {message}")
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from rifclark.verification import SuiteResult
 

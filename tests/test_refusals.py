@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from rifclark.agler import compute_Q, gram_isometry_check, sos_residual
 from rifclark.catalog import get
+from rifclark.clark import classify_extreme, clark_measure
 from rifclark.errors import DomainError
 from rifclark.polynomials import (
     BlaschkeProduct,
@@ -15,7 +17,10 @@ from rifclark.polynomials import (
     fejer_riesz,
 )
 from rifclark.quadrature import circle_nodes, pointmass_probe
-from rifclark.rif import BiPolyN1, validate
+from rifclark.rif import BiPolyN1, phi_eval, validate
+from rifclark.verification import alpha_sweep, run_suites
+
+NAN = float("nan")
 
 # t is not Hermitian: its coefficients of zeta and 1/zeta are not conjugate
 NOT_REAL = TrigPoly([1.0, 2.0, 0.0], 1)
@@ -58,6 +63,35 @@ REFUSALS = [
     ("probe-direction", lambda: pointmass_probe(get("fave").build(), 1.0, (1.0, 2.0)),
      "direction must lie on the torus"),
     ("catalog-unknown", lambda: get("nope"), "unknown catalog entry 'nope'"),
+    # a NaN fails every comparison, so each bound is read as not x <= bound
+    ("probe-alpha-nan", lambda: pointmass_probe(get("fave").build(), NAN, (1.0, 1.0)),
+     "alpha must be unimodular"),
+    ("probe-direction-nan", lambda: pointmass_probe(get("fave").build(), 1.0, (NAN, 1.0)),
+     "direction must lie on the torus"),
+    ("blaschke-constant-nan", lambda: BlaschkeProduct(NAN, ()),
+     "Blaschke constant must be unimodular"),
+    ("blaschke-zero-nan", lambda: BlaschkeProduct(1.0, (NAN,)),
+     "Blaschke zero outside the open unit disk"),
+    ("phi-eval-nan", lambda: phi_eval(get("fave").build(), (NAN, 0.1)),
+     "point outside the closed bidisk"),
+    # deg31 has phi(0) != 0, a branch that returns before it read alpha
+    ("classify-extreme-nan", lambda: classify_extreme(get("deg31").build(), NAN),
+     "alpha must be unimodular"),
+    ("gram-no-points", lambda: gram_isometry_check(clark_measure(get("fave").build(), 1.0), []),
+     "Gram points must be a nonempty list of pairs (w1, w2)"),
+    ("gram-flat-points",
+     lambda: gram_isometry_check(clark_measure(get("fave").build(), 1.0), [0.1, 0.2]),
+     "Gram points must be a nonempty list of pairs (w1, w2)"),
+    ("gram-nan-point",
+     lambda: gram_isometry_check(clark_measure(get("fave").build(), 1.0), [(NAN, 0.1)]),
+     "Gram points must lie in the open bidisk"),
+    ("run-suites-seed", lambda: run_suites(get("fave"), seed=-1), "seed must be nonnegative"),
+    ("run-suites-empty", lambda: run_suites(get("fave"), []), "empty suite list"),
+    ("alpha-sweep-seed", lambda: alpha_sweep(get("fave").build(), seed=-1),
+     "seed must be nonnegative"),
+    ("sos-residual-seed",
+     lambda: sos_residual(get("fave").build(), compute_Q(get("fave").build()), [], seed=-1),
+     "seed must be nonnegative"),
 ]
 
 

@@ -13,7 +13,7 @@ import pytest
 from rifclark import agler, cli, clark, polynomials, verification
 from rifclark import rif as rif_module
 from rifclark.catalog import get, names
-from rifclark.errors import DomainError, RifClarkError
+from rifclark.errors import DomainError, NumericError, RifClarkError
 from rifclark.polynomials import roots
 from rifclark.verification import (
     SWEEP_MIN_DISTANCE,
@@ -584,3 +584,68 @@ def test_generic_measures_share_t_node_values(monkeypatch):
         t.coeffs[t.d] = 0.0
     with pytest.raises(ValueError):
         values[0] = 0.0
+
+
+def _plant_root_failure(monkeypatch, rif, alpha):
+    """clark.roots with the entry of the pencil row u = pt1 - alpha p2
+    replaced by a NumericError, as a row that fails its certificate is."""
+    size = rif.n + 1
+    bad = rif.pt1.padded(size) - alpha * rif.p2.padded(size)
+    real = clark.roots
+
+    def planted(stack):
+        found = real(stack)
+        for j, row in enumerate(stack):
+            if np.allclose(row, bad, rtol=0, atol=1e-12):
+                found[j] = NumericError("planted root failure")
+        return found
+
+    monkeypatch.setattr(clark, "roots", planted)
+
+
+def test_a_failed_pencil_row_holds_its_error_and_leaves_the_others(monkeypatch):
+    rif = get("amy-variant").build()
+    generic = [complex(np.exp(1j * t)) for t in (0.4, 1.3, 2.9)]
+    alphas = verification._distinct_exceptional(rif) + generic
+    want = [cm.to_json() for cm in clark._clark_measures(rif, alphas)]
+    bad = len(alphas) - 2
+    _plant_root_failure(monkeypatch, rif, alphas[bad])
+    got = clark._clark_measures(rif, alphas)
+    assert isinstance(got[bad], NumericError)
+    assert [cm.to_json() for k, cm in enumerate(got) if k != bad] == want[:bad] + want[bad + 1:]
+    with pytest.raises(NumericError, match="planted root failure"):
+        clark.clark_measure(rif, alphas[bad])
+
+
+def test_alpha_sweep_raises_a_failed_exceptional_measure(monkeypatch):
+    rif = get("amy-variant").build()
+    _plant_root_failure(monkeypatch, rif, verification._distinct_exceptional(rif)[-1])
+    with pytest.raises(NumericError, match="planted root failure"):
+        alpha_sweep(rif, seed=0)
+
+
+def test_alpha_sweep_skips_a_failed_generic_draw(monkeypatch):
+    # the sweep keeps its draws in order, so without the first draw it
+    # keeps the others and one more after them
+    rif = get("amy-variant").build()
+    need = verification.SWEEP_SIZE - len(verification._distinct_exceptional(rif))
+    first = verification._unit_draws(np.random.default_rng([0, 0x5eed]), need)[0]
+    want = [cm.alpha for cm in alpha_sweep(rif, seed=0)]
+    assert first in want
+    _plant_root_failure(monkeypatch, rif, first)
+    got = [cm.alpha for cm in alpha_sweep(rif, seed=0)]
+    assert got[:-1] == [a for a in want if a != first]
+
+
+def test_alpha_sweep_skips_a_draw_it_already_holds(monkeypatch):
+    # the first draw repeats the exceptional value -1 and every later draw
+    # the first generic one, so the grid fallback fills the rest
+    monkeypatch.setattr(verification, "SWEEP_SIZE", 4)
+    a = complex(np.exp(0.7j))
+    monkeypatch.setattr(verification, "_unit_draws",
+                        lambda rng, count: [-1 + 0j] + [a] * (count - 1))
+    sweep = [cm.alpha for cm in alpha_sweep(get("fave").build(), seed=0)]
+    assert len(sweep) == 4 and abs(sweep[0] + 1.0) < 1e-12 and sweep[1] == a
+    assert min(abs(x - y) for i, x in enumerate(sweep) for y in sweep[:i]) > 1e-6
+    slots = [np.angle(x) / (2 * np.pi) * 192 - 0.5 for x in sweep[2:]]
+    assert np.allclose(slots, np.round(slots), atol=1e-9)
