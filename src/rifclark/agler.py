@@ -20,11 +20,10 @@ measure-side functions here (exceptional_R, gram_isometry_check,
 orthonormality_check) take the ClarkMeasure and never build one, and
 integrate against it with its own rule: its curve's node data and its
 lines.  The Gram check splits the Cauchy kernel by coordinate and runs
-over a family of measures (_gram_reports): the first coordinate's factor
-on the roots of unity is built once for every measure with centre 0, and
-each line needs one shared second-coordinate Gram matrix.  On the lines
-R / p is 0/0 at (tau_k, lambda_k), so the orthonormality check takes
-their exact constant traces instead.  The closed-form list
+over a family of measures (_gram_reports), and takes each line exactly,
+with the Szego kernel as its second coordinate's Gram matrix.  On the
+lines R / p is 0/0 at (tau_k, lambda_k), so the orthonormality check
+takes their exact constant traces instead.  The closed-form list
 is a partial family (l of n pieces), so it is checked by orthonormality,
 not by the full two-squares identity; complete documented decompositions
 are checked by sos_residual.
@@ -37,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, _check_seed
-from .polynomials import UniPoly, _spectral_factor, circle_nodes
-from .clark import RULE_NODES, AlphaKind, ClarkMeasure
-from .rif import Rif, phi_eval
+from .polynomials import UniPoly, _spectral_factor
+from .clark import RULE_NODES, AlphaKind, ClarkMeasure, _family_node_data
+from .rif import Rif, _pairs, phi_eval
 
 _SOS_SAMPLES = 200
 
@@ -209,47 +208,39 @@ def _gram_reports(points, measures):
 
     C_w is the product of one Cauchy kernel per coordinate, so the measured
     matrix of the curve is (c w) c^H with c the first coordinate's (P, N)
-    factor 1 / (1 - conj(w1) zeta_j) times the second's
-    1 / (1 - conj(w2) z2_j).  The nodes of every measure with centre 0 are
-    the roots of unity (nodes is circle_nodes(RULE_NODES), the convention
-    of verification._poisson_integrals), so their first factor is built
-    once; a mapped measure builds its own from its nodes.  Each curve
-    divides that factor by its own 1 - conj(w2) z2_j, one division per
-    entry, and c, its conjugate and the weighted c go into two kept (P, N)
-    workspaces.  A line (tau_k, c_k) adds c_k a a^H times,
-    entry by entry, the second coordinate's Gram matrix on the roots of
-    unity, a = 1 / (1 - conj(w1) tau_k); that matrix is built at the first
-    line.  phi at the points, and the target, are taken once per Rif.
+    factor 1 / (1 - conj(w1) zeta_j), shared as clark._family_node_data
+    decides, divided by 1 - conj(w2) z2_j into two kept (P, N) workspaces,
+    which also hold its conjugate and the weighted c.  On a line
+    {tau_k} x T the second factors integrate to the Szego kernel
+    S = 1 / (1 - conj(w2_i) w2_j), so the line adds c_k a a^H times S
+    entry by entry, a = 1 / (1 - conj(w1) tau_k).  S is formed once per
+    call, and phi at the points, and the target, once per Rif.
     """
-    w = np.array(points, dtype=complex)
-    if w.ndim != 2 or w.shape[1] != 2 or not len(w):
+    w = _pairs(points, "Gram points must be a nonempty list of pairs (w1, w2)")
+    if w.ndim != 2 or not len(w):
         raise DomainError("Gram points must be a nonempty list of pairs (w1, w2)")
     if not (np.abs(w) < 1.0).all():
         raise DomainError("Gram points must lie in the open bidisk")
     pts = tuple(map(tuple, w.tolist()))
     # conjugated coordinates as columns, so row i belongs to w_i
     cw1, cw2 = np.conj(w[:, :1]), np.conj(w[:, 1:])
-    omega = circle_nodes(RULE_NODES)
-    first = _cauchy(cw1, omega)
-    c, cc = np.empty_like(first), np.empty_like(first)
-    rif = line_gram = None
-    for cm in measures:
+    # the node sums of the curve are RULE_NODES times their means
+    szego = RULE_NODES / (1.0 - cw2 * w[:, 1])
+    c = np.empty((len(w), RULE_NODES), dtype=complex)
+    cc = np.empty_like(c)
+    rif = None
+    for cm, z2, wt, table in _family_node_data(measures, lambda nodes: _cauchy(cw1, nodes)):
         if cm.rif is not rif:
             rif = cm.rif
             phis = phi_eval(rif, w)
             target = (1.0 - np.conj(phis)[:, None] * phis) / (
                 (1.0 - cw1 * w[:, 0]) * (1.0 - cw2 * w[:, 1]))
-        nodes, z2, wt = cm.node_data(RULE_NODES)
-        table = first if nodes is omega else _cauchy(cw1, nodes)
         _cauchy(cw2, z2, c, table)
         np.conj(c, out=cc)
         measured = np.multiply(c, wt, out=c) @ cc.T
         for tau, mass in cm.lines:
-            if line_gram is None:
-                second = _cauchy(cw2, omega, c)
-                line_gram = second @ np.conj(second, out=cc).T
             a = _cauchy(cw1, tau)[:, 0]
-            measured += mass * np.outer(a, np.conj(a)) * line_gram
+            measured += mass * np.outer(a, np.conj(a)) * szego
         pref = 1.0 - cm.alpha * np.conj(phis)
         measured *= np.outer(pref, np.conj(pref)) / RULE_NODES
         dev = float(np.max(np.abs(measured - target)))

@@ -86,7 +86,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NumericError, RifClarkError
+from .errors import DomainError, NumericError, RifClarkError, _node_count, _unimodular
 from .polynomials import (
     TOL,
     BlaschkeProduct,
@@ -159,10 +159,7 @@ def classify_alpha(rif: Rif, alpha) -> AlphaClass:
     alpha within 1e-6 of the circle is projected onto it; anything farther
     out is rejected.
     """
-    a = complex(alpha)
-    if not abs(abs(a) - 1.0) <= 1e-6:
-        raise DomainError("alpha must be unimodular")
-    a /= abs(a)
+    a = _unimodular(alpha)
     matched = tuple(
         k for k, s in enumerate(rif.singularities) if abs(a - s.alpha) <= TOL
     )
@@ -313,6 +310,17 @@ class ClarkMeasure:
             "total_mass": float(mass.real),
             "mass_nodes": nodes,
         }
+
+
+def _family_node_data(measures, first):
+    """(cm, z2, w, first(nodes)) per measure from its RULE_NODES node data:
+    the measures with centre 0, all on the roots of unity, share one call."""
+    shared = None
+    for cm in measures:
+        nodes, z2, w = cm.node_data(RULE_NODES)
+        if not cm.center and shared is None:
+            shared = first(nodes)
+        yield cm, z2, w, first(nodes) if cm.center else shared
 
 
 def _positive(den: np.ndarray) -> np.ndarray:
@@ -536,7 +544,7 @@ def _start_count(cm: ClarkMeasure) -> int:
 def _integrate(cm: ClarkMeasure, f, count: int | None):
     """integrate's value and the node count it was taken at."""
     fixed = count is not None
-    count = int(count) if fixed else _start_count(cm)
+    count = _node_count(count) if fixed else _start_count(cm)
     # no previous difference before the first doubling: the model waits
     total, nodes, prev, prev_diff = 0j, slice(None), None, 0.0
     while True:
@@ -623,9 +631,8 @@ class LevelSetSample:
 def level_set_sample(cm: ClarkMeasure, n_points: int = 512) -> LevelSetSample:
     """Sample the level set of cm: the curve at n_points equally spaced
     theta1, and the abscissa of each line."""
-    if int(n_points) < 1:
-        raise DomainError("node count must be positive")
-    theta1 = 2.0 * np.pi * np.arange(int(n_points)) / int(n_points)
+    n_points = _node_count(n_points)
+    theta1 = 2.0 * np.pi * np.arange(n_points) / n_points
     z = np.exp(1j * theta1)
     theta2 = np.mod(np.angle(cm.curve_z2(z)), 2.0 * np.pi)
     curve = np.column_stack([theta1, theta2])

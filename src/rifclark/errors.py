@@ -4,10 +4,13 @@ DomainError marks inputs that violate a mathematical precondition (unstable
 polynomial, evaluation at a singularity, a value off the unit circle).
 NumericError marks computations that failed to reach the required accuracy
 (non-convergent root iteration, a certificate residual above tolerance).
-The CLI maps them to distinct exit codes.
+The CLI maps them to distinct exit codes.  The checks of inputs that
+several modules take live here too, one message each.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class RifClarkError(Exception):
@@ -28,7 +31,31 @@ class NumericError(RifClarkError):
         self.residual = residual
 
 
+def _as(convert, value, message: str):
+    """convert(value), or DomainError(message.format(value)) on its Type- or ValueError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise DomainError(message.format(value)) from None
+
+
 def _check_seed(seed) -> None:
-    """DomainError for a seed numpy's generators refuse as negative."""
-    if not seed >= 0:
+    """DomainError unless seed is a nonnegative integer, numpy's included."""
+    if _as(operator.index, seed, "seed must be an integer, not {!r}") < 0:
         raise DomainError(f"seed must be nonnegative, not {seed!r}")
+
+
+def _node_count(count) -> int:
+    """count once it is a positive integer; 2.5 is refused, not truncated."""
+    count = _as(operator.index, count, "node count must be a positive integer, not {!r}")
+    if count < 1:
+        raise DomainError("node count must be positive")
+    return count
+
+
+def _unimodular(alpha) -> complex:
+    """alpha projected onto the unit circle once it lies within 1e-6 of it."""
+    a = _as(complex, alpha, "alpha must be a complex number, not {!r}")
+    if not abs(abs(a) - 1.0) <= 1e-6:
+        raise DomainError("alpha must be unimodular")
+    return a / abs(a)

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _node_count
 
 # Relative bound of root residuals and coefficient identities, and the
 # distance from the circle within which a root counts as on it.
@@ -124,9 +124,7 @@ _NODE_CACHE: dict[int, np.ndarray] = {}
 
 def circle_nodes(count: int) -> np.ndarray:
     """The count-th roots of unity, cached; treat the array as read only."""
-    count = int(count)
-    if count < 1:
-        raise DomainError("node count must be positive")
+    count = _node_count(count)
     nodes = _NODE_CACHE.get(count)
     if nodes is None:
         nodes = np.exp(2j * np.pi * np.arange(count) / count)
@@ -859,9 +857,7 @@ class TrigPoly:
         The values are cached per count, as circle_nodes caches its nodes,
         and read only: every generic Clark measure of a Rif has rif.t as
         its weight numerator, so its measures share one FFT per count."""
-        count = int(count)
-        if count < 1:
-            raise DomainError("node count must be positive")
+        count = _node_count(count)
         values = self._values.get(count)
         if values is None:
             spectrum = np.zeros(count, dtype=complex)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _unimodular
 from .polynomials import circle_nodes
-from .rif import phi_eval
+from .rif import _pairs, phi_eval
 
 # ||w| - 1| <= 1e-6 read on |w|^2
 _TORUS_BAND = ((1.0 - 1e-6) ** 2, (1.0 + 1e-6) ** 2)
@@ -51,15 +51,17 @@ def poisson2(z, zeta) -> np.ndarray:
     >>> bool(np.allclose(poisson2(pts, zeta)[1], poisson2((0.0, 0.5), zeta)))
     True
     """
-    pts = np.asarray(z, dtype=complex)
-    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
-        raise DomainError("Poisson kernel points must be pairs, one per row")
+    pts = _pairs(z, "Poisson kernel points must be pairs, one per row")
+    try:
+        zeta1, zeta2 = (np.asarray(w, dtype=complex) for w in zeta)
+        shape = np.broadcast_shapes(zeta1.shape, zeta2.shape)
+    except (TypeError, ValueError):
+        raise DomainError("Poisson kernel nodes must be a pair (zeta1, zeta2)") from None
     rows = pts.reshape(-1, 2)
-    ws = np.broadcast_arrays(*(np.atleast_1d(np.asarray(w, dtype=complex)) for w in zeta))
+    ws = np.broadcast_arrays(np.atleast_1d(zeta1), np.atleast_1d(zeta2))
     (num, den), (num2, den2) = (_kernel_factor(zi, w) for zi, w in zip(rows.T, ws))
     den *= den2
     kernel = np.divide((num * num2)[:, None], den, out=den)
-    shape = np.broadcast_shapes(np.shape(zeta[0]), np.shape(zeta[1]))
     return kernel.reshape(pts.shape[:-1] + shape)
 
 
@@ -101,17 +103,13 @@ def pointmass_probe(rif, alpha, direction) -> list[float]:
     measures built here it instead decays like 1 - r, since Clark measures
     of nonconstant inner functions carry no atoms.
     """
-    a = complex(alpha)
-    if not abs(abs(a) - 1.0) <= 1e-6:
-        raise DomainError("alpha must be unimodular")
-    a /= abs(a)
-    t1, t2 = complex(direction[0]), complex(direction[1])
-    for t in (t1, t2):
-        if not abs(abs(t) - 1.0) <= 1e-6:
-            raise DomainError("direction must lie on the torus")
+    a = _unimodular(alpha)
+    t = _pairs(direction, "direction must be a pair (t1, t2)", (1,))
+    if not np.all(np.abs(np.abs(t) - 1.0) <= 1e-6):
+        raise DomainError("direction must lie on the torus")
     phi0 = rif.phi_at_origin
     r = np.array(_PROBE_RADII)
-    ph = phi_eval(rif, np.outer(r, (t1, t2)))
+    ph = phi_eval(rif, np.outer(r, t))
     val = (1.0 - ph * np.conj(phi0)) / (
         (1.0 - np.conj(a) * ph) * (1.0 - a * np.conj(phi0))
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _as
 from .polynomials import TrigPoly, UniPoly, _split_circle_roots, circle_nodes, roots
 
 @dataclass(frozen=True)
@@ -296,6 +296,15 @@ def validate(p: BiPolyN1) -> Rif:
     return Rif(p, pt, sings, complex(phi0), t, tuple(inside))
 
 
+def _pairs(z, message: str, ndims=(1, 2)) -> np.ndarray:
+    """z as a complex array of one pair (z1, z2) or P of them, of ndim 1 or
+    2 as ndims allows; anything else, a ragged list too, DomainError(message)."""
+    pts = _as(lambda v: np.asarray(v, dtype=complex), z, message)
+    if pts.ndim not in ndims or pts.shape[-1] != 2:
+        raise DomainError(message)
+    return pts
+
+
 def phi_eval(rif: Rif, z) -> complex | np.ndarray:
     """phi at a point of the closed bidisk, a pair (z1, z2); or at P points
     given as a (P, 2) array, whose P values come back as a (P,) array from
@@ -305,9 +314,7 @@ def phi_eval(rif: Rif, z) -> complex | np.ndarray:
     a zero of p (the boundary singularities and the poles on singular
     lines).
     """
-    pts = np.asarray(z, dtype=complex)
-    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
-        raise DomainError("phi_eval takes a pair (z1, z2) or a (P, 2) array of them")
+    pts = _pairs(z, "phi_eval takes a pair (z1, z2) or a (P, 2) array of them")
     z1, z2 = pts[..., 0], pts[..., 1]
     if not (np.abs(pts) <= 1.0 + 1e-12).all():
         raise DomainError("point outside the closed bidisk")

@@ -10,22 +10,19 @@ subcommand, times a selection of them; a suite passes when ok holds and
 deviation <= tol.  A suite collects its worst deviation with _worst, so a
 NaN anywhere makes the suite fail, where Python's max would drop it.
 
-Four suites cost only their arithmetic.  Every sweep measure with centre
-0 has the roots of unity as its nodes, so what depends only on the first
-coordinate there, or only on the Rif, is built once per run, and each
-measure adds only its second coordinate's work; a mapped measure builds
-its own first-coordinate data from its nodes.  poisson does not pass the
-whole kernel to clark.integrate but splits the bidisk Poisson kernel by
-coordinate (_poisson_integrals): one first-coordinate table, each curve's
-second-coordinate denominators, and for a line one kernel value and the
-row means of one table.  gram splits the Cauchy kernel the same way
-(agler._gram_reports).  support evaluates the parts of p and ptilde, which
-depend on z1 alone, once at the roots of unity and forms each measure's
-residual from them with _level_residual (_support_residuals), the
-formula levelset applies to its samples.  box_mass integrates box
-indicators that are exactly 0 wherever the first angle lies outside the
-widest box, so _box_indicators takes the second angle and the smooth
-steps only on the nodes near the box, with the bits of the dense formula.
+Four suites cost only their arithmetic.  poisson, gram and support split
+their kernels by coordinate, and what depends on the first coordinate
+alone is built once for every sweep measure with centre 0, whose nodes
+are the roots of unity, and once per mapped measure: clark._family_node_data
+decides that from the centre.  Each line {tau_k} x T is exact: poisson
+(_poisson_integrals) adds c_k P(z1, tau_k), gram (agler._gram_reports)
+the Szego kernel of the second coordinates, and support
+(_support_residuals), which forms each curve's residual with
+_level_residual as levelset does, the supremum over the circle.
+box_mass integrates box indicators that are exactly 0 wherever the first
+angle lies outside the widest box, so _box_indicators takes the second
+angle and the steps only on the nodes near the box, with the bits of the
+dense formula.
 
 Sweep construction (a list of Clark measures, one per alpha, shared by the
 suites): quadrature error for the curve part decays like
@@ -66,6 +63,7 @@ from .clark import (
     ExtremeStatus,
     Unitarity,
     _clark_measures,
+    _family_node_data,
     classify_extreme,
     classify_unitary,
     integrate,
@@ -250,29 +248,16 @@ def _level_residual(alpha: complex, parts: tuple, z2) -> float:
 
 def _support_residuals(rif: Rif, measures):
     """Each measure's support residual on its RULE_NODES rule, one float
-    per measure, in order: the largest _level_residual over the blocks
-    (z1, z2) of cm.rule(RULE_NODES), with _parts(rif, z1), bit for bit.
-
-    The parts of p and ptilde depend on z1 alone, so at the roots of unity,
-    the nodes of every measure with centre 0 (nodes is
-    circle_nodes(RULE_NODES)), they are evaluated once; a mapped measure
-    evaluates them at its nodes.  A line block (tau_k, omega) takes them at
-    tau_k alone, from a block of two copies: numpy passes a one-element
-    array to its loops with stride 0, and Horner's in-place complex
-    products then round otherwise than on a longer block of tau_k."""
-    omega = circle_nodes(RULE_NODES)
-    shared = None
-    for cm in measures:
-        nodes, z2, _w = cm.node_data(RULE_NODES)
-        if nodes is omega:
-            if shared is None:
-                shared = _parts(rif, omega)
-            parts = shared
-        else:
-            parts = _parts(rif, nodes)
-        yield _worst(_level_residual(cm.alpha, parts, z2), *(
-            _level_residual(cm.alpha, [v[:1] for v in _parts(rif, np.full(2, tau))], omega)
-            for tau, _mass in cm.lines))
+    per measure, in order: the largest of its curve's _level_residual, the
+    parts at the nodes shared as clark._family_node_data decides, and of
+    its lines'.  On {tau_k} x T, ptilde - alpha p = A + z2 B, A and B from
+    the parts at tau_k, has largest modulus |A| + |B| on the circle, and p
+    has |p1(tau_k)| + |p2(tau_k)|: a line's residual is exact."""
+    for cm, z2, _w, parts in _family_node_data(measures, lambda nodes: _parts(rif, nodes)):
+        a = cm.alpha
+        yield _worst(_level_residual(a, parts, z2), *(
+            (abs(pt1 - a * p1) + abs(pt2 - a * p2)) / max(1.0, abs(p1) + abs(p2))
+            for p1, p2, pt1, pt2 in (_parts(rif, tau) for tau, _mass in cm.lines)))
 
 
 def _factor_residual(rif: Rif, q, count: int) -> float:
@@ -354,11 +339,10 @@ def _poisson_closed_form(phis: np.ndarray, alpha: complex) -> np.ndarray:
     return (1.0 - np.abs(phis) ** 2) / np.abs(alpha - phis) ** 2
 
 
-def _kernel_table(zi, nodes, out=None) -> np.ndarray:
+def _kernel_table(zi, nodes) -> np.ndarray:
     """The one-variable Poisson kernels (1 - |zi|^2) / |w - zi|^2 of the
-    points zi at the nodes w, a (P, N) array, written into out when it is
-    given."""
-    num, den = _kernel_factor(zi, nodes, out)
+    points zi at the nodes w, a (P, N) array."""
+    num, den = _kernel_factor(zi, nodes)
     return np.divide(num[:, None], den, out=den)
 
 
@@ -370,31 +354,20 @@ def _poisson_integrals(pts: np.ndarray, measures):
 
     The bidisk kernel is the product of the kernels of the two coordinates
     (Rudin, Function Theory in Polydiscs, 1969, ch. 2).  On the curve it is
-    the first coordinate's (P, N) table at the nodes zeta_j divided by
-    |conj(B_alpha(zeta_j)) - z2|^2, and 1 - |z2|^2 multiplies each row
-    after the product with the weights.  The nodes of every measure with
-    centre 0 are the roots of unity, so their table is built once; a
-    mapped measure builds its own from its nodes.  A line (tau_k, c_k)
-    integrates to c_k P(z1, tau_k) times the mean of the second
-    coordinate's kernel over the roots of unity, the row means of one
-    table built at the first line.  The denominators of the curves and
-    that table go into one kept (P, N) workspace, so the pages of a fresh
-    buffer are not faulted in per measure.
+    the first coordinate's (P, N) table at the nodes zeta_j, shared as
+    clark._family_node_data decides, divided by |conj(B_alpha(zeta_j)) -
+    z2|^2 in one kept (P, N) workspace, and 1 - |z2|^2 multiplies each row
+    after the product with the weights.  The second coordinate's kernel
+    has mean 1 on the circle, so a line (tau_k, c_k) adds c_k P(z1, tau_k).
     """
     z1, z2 = np.asarray(pts, dtype=complex).T
-    omega = circle_nodes(RULE_NODES)
-    first = _kernel_table(z1, omega)
-    work = np.empty_like(first)
-    line_means = None
-    for cm in measures:
-        nodes, curve_z2, w = cm.node_data(RULE_NODES)
-        table = first if nodes is omega else _kernel_table(z1, nodes)
+    work = np.empty((z1.size, RULE_NODES))
+    for cm, curve_z2, w, table in _family_node_data(
+            measures, lambda nodes: _kernel_table(z1, nodes)):
         num, den = _kernel_factor(z2, curve_z2, work)
         got = (np.divide(table, den, out=den) @ w) * (num / RULE_NODES)
         for tau, mass in cm.lines:
-            if line_means is None:
-                line_means = np.mean(_kernel_table(z2, omega, work), axis=1)
-            got += mass * _kernel_table(z1, [tau])[:, 0] * line_means
+            got += mass * _kernel_table(z1, [tau])[:, 0]
         yield got
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rifclark import agler, polynomials
+from rifclark import agler, clark, polynomials
 from rifclark.agler import (
     SosPiece,
     compute_Q,
@@ -183,9 +183,11 @@ def test_gram_isometry_generic_and_exceptional():
 
 def test_weighted_products_match_loop_reference(monkeypatch):
     # the weighted products sum in another order than the per-pair node
-    # means they replaced; both stay within N eps of each other at N nodes
+    # means they replaced; both stay within N eps of each other at N nodes.
+    # The node data of the family pass comes at clark's RULE_NODES
     count = 1024
     monkeypatch.setattr(agler, "RULE_NODES", count)
+    monkeypatch.setattr(clark, "RULE_NODES", count)
     bound = count * np.finfo(float).eps
     rif = get("deg31").build()
     pts = [(0.2 + 0.1j, -0.3j), (0.0j, 0.4), (-0.25, 0.1 + 0.2j)]

@@ -3,11 +3,12 @@ package, and each names its cause."""
 
 import re
 
+import numpy as np
 import pytest
 
 from rifclark.agler import compute_Q, gram_isometry_check, sos_residual
 from rifclark.catalog import get
-from rifclark.clark import classify_extreme, clark_measure
+from rifclark.clark import classify_extreme, clark_measure, integrate, level_set_sample
 from rifclark.errors import DomainError
 from rifclark.polynomials import (
     BlaschkeProduct,
@@ -16,11 +17,13 @@ from rifclark.polynomials import (
     blaschke_from_rational,
     fejer_riesz,
 )
-from rifclark.quadrature import circle_nodes, pointmass_probe
+from rifclark.quadrature import circle_nodes, pointmass_probe, poisson2
 from rifclark.rif import BiPolyN1, phi_eval, validate
 from rifclark.verification import alpha_sweep, run_suites
 
 NAN = float("nan")
+# two points, the second missing its z2: numpy cannot make an array of it
+RAGGED = [(0.1, 0.2), (0.3,)]
 
 # t is not Hermitian: its coefficients of zeta and 1/zeta are not conjugate
 NOT_REAL = TrigPoly([1.0, 2.0, 0.0], 1)
@@ -92,6 +95,45 @@ REFUSALS = [
     ("sos-residual-seed",
      lambda: sos_residual(get("fave").build(), compute_Q(get("fave").build()), [], seed=-1),
      "seed must be nonnegative"),
+    # malformed points, directions and alphas: numpy's and complex()'s own
+    # errors never reach the caller
+    ("gram-ragged-points",
+     lambda: gram_isometry_check(clark_measure(get("fave").build(), 1.0), RAGGED),
+     "Gram points must be a nonempty list of pairs (w1, w2)"),
+    ("phi-eval-ragged-points", lambda: phi_eval(get("fave").build(), RAGGED),
+     "phi_eval takes a pair (z1, z2) or a (P, 2) array of them"),
+    ("poisson2-ragged-points", lambda: poisson2(RAGGED, (1.0, 1.0)),
+     "Poisson kernel points must be pairs, one per row"),
+    ("poisson2-scalar-nodes", lambda: poisson2((0.1, 0.2), 1.0),
+     "Poisson kernel nodes must be a pair (zeta1, zeta2)"),
+    ("poisson2-unequal-nodes",
+     lambda: poisson2((0.1, 0.2), (circle_nodes(3), circle_nodes(4))),
+     "Poisson kernel nodes must be a pair (zeta1, zeta2)"),
+    ("probe-direction-scalar", lambda: pointmass_probe(get("fave").build(), 1.0, 1.0),
+     "direction must be a pair (t1, t2)"),
+    ("probe-direction-short", lambda: pointmass_probe(get("fave").build(), 1.0, (1.0,)),
+     "direction must be a pair (t1, t2)"),
+    ("probe-alpha-string", lambda: pointmass_probe(get("fave").build(), "x", (1.0, 1.0)),
+     "alpha must be a complex number"),
+    ("clark-measure-alpha-string", lambda: clark_measure(get("fave").build(), "x"),
+     "alpha must be a complex number"),
+    # seeds and node counts that are not integers are refused, not truncated
+    ("run-suites-seed-float", lambda: run_suites(get("fave"), ["support"], seed=1.5),
+     "seed must be an integer"),
+    ("run-suites-seed-string", lambda: run_suites(get("fave"), ["support"], seed="3"),
+     "seed must be an integer"),
+    ("alpha-sweep-seed-float", lambda: alpha_sweep(get("fave").build(), seed=1.5),
+     "seed must be an integer"),
+    ("sos-residual-seed-float",
+     lambda: sos_residual(get("fave").build(), compute_Q(get("fave").build()), [], seed=1.5),
+     "seed must be an integer"),
+    ("circle-nodes-float", lambda: circle_nodes(2.5), "node count must be a positive integer"),
+    ("integrate-count-float",
+     lambda: integrate(clark_measure(get("fave").build(), 1.0), lambda u, v: u, 2.5),
+     "node count must be a positive integer"),
+    ("level-set-sample-float",
+     lambda: level_set_sample(clark_measure(get("fave").build(), 1.0), 2.5),
+     "node count must be a positive integer"),
 ]
 
 
@@ -99,3 +141,13 @@ REFUSALS = [
 def test_refusal_names_its_cause(build, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         build()
+
+
+def test_numpy_integers_pass_as_seeds_and_node_counts():
+    rif = get("fave").build()
+    got = alpha_sweep(rif, seed=np.int64(5))
+    assert [cm.alpha for cm in got] == [cm.alpha for cm in alpha_sweep(rif, seed=5)]
+    assert circle_nodes(np.int32(8)) is circle_nodes(8)
+    cm = clark_measure(rif, 1.0)
+    assert level_set_sample(cm, np.int64(4)).curve.shape == (4, 2)
+    assert integrate(cm, lambda u, v: u, np.int64(64)) == integrate(cm, lambda u, v: u, 64)

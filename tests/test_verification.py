@@ -271,9 +271,9 @@ def test_poisson_integrals_take_one_pass_per_measure(monkeypatch):
     tables = []
     kernel_table = verification._kernel_table
 
-    def table(zi, nodes, out=None):
+    def table(zi, nodes):
         tables.append((np.array(zi), len(nodes)))
-        return kernel_table(zi, nodes, out)
+        return kernel_table(zi, nodes)
 
     monkeypatch.setattr(verification, "integrate", counted)
     monkeypatch.setattr(clark.ClarkMeasure, "node_data", read)
@@ -327,18 +327,20 @@ def test_split_poisson_kernel_matches_integrate(monkeypatch):
 
 def test_split_poisson_kernel_keeps_the_domain_checks():
     # points in the open bidisk, and every node within 1e-6 of the torus:
-    # the curve's first and second coordinates and each line's tau
+    # the curve's first and second coordinates and each line's tau.  Nodes
+    # off the roots of unity belong to a mapped measure, of nonzero centre
     omega = clark.circle_nodes(clark.RULE_NODES)
     off = omega.copy()
     off[17] *= 1.001
     w = np.ones(omega.size)
     pts = np.array([(0.1, 0.2j), (0.3, -0.1)])
-    good = SimpleNamespace(node_data=lambda count: (omega, omega, w), lines=())
+    good = SimpleNamespace(node_data=lambda count: (omega, omega, w), lines=(), center=0j)
     assert len(list(verification._poisson_integrals(pts, [good]))) == 1
     bad = [
-        SimpleNamespace(node_data=lambda count: (omega, off, w), lines=()),
-        SimpleNamespace(node_data=lambda count: (off, omega, w), lines=()),
-        SimpleNamespace(node_data=lambda count: (omega, omega, w), lines=((1.001, 0.5),)),
+        SimpleNamespace(node_data=lambda count: (omega, off, w), lines=(), center=0j),
+        SimpleNamespace(node_data=lambda count: (off, omega, w), lines=(), center=0.5),
+        SimpleNamespace(node_data=lambda count: (omega, omega, w), lines=((1.001, 0.5),),
+                        center=0j),
     ]
     for cm in bad:
         with pytest.raises(DomainError, match="torus"):
@@ -529,18 +531,24 @@ def test_gram_family_matches_the_per_block_reference(monkeypatch):
             assert rep.max_abs_deviation == float(np.max(np.abs(rep.measured - rep.target)))
 
 
-def _support_reference(rif, cm):
-    # the support residual as it was: p and ptilde evaluated whole on each
-    # block of the rule, a line's tau repeated at every node
-    dev = 0.0
-    for z1, z2, _w in cm.rule(clark.RULE_NODES):
-        pz = rif.p.eval(z1, z2)
-        num = rif.ptilde.eval(z1, z2) - cm.alpha * pz
-        dev = max(dev, float(np.max(np.abs(num))) / max(1.0, float(np.max(np.abs(pz)))))
-    return dev
+def _support_reference(rif, alpha, z1, z2):
+    # the support residual as it was on one block of the rule: p and
+    # ptilde evaluated whole, a line's tau repeated at every node
+    pz = rif.p.eval(z1, z2)
+    num = rif.ptilde.eval(z1, z2) - alpha * pz
+    return float(np.max(np.abs(num))) / max(1.0, float(np.max(np.abs(pz))))
+
+
+def _line_support(rif, alpha, tau):
+    # sup over the circle of |A + z2 B| / max(1, sup |p1 + z2 p2|)
+    p1, p2 = rif.p.p1(tau), rif.p.p2(tau)
+    a, b = rif.ptilde.p1(tau) - alpha * p1, rif.ptilde.p2(tau) - alpha * p2
+    return (abs(a) + abs(b)) / max(1.0, abs(p1) + abs(p2))
 
 
 def test_support_residuals_match_the_block_formula_bit_for_bit(monkeypatch):
+    # the curve block bit for bit, each line in closed form exactly, and the
+    # closed form within 4e-15 of the line block it replaced
     cases = _family_measures(monkeypatch)
     for n in (16, 48):
         for s in (0, 1):
@@ -551,7 +559,45 @@ def test_support_residuals_match_the_block_formula_bit_for_bit(monkeypatch):
             assert any(cm.lines for cm in cases[-1][2])
     for rif, _seed, measures in cases:
         got = list(verification._support_residuals(rif, measures))
-        assert got == [_support_reference(rif, cm) for cm in measures]
+        want = []
+        for cm in measures:
+            curve, *lines = cm.rule(clark.RULE_NODES)
+            exact = [_line_support(rif, cm.alpha, tau) for tau, _mass in cm.lines]
+            for (z1, z2, _w), value in zip(lines, exact):
+                assert abs(value - _support_reference(rif, cm.alpha, z1, z2)) <= 4e-15
+            want.append(max([_support_reference(rif, cm.alpha, *curve[:2])] + exact))
+        assert got == want
+
+
+def test_family_node_data_shares_the_first_coordinate_by_centre(monkeypatch):
+    # first is called once per catalog sweep, whose measures all have
+    # centre 0, at the roots of unity, and once more per mapped measure, at
+    # its own nodes; a mixed family shares one table among its centred ones
+    cases = _family_measures(monkeypatch)
+    omega = clark.circle_nodes(clark.RULE_NODES)
+    mapped = [cm for _rif, _seed, sweep in cases for cm in sweep if cm.center]
+    assert len(mapped) == 2
+    families = [sweep for _rif, _seed, sweep in cases]
+    families.append([mapped[0]] + families[0][:3] + [mapped[1]])
+    for family in families:
+        calls = []
+
+        def first(nodes):
+            calls.append(nodes)
+            return object()
+
+        rows = list(clark._family_node_data(family, first))
+        assert len(rows) == len(family)
+        assert all(row[0] is cm for row, cm in zip(rows, family))
+        own = [cm.node_data(clark.RULE_NODES)[0] for cm in family if cm.center]
+        centred = any(not cm.center for cm in family)
+        assert len(calls) == centred + len(own)
+        assert sum(c is omega for c in calls) == centred
+        assert all(any(c is nodes for c in calls) for nodes in own)
+        assert len({id(row[3]) for row in rows if not row[0].center}) == centred
+        for cm, z2, w, _table in rows:
+            _nodes, want_z2, want_w = cm.node_data(clark.RULE_NODES)
+            assert z2 is want_z2 and w is want_w
 
 
 def test_generic_measures_share_t_node_values(monkeypatch):
