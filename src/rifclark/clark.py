@@ -12,8 +12,9 @@ first coordinate plus finitely many vertical lines, and the measure is
 where B_alpha = (pt1 - alpha p2) / (alpha p1 - pt2) is a finite Blaschke
 product after the common circle zeros at the matched singularities are
 cancelled.  The denominator is alpha times the degree-n reflection of the
-numerator u = pt1 - alpha p2, so B_alpha = u / (c u*): the roots of u, found
-once, are its zeros and the matched tau_k, which fold into the constant.
+numerator u = pt1 - alpha p2 by construction, so B_alpha = u / (alpha u*)
+comes from u alone: the roots of u, found once, are its zeros and the
+matched tau_k, which fold into the constant.
 W_alpha is a ratio of trigonometric polynomials obtained from
 (|p1|^2 - |p2|^2) / |pt1 - alpha p2|^2 by removing one factor
 |zeta - tau_k|^2 from numerator and denominator per matched singularity,
@@ -93,7 +94,6 @@ from .polynomials import (
     TrigPoly,
     UniPoly,
     _blaschke,
-    _reflection_constant,
     _spectral_factor,
     _zero_product,
     circle_nodes,
@@ -175,15 +175,15 @@ class ClarkMeasure:
     """Closed-form Clark measure: curve part plus line part.
 
     The measure keeps the pencil numerator it was built from, u = pt1 -
-    alpha p2; the denominator v = alpha p1 - pt2 is alpha u*, u* the
-    degree-n reflection, so B_alpha = u / (alpha u*) once the common circle
-    roots at the matched tau_k are cancelled, and the closed-form Agler
-    pieces of agler.exceptional_R come from u alone.  lines holds
-    (tau_k, c_k) pairs, one per matched singularity.  W_alpha is weight_num /
-    (|u|^2 / prod |zeta - tau_k|^2), finite on the circle; that denominator
-    is |lead(u)|^2 prod |zeta - a_k|^2 there, a_k the zeros of balpha, and
-    curve values and weights are computed in that form.  center is the
-    centre b of the node map M_b, chosen from the Blaschke zeros on
+    alpha p2; the denominator v = alpha p1 - pt2, never formed, is alpha u*
+    by construction, u* the degree-n reflection, so B_alpha = u / (alpha u*)
+    once the common circle roots at the matched tau_k are cancelled, and the
+    closed-form Agler pieces of agler.exceptional_R come from u alone.  lines
+    holds (tau_k, c_k) pairs, one per matched singularity.  W_alpha is
+    weight_num / (|u|^2 / prod |zeta - tau_k|^2), finite on the circle; that
+    denominator is |lead(u)|^2 prod |zeta - a_k|^2 there, a_k the zeros of
+    balpha, and curve values and weights are computed in that form.  center
+    is the centre b of the node map M_b, chosen from the Blaschke zeros on
     construction (0 unless a zero lies near the circle; see the module
     docstring).  The measure is frozen: an edited copy comes from
     dataclasses.replace, which forms center, the pulled-back zeros and the
@@ -394,15 +394,16 @@ def _map_center(zeros) -> complex:
 def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
     """Construct sigma_alpha exactly from the singularity data.
 
-    The pencil u = pt1 - alpha p2, v = alpha p1 - pt2 is certified as
-    v = c u* on its coefficients, and the roots of u, found once, give
-    B_alpha as blaschke_from_rational would: each matched tau_k, a common
-    circle zero of u and v, folds into the Blaschke constant, so B_alpha
-    keeps degree n - l; the measure keeps only u.  The factor
-    |zeta - tau_k|^2 of a matched singularity cancels once from the weight
-    numerator, the boundary polynomial rif.t = |p1|^2 - |p2|^2, and once
-    from the weight denominator |u|^2: the numerator is |Q_red|^2, Q_red
-    the spectral factor of rif.t less one (z - tau_k) per line.  Line
+    The pencil denominator v = alpha p1 - pt2 is alpha u*, u* the degree-n
+    reflection of u = pt1 - alpha p2, by construction (only
+    blaschke_from_rational certifies it, for an arbitrary pair), so the
+    roots of u, found once, give B_alpha: each matched tau_k, a common
+    circle zero of u and u*, folds into the constant, so B_alpha keeps
+    degree n - l; deg u < n, a zero of v at 0, raises DomainError.  The
+    factor |zeta - tau_k|^2 of a matched singularity cancels once from the
+    weight numerator, the boundary polynomial rif.t = |p1|^2 - |p2|^2, and
+    once from the weight denominator |u|^2: the numerator is |Q_red|^2,
+    Q_red the spectral factor of rif.t less one (z - tau_k) per line.  Line
     masses come from the stored derivative constants, c_k = 1 / |deriv_k|.
     This is the one-alpha case of _clark_measures.
     """
@@ -416,9 +417,9 @@ def _clark_measures(rif: Rif, alphas) -> list:
     """clark_measure at every alpha of a list, in order, with the error
     clark_measure would raise at an alpha in place of its measure.
 
-    The K pencils u and v are formed as one array product, v = c u* is
-    certified row by row, the rows that pass are root-found as one stack
-    (polynomials.roots), and each measure is then assembled on its own.
+    The K pencil numerators u are formed as one array product and
+    root-found as one stack (polynomials.roots); each measure is assembled
+    from its row alone, with one error path per alpha.
     """
     out: list = []
     for alpha in alphas:
@@ -431,23 +432,15 @@ def _clark_measures(rif: Rif, alphas) -> list:
     size = rif.n + 1
     a = np.array([out[k].alpha for k in ks], dtype=complex)[:, None]
     us = rif.pt1.padded(size) - a * rif.p2.padded(size)
-    vs = a * rif.p1.padded(size) - rif.pt2.padded(size)
-    rows, pencils = [], []
-    for j, (k, u_row, v_row) in enumerate(zip(ks, us, vs)):
-        u, v = UniPoly(u_row), UniPoly(v_row)
+    for k, u_row, found in zip(ks, us, roots(us)):
+        ac, u = out[k], UniPoly(u_row)
         try:
-            if u.is_zero or v.is_zero:
-                raise DomainError("degenerate pencil at this alpha")
-            pencils.append((k, u, _reflection_constant(u, v)))
-            rows.append(j)
-        except DomainError as err:
-            out[k] = err.with_traceback(None)
-    for (k, u, c), found in zip(pencils, roots(us[rows])):
-        if isinstance(found, RifClarkError):
-            out[k] = found
-            continue
-        try:
-            out[k] = _assemble(rif, out[k], u, _blaschke(u, c, found))
+            if isinstance(found, RifClarkError):
+                raise found
+            # alpha u* has a zero at the origin once deg u < n
+            if u.degree != rif.n:
+                raise DomainError("denominator zero inside the closed disk")
+            out[k] = _assemble(rif, ac, u, _blaschke(u, ac.alpha, found))
         except RifClarkError as err:
             out[k] = err.with_traceback(None)
     return out

@@ -89,6 +89,9 @@ def cplx_to_json(z) -> list[float]:
 
 
 def cplx_from_json(v) -> complex:
+    """Inverse of cplx_to_json: ValueError unless v is a list of two numbers."""
+    if not (type(v) is list and len(v) == 2 and all(type(x) in (int, float) for x in v)):
+        raise ValueError(f"a complex number is a list of two numbers, not {v!r}")
     return complex(float(v[0]), float(v[1]))
 
 
@@ -1107,28 +1110,6 @@ class BlaschkeProduct:
         }
 
 
-def _reflection_constant(num: UniPoly, den: UniPoly) -> complex:
-    """The unimodular c with den = c num*, num* the degree-m reflection of
-    num, m the larger degree, certified on the coefficients:
-    max |den - c num*| <= 4 TOL max |den|.  Raises DomainError when either
-    is zero, the identity or |c| = 1 fails, or deg num < m (which puts a
-    zero of den at the origin)."""
-    if num.is_zero or den.is_zero:
-        raise DomainError("zero numerator or denominator")
-    m = max(num.degree, den.degree)
-    star = num.conj_reflect(m).padded(m + 1)
-    dc = den.padded(m + 1)
-    j = int(np.argmax(np.abs(dc)))
-    c = dc[j] / star[j] if star[j] != 0 else 0j
-    if not float(np.max(np.abs(dc - c * star))) <= 4 * TOL * abs(dc[j]):
-        raise DomainError("denominator is not a multiple of the reflected numerator")
-    if abs(abs(c) - 1.0) > 4 * TOL:
-        raise DomainError("quotient constant is not unimodular")
-    if num.degree < m:
-        raise DomainError("denominator zero inside the closed disk")
-    return complex(c)
-
-
 def _blaschke(num: UniPoly, c: complex, found) -> BlaschkeProduct:
     """num / (c num*) as a Blaschke product, from the roots of num as
     roots gives them: a root inside the disk is a zero of the product, a
@@ -1155,13 +1136,26 @@ def blaschke_from_rational(num, den) -> BlaschkeProduct:
     num/den is a constant multiple of a Blaschke product exactly when den is
     a unimodular multiple c of the degree-m reflection num* of num, m the
     larger degree, with every zero of num in the closed disk.  That identity
-    is certified on the coefficients (_reflection_constant), and then num
-    is root-found once: its zeros inside the disk are the zeros of the
-    product, and a zero on the circle (within TOL) is a common zero of num
-    and num*, which cancels and leaves the factor -tau in the constant
-    (_blaschke).  A zero outside the disk, or deg num < m (which puts a
-    zero of den at the origin), raises DomainError.
+    is certified on the coefficients, |den - c num*| <= 4 TOL max |den| with
+    |c| = 1, and num is root-found once for _blaschke.  A zero num or den,
+    a failed certificate, a zero outside the disk, or deg num < m (a zero
+    of den at the origin) raises DomainError.  clark's pencils hold
+    den = alpha num* by construction and skip it; this is their
+    independent check.
     """
     num = num if isinstance(num, UniPoly) else UniPoly(num)
     den = den if isinstance(den, UniPoly) else UniPoly(den)
-    return _blaschke(num, _reflection_constant(num, den), roots(num))
+    if num.is_zero or den.is_zero:
+        raise DomainError("zero numerator or denominator")
+    m = max(num.degree, den.degree)
+    star = num.conj_reflect(m).padded(m + 1)
+    dc = den.padded(m + 1)
+    j = int(np.argmax(np.abs(dc)))
+    c = dc[j] / star[j] if star[j] != 0 else 0j
+    if not float(np.max(np.abs(dc - c * star))) <= 4 * TOL * abs(dc[j]):
+        raise DomainError("denominator is not a multiple of the reflected numerator")
+    if abs(abs(c) - 1.0) > 4 * TOL:
+        raise DomainError("quotient constant is not unimodular")
+    if num.degree < m:
+        raise DomainError("denominator zero inside the closed disk")
+    return _blaschke(num, complex(c), roots(num))

@@ -23,6 +23,7 @@ organized around this singularity list.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +40,10 @@ class BiPolyN1:
     n: int
 
     def __post_init__(self):
-        if int(self.n) < 1:
+        n = _as(operator.index, self.n, "the z1-degree bound must be an integer, not {!r}")
+        if n < 1:
             raise DomainError("the z1-degree bound must be at least 1")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         for part in (self.p1, self.p2):
             if not np.isfinite(part.coeffs).all():
                 raise DomainError("coefficients must be finite")
@@ -61,8 +63,7 @@ class BiPolyN1:
     def from_json(obj) -> "BiPolyN1":
         """Inverse of to_json; malformed input raises DomainError."""
         try:
-            p1, p2 = UniPoly.from_json(obj["p1"]), UniPoly.from_json(obj["p2"])
-            n = int(obj["n"])
+            p1, p2, n = UniPoly.from_json(obj["p1"]), UniPoly.from_json(obj["p2"]), obj["n"]
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(
                 f"malformed polynomial JSON ({type(exc).__name__}: {exc})"

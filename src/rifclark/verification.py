@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -654,6 +655,9 @@ def run_suites(entry: CatalogEntry, names=None, seed: int = 0) -> list[SuiteResu
             f"unknown suite(s) {', '.join(unknown)}; "
             f"available: {', '.join(suite_names())}"
         )
+    twice = [n for n, count in Counter(names).items() if count > 1]
+    if twice:
+        raise DomainError(f"suite listed twice: {', '.join(twice)}")
     ctx = _Ctx(entry, seed)
     out = []
     for name in names:

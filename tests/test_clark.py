@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rifclark.catalog import get
-from rifclark import agler, clark
+from rifclark import agler, clark, verification
 from rifclark.agler import exceptional_R, gram_isometry_check, orthonormality_check
 from rifclark.clark import (
     AlphaKind,
@@ -24,7 +24,8 @@ from rifclark.clark import (
 )
 from rifclark.errors import DomainError, NumericError
 from rifclark.polynomials import (
-    TOL, BlaschkeProduct, TrigPoly, UniPoly, _zero_product, cplx_from_json)
+    TOL, BlaschkeProduct, TrigPoly, UniPoly, _zero_product, blaschke_from_rational,
+    cplx_from_json)
 from rifclark.quadrature import circle_nodes, poisson2
 from rifclark.rif import BiPolyN1, phi_eval, reflect, validate
 
@@ -137,6 +138,43 @@ def test_family_refuses_a_pencil_whose_leading_coefficient_cancels():
     assert isinstance(family[1], DomainError) and str(family[1]) == str(single.value)
     for alpha, cm in zip((1j, -1j), family[::2]):
         assert _outcome(lambda: cm) == _outcome(lambda: clark_measure(rif, alpha))
+
+
+def test_family_refuses_a_pencil_below_full_degree_and_builds_the_rest():
+    # alpha u* has a zero at the origin when deg u < n: with p1(0) = 2 and
+    # lead(p2) = 2, u = pt1 - alpha p2 loses its z^2 term at alpha = 1 and
+    # keeps a root, so the trimmed row is root-found and then refused
+    poly = BiPolyN1(UniPoly([2.0, 0.0, 0.0]), UniPoly([0.1, 0.2, 2.0]), 2)
+    rif = dataclasses.replace(get("fave").build(), p=poly, ptilde=reflect(poly),
+                              singularities=())
+    assert (rif.pt1 - rif.p2).degree == 1
+    alphas = [1j, 1.0, -1.0, np.exp(0.5j)]
+    family = clark._clark_measures(rif, alphas)
+    assert isinstance(family[1], DomainError)
+    assert str(family[1]) == "denominator zero inside the closed disk"
+    assert family[1].__traceback__ is None
+    for alpha, cm in zip(alphas[::2] + alphas[3:], family[::2] + family[3:]):
+        assert isinstance(cm, ClarkMeasure) and cm.balpha.degree == 2, alpha
+        assert _outcome(lambda: cm) == _outcome(lambda: clark_measure(rif, alpha))
+
+
+@pytest.mark.parametrize("name, n, s", [(name, None, None) for name in CATALOG]
+                         + [(None, 16, 1), (None, 48, 0)])
+def test_pencil_blaschke_product_matches_the_certified_route(name, n, s):
+    # clark builds B_alpha from u and alpha alone, since v = alpha u* holds
+    # by construction; blaschke_from_rational certifies v = c u* on the
+    # coefficients of the same pencil and must give the same product
+    rif = get(name).build() if n is None else _ladder(n, s)
+    for swept in verification.alpha_sweep(rif, 0):
+        cm = clark_measure(rif, swept.alpha)
+        v = cm.alpha * rif.p1 - rif.pt2
+        want = blaschke_from_rational(cm.u, v)
+        got = cm.balpha
+        assert got.degree == want.degree, cm.alpha
+        assert abs(got.constant - want.constant) <= 1e-14, cm.alpha
+        if got.degree:
+            gap = np.abs(np.subtract.outer(got.zeros, want.zeros))
+            assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-14, cm.alpha
 
 
 def test_mass_identity_generic_and_exceptional():

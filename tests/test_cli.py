@@ -225,11 +225,15 @@ def test_analyze_malformed_json_exit_code(tmp_path, capsys):
         "nan.json": json.dumps({**good, "p2": {"coeffs": [[float("nan"), 0.0]]}}),
         "truncated.json": json.dumps(good)[:-3],
         "scalar.json": "5",
+        "float-degree.json": json.dumps({**good, "n": 1.5}),
+        "three-part-coefficient.json": json.dumps(
+            {**good, "p2": {"coeffs": [[-1.0, 0.0, 5.0]]}}),
     }
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
         assert cli.main(["analyze", str(path), "--alpha=1"]) == 2, name
+        assert cli.main(["verify", str(path), "--suite=reflect"]) == 2, name
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -344,6 +348,7 @@ def test_verify_unknown_suite_is_input_error(capsys):
     (["--seed", "-1"], "seed must be nonnegative"),
     (["--suite", ","], "empty suite list"),
     (["--suite", ""], "empty suite list"),
+    (["--suite", "support,support,reflect"], "suite listed twice: support"),
 ])
 def test_verify_refuses_a_negative_seed_and_an_empty_selection(argv, message, capsys):
     assert cli.main(["verify", "fave", *argv]) == 2

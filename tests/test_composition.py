@@ -44,8 +44,10 @@ def test_composition_measures(name, k):
     for s in base.singularities:
         matched = classify_alpha(rif, s.alpha).matched
         assert len(matched) == k
-        # the pencil as built: every matched contact is a circle root of u
-        # that folds into the Blaschke constant
+        # an independent check of the identity clark_measure relies on:
+        # blaschke_from_rational certifies v = c u* on the coefficients, and
+        # every matched contact is a circle root of u that folds into the
+        # Blaschke constant
         u, v = rif.pt1 - s.alpha * rif.p2, s.alpha * rif.p1 - rif.pt2
         assert blaschke_from_rational(u, v).degree == rif.n - k
         cm = clark_measure(rif, s.alpha)

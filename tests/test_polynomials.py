@@ -782,7 +782,7 @@ def test_one_root_find_per_polynomial(monkeypatch):
         found.clear()
         clark_measure(rif, alpha)
         # the pencil numerator u only, as a stack of one row: the
-        # denominator is its reflection, certified on the coefficients
+        # denominator is alpha times its reflection and is never formed
         assert len(found) == 1 and np.shape(found[0]) == (1, 9)
     # a 16-measure sweep root-finds its candidate alphas by blocks, about
     # 20 pencils in one to three calls, and its exceptional pencils ride

@@ -31,6 +31,8 @@ NOT_REAL = TrigPoly([1.0, 2.0, 0.0], 1)
 REFUSALS = [
     ("bipoly-degree-0", lambda: BiPolyN1(UniPoly([1.0]), UniPoly([0.5]), 0),
      "the z1-degree bound must be at least 1"),
+    ("bipoly-degree-float", lambda: BiPolyN1(UniPoly([2.0, -1.0]), UniPoly([-1.0]), 1.7),
+     "the z1-degree bound must be an integer"),
     ("validate-p1-zero", lambda: validate(BiPolyN1(UniPoly([]), UniPoly([1.0]), 1)),
      "not stable: vanishing at z2 = 0"),
     ("validate-p1-z1", lambda: validate(BiPolyN1(UniPoly([0.0, 1.0]), UniPoly([0.5]), 1)),
@@ -90,6 +92,9 @@ REFUSALS = [
      "Gram points must lie in the open bidisk"),
     ("run-suites-seed", lambda: run_suites(get("fave"), seed=-1), "seed must be nonnegative"),
     ("run-suites-empty", lambda: run_suites(get("fave"), []), "empty suite list"),
+    ("run-suites-repeated",
+     lambda: run_suites(get("fave"), ["support", "support", "reflect"]),
+     "suite listed twice: support"),
     ("alpha-sweep-seed", lambda: alpha_sweep(get("fave").build(), seed=-1),
      "seed must be nonnegative"),
     ("sos-residual-seed",

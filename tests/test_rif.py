@@ -51,9 +51,23 @@ def test_bipoly_rejects_non_finite_and_malformed_json():
         {"n": 1, "p1": {"coeffs": [2.0, -1.0]}, "p2": good["p2"]},
         {"n": 1, "p1": {"coeffs": [[2.0, 0.0], [float("nan"), 0.0]]}, "p2": good["p2"]},
         [good],
+        # the degree bound is an integer, not a float or a string of one
+        {"n": 1.5, "p1": good["p1"], "p2": good["p2"]},
+        {"n": "1", "p1": good["p1"], "p2": good["p2"]},
+        # a coefficient is exactly two JSON numbers
+        {"n": 1, "p1": {"coeffs": [[2.0, 0.0, 5.0], [-1.0, 0.0]]}, "p2": good["p2"]},
+        {"n": 1, "p1": {"coeffs": [["2", "0"], [-1.0, 0.0]]}, "p2": good["p2"]},
+        {"n": 1, "p1": {"coeffs": [[True, 0], [-1.0, 0.0]]}, "p2": good["p2"]},
+        {"n": 1, "p1": {"coeffs": [[2.0], [-1.0, 0.0]]}, "p2": good["p2"]},
     ):
         with pytest.raises(DomainError):
             BiPolyN1.from_json(bad)
+    with pytest.raises(DomainError, match="the z1-degree bound must be an integer"):
+        _poly([2.0, -1.0], [-1.0], 1.7)
+    # numpy integers and integer JSON coefficients pass
+    assert BiPolyN1.from_json({**good, "n": np.int64(1)}).n == 1
+    assert BiPolyN1.from_json(
+        {"n": 1, "p1": {"coeffs": [[2, 0], [-1, 0]]}, "p2": good["p2"]}).to_json() == good
 
 
 def test_reflect_swaps_parts_and_is_involution():
