@@ -77,12 +77,11 @@ def compute_Q(rif: Rif) -> UniPoly:
     """The one-variable square: |Q|^2 = rif.t = |p1|^2 - |p2|^2 on the
     circle.
 
-    Built from the split of t that validate keeps, with no root-find.
-    Normalized with a positive real leading coefficient; any unimodular
-    multiple satisfies the same identity.
+    _spectral_factor builds it from the split of t that validate keeps,
+    with no root-find.  Normalized with a positive real leading
+    coefficient; any unimodular multiple satisfies the same identity.
     """
-    halves = tuple(s.tau for s in rif.singularities for _ in range(s.mult // 2))
-    return _spectral_factor(rif.t, rif.inside + halves)
+    return _spectral_factor(rif.t, rif.inside, [(s.tau, s.mult) for s in rif.singularities])
 
 
 def exceptional_R(cm: ClarkMeasure) -> list[SosPiece]:
@@ -213,8 +212,8 @@ def _gram_reports(points, measures):
     which also hold its conjugate and the weighted c.  On a line
     {tau_k} x T the second factors integrate to the Szego kernel
     S = 1 / (1 - conj(w2_i) w2_j), so the line adds c_k a a^H times S
-    entry by entry, a = 1 / (1 - conj(w1) tau_k).  S is formed once per
-    call, and phi at the points, and the target, once per Rif.
+    entry by entry, a = 1 / (1 - conj(w1) tau_k).  The measures, a nonempty
+    list, share one Rif: S, phi and the target are formed once per call.
     """
     w = _pairs(points, "Gram points must be a nonempty list of pairs (w1, w2)")
     if w.ndim != 2 or not len(w):
@@ -226,15 +225,12 @@ def _gram_reports(points, measures):
     cw1, cw2 = np.conj(w[:, :1]), np.conj(w[:, 1:])
     # the node sums of the curve are RULE_NODES times their means
     szego = RULE_NODES / (1.0 - cw2 * w[:, 1])
+    phis = phi_eval(measures[0].rif, w)
+    target = (1.0 - np.conj(phis)[:, None] * phis) / (
+        (1.0 - cw1 * w[:, 0]) * (1.0 - cw2 * w[:, 1]))
     c = np.empty((len(w), RULE_NODES), dtype=complex)
     cc = np.empty_like(c)
-    rif = None
     for cm, z2, wt, table in _family_node_data(measures, lambda nodes: _cauchy(cw1, nodes)):
-        if cm.rif is not rif:
-            rif = cm.rif
-            phis = phi_eval(rif, w)
-            target = (1.0 - np.conj(phis)[:, None] * phis) / (
-                (1.0 - cw1 * w[:, 0]) * (1.0 - cw2 * w[:, 1]))
         _cauchy(cw2, z2, c, table)
         np.conj(c, out=cc)
         measured = np.multiply(c, wt, out=c) @ cc.T

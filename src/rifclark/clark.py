@@ -405,12 +405,9 @@ def clark_measure(rif: Rif, alpha) -> ClarkMeasure:
     once from the weight denominator |u|^2: the numerator is |Q_red|^2,
     Q_red the spectral factor of rif.t less one (z - tau_k) per line.  Line
     masses come from the stored derivative constants, c_k = 1 / |deriv_k|.
-    This is the one-alpha case of _clark_measures.
+    This is the one-alpha case of _clark_measures, raised by _raising.
     """
-    cm = _clark_measures(rif, [alpha])[0]
-    if isinstance(cm, RifClarkError):
-        raise cm
-    return cm
+    return _raising(_clark_measures(rif, [alpha]))[0]
 
 
 def _clark_measures(rif: Rif, alphas) -> list:
@@ -446,6 +443,15 @@ def _clark_measures(rif: Rif, alphas) -> list:
     return out
 
 
+def _raising(built: list) -> list[ClarkMeasure]:
+    """built, a list from _clark_measures, once it holds no error; else
+    its first error is raised."""
+    for cm in built:
+        if isinstance(cm, RifClarkError):
+            raise cm
+    return built
+
+
 def _assemble(rif: Rif, ac: AlphaClass, u: UniPoly, balpha: BlaschkeProduct) -> ClarkMeasure:
     """The measure at ac.alpha from its pencil numerator u and B_alpha:
     B_alpha's degree checked against n - l, the weight numerator reduced
@@ -471,10 +477,9 @@ def _assemble(rif: Rif, ac: AlphaClass, u: UniPoly, balpha: BlaschkeProduct) -> 
         )
     weight_num = rif.t
     if matched:
-        kept = tuple(s.tau for k, s in enumerate(rif.singularities)
-                     for _ in range(s.mult // 2 - (k in ac.matched)))
-        weight_num = TrigPoly.modulus_squared(
-            _spectral_factor(rif.t, rif.inside + kept, [s.tau for s in matched]))
+        weight_num = TrigPoly.modulus_squared(_spectral_factor(
+            rif.t, rif.inside, [(s.tau, s.mult) for s in rif.singularities],
+            [s.tau for s in matched]))
     return ClarkMeasure(
         rif=rif,
         alpha_class=ac,

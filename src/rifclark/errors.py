@@ -39,23 +39,32 @@ def _as(convert, value, message: str):
         raise DomainError(message.format(value)) from None
 
 
+def _integer(value, message: str) -> int:
+    """value as an int, numpy's included; a bool or whatever operator.index
+    refuses (2.5, "3") raises DomainError(message.format(value))."""
+    if isinstance(value, bool):
+        raise DomainError(message.format(value))
+    return _as(operator.index, value, message)
+
+
 def _check_seed(seed) -> None:
     """DomainError unless seed is a nonnegative integer, numpy's included."""
-    if _as(operator.index, seed, "seed must be an integer, not {!r}") < 0:
+    if _integer(seed, "seed must be an integer, not {!r}") < 0:
         raise DomainError(f"seed must be nonnegative, not {seed!r}")
 
 
 def _node_count(count) -> int:
     """count once it is a positive integer; 2.5 is refused, not truncated."""
-    count = _as(operator.index, count, "node count must be a positive integer, not {!r}")
+    count = _integer(count, "node count must be a positive integer, not {!r}")
     if count < 1:
         raise DomainError("node count must be positive")
     return count
 
 
-def _unimodular(alpha) -> complex:
-    """alpha projected onto the unit circle once it lies within 1e-6 of it."""
-    a = _as(complex, alpha, "alpha must be a complex number, not {!r}")
+def _unimodular(value, name: str = "alpha") -> complex:
+    """value projected onto the unit circle once it lies within 1e-6 of it;
+    otherwise DomainError naming it: "Blaschke constant must be unimodular"."""
+    a = _as(complex, value, f"{name} must be a complex number, not {{!r}}")
     if not abs(abs(a) - 1.0) <= 1e-6:
-        raise DomainError("alpha must be unimodular")
+        raise DomainError(f"{name} must be unimodular")
     return a / abs(a)

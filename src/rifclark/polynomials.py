@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _node_count
+from .errors import DomainError, NumericError, _integer, _node_count, _unimodular
 
 # Relative bound of root residuals and coefficient identities, and the
 # distance from the circle within which a root counts as on it.
@@ -806,6 +806,8 @@ class TrigPoly:
 
     def __init__(self, coeffs, d: int):
         c = _coefficient_array(coeffs)
+        if _integer(d, "the band must be a nonnegative integer, not {!r}") < 0:
+            raise DomainError(f"the band must be a nonnegative integer, not {d!r}")
         if c.size != 2 * d + 1:
             raise DomainError("coefficient count does not match the band")
         # read only, so that the values node_values keeps cannot go stale
@@ -1011,18 +1013,18 @@ def _split_circle_roots(t: TrigPoly):
     return circle, inside
 
 
-def _spectral_factor(t: TrigPoly, zeros, cancelled=()) -> UniPoly:
-    """amp * prod (z - r) over zeros: t's spectral factor Q, with one
-    factor (z - c) left out per point c of cancelled.
-
-    zeros are t's roots inside the disk and half of each circle zero but
-    those in cancelled.  The product is taken as values at the N-th roots
-    of unity, N the first power of two above 2 deg t, and its
-    coefficients come from one FFT.  amp > 0 is fixed by Parseval's
+def _spectral_factor(t: TrigPoly, inside, circle, cancelled=()) -> UniPoly:
+    """t's spectral factor Q = amp * prod (z - r) from t's split, with one
+    factor (z - c) left out per point c of cancelled: r runs over inside,
+    t's roots inside the disk, then mult / 2 times over each (tau, mult)
+    of circle, once fewer for a tau in cancelled.  The product is taken as
+    values at the N-th roots of unity, N the first power of two above
+    2 deg t, and its coefficients come from one FFT.  amp > 0 is fixed by Parseval's
     identity, the mean of |Q|^2 being t's constant coefficient, and the
     same values, times prod |zeta - c|^2, are certified against t:
     N > 2 deg t samples bound every coefficient of the difference.
     """
+    zeros = (*inside, *(tau for tau, m in circle for _ in range(m // 2 - (tau in cancelled))))
     _, d_eff = t.as_poly()
     degree = len(zeros)
     if degree + len(cancelled) != d_eff:
@@ -1045,9 +1047,8 @@ def fejer_riesz(t: TrigPoly) -> UniPoly:
 
     Requires t real and nonnegative on the circle.  Q collects the strictly
     inside roots of z**d * t(z) plus half of each (necessarily even-order)
-    circle zero, with a positive real leading coefficient, and is built and
-    certified by _spectral_factor, which compute_Q calls with the split
-    that validate keeps.
+    circle zero, with a positive real leading coefficient; _spectral_factor
+    builds and certifies it from the split of t, as for compute_Q.
     """
     if t.is_zero:
         raise DomainError("cannot factor the zero polynomial")
@@ -1058,8 +1059,7 @@ def fejer_riesz(t: TrigPoly) -> UniPoly:
         raise DomainError("negative on the circle")
     # an odd-order circle zero fails the degree count in _spectral_factor
     circle, inside = _split_circle_roots(t)
-    halves = [tau for tau, m in circle for _ in range(m // 2)]
-    return _spectral_factor(t, inside + halves)
+    return _spectral_factor(t, inside, circle)
 
 
 @dataclass(frozen=True)
@@ -1067,18 +1067,15 @@ class BlaschkeProduct:
     """Finite Blaschke product B = constant * N / D, N = prod (z - a) and
     D = prod (1 - conj(a) z) over the zeros a.
 
-    The constant is unimodular (projected on construction, rejected if off
-    by more than 1e-6) and every zero lies strictly inside the open disk.
+    The constant is projected onto the circle by errors._unimodular, as
+    alpha is, and every zero lies strictly inside the open disk.
     """
 
     constant: complex
     zeros: tuple = field(default=())
 
     def __post_init__(self):
-        g = complex(self.constant)
-        if not abs(abs(g) - 1.0) <= 1e-6:
-            raise DomainError("Blaschke constant must be unimodular")
-        object.__setattr__(self, "constant", g / abs(g))
+        object.__setattr__(self, "constant", _unimodular(self.constant, "Blaschke constant"))
         zs = tuple(complex(a) for a in self.zeros)
         for a in zs:
             if not abs(a) < 1.0:
@@ -1110,6 +1107,15 @@ class BlaschkeProduct:
         }
 
 
+def _proportion(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
+    """(c, max |a - c b|), c read at b's largest coefficient: the certificate
+    that a = c b, for arrays of one length, b not all zero.  Each caller
+    keeps its own bound and message."""
+    j = int(np.argmax(np.abs(b)))
+    c = a[j] / b[j]
+    return c, float(np.max(np.abs(a - c * b)))
+
+
 def _blaschke(num: UniPoly, c: complex, found) -> BlaschkeProduct:
     """num / (c num*) as a Blaschke product, from the roots of num as
     roots gives them: a root inside the disk is a zero of the product, a
@@ -1136,9 +1142,9 @@ def blaschke_from_rational(num, den) -> BlaschkeProduct:
     num/den is a constant multiple of a Blaschke product exactly when den is
     a unimodular multiple c of the degree-m reflection num* of num, m the
     larger degree, with every zero of num in the closed disk.  That identity
-    is certified on the coefficients, |den - c num*| <= 4 TOL max |den| with
-    |c| = 1, and num is root-found once for _blaschke.  A zero num or den,
-    a failed certificate, a zero outside the disk, or deg num < m (a zero
+    is certified on the coefficients by _proportion, |den - c num*| <=
+    4 TOL max |den| with |c| = 1, and num is root-found once for _blaschke.
+    A zero num or den, a failed certificate, a zero outside the disk, or deg num < m (a zero
     of den at the origin) raises DomainError.  clark's pencils hold
     den = alpha num* by construction and skip it; this is their
     independent check.
@@ -1148,11 +1154,9 @@ def blaschke_from_rational(num, den) -> BlaschkeProduct:
     if num.is_zero or den.is_zero:
         raise DomainError("zero numerator or denominator")
     m = max(num.degree, den.degree)
-    star = num.conj_reflect(m).padded(m + 1)
     dc = den.padded(m + 1)
-    j = int(np.argmax(np.abs(dc)))
-    c = dc[j] / star[j] if star[j] != 0 else 0j
-    if not float(np.max(np.abs(dc - c * star))) <= 4 * TOL * abs(dc[j]):
+    c, resid = _proportion(dc, num.conj_reflect(m).padded(m + 1))
+    if not resid <= 4 * TOL * float(np.max(np.abs(dc))):
         raise DomainError("denominator is not a multiple of the reflected numerator")
     if abs(abs(c) - 1.0) > 4 * TOL:
         raise DomainError("quotient constant is not unimodular")

@@ -22,14 +22,13 @@ organized around this singularity list.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _as
-from .polynomials import TrigPoly, UniPoly, _split_circle_roots, circle_nodes, roots
+from .errors import DomainError, NumericError, _as, _integer
+from .polynomials import (
+    TrigPoly, UniPoly, _proportion, _split_circle_roots, circle_nodes, roots)
 
 @dataclass(frozen=True)
 class BiPolyN1:
@@ -40,7 +39,7 @@ class BiPolyN1:
     n: int
 
     def __post_init__(self):
-        n = _as(operator.index, self.n, "the z1-degree bound must be an integer, not {!r}")
+        n = _integer(self.n, "the z1-degree bound must be an integer, not {!r}")
         if n < 1:
             raise DomainError("the z1-degree bound must be at least 1")
         object.__setattr__(self, "n", n)
@@ -167,15 +166,12 @@ def _stability_violation(p: BiPolyN1, p1_roots: list) -> str | None:
             return "not coprime: simultaneous circle zero of p1 and p2"
         if abs(abs(r) - 1.0) <= 1e-9:
             return "not stable: zero on a distinguished face"
-    if not p2.is_zero and p1.degree == p2.degree:
-        j = int(np.argmax(np.abs(p2.coeffs)))
-        c = p1.coeffs[j] / p2.coeffs[j]
-        m1 = max(p1.scale(), p2.scale())
-        if float(np.max(np.abs((p1 - c * p2).padded(p1.coeffs.size)))) <= 1e-12 * m1:
-            if abs(c) <= 1.0 + 1e-9:
-                return "not stable: z2-root is constant on the closed disk"
     if p2.is_zero:
         return None
+    if p1.degree == p2.degree:
+        c, resid = _proportion(p1.coeffs, p2.coeffs)
+        if resid <= 1e-12 * max(p1.scale(), p2.scale()) and abs(c) <= 1.0 + 1e-9:
+            return "not stable: z2-root is constant on the closed disk"
     # a zero of p1 just outside the circle makes |p2 / p1| peak narrower
     # than the node spacing, at the circle point nearest that zero
     samples = np.concatenate([
@@ -208,12 +204,9 @@ def _coprime_violation(p: BiPolyN1, pt: BiPolyN1) -> str | None:
     width = p.n + 1
     a = np.concatenate([p.p1.padded(width), p.p2.padded(width)])
     b = np.concatenate([pt.p1.padded(width), pt.p2.padded(width)])
-    j = int(np.argmax(np.abs(a)))
     sc = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
-    if abs(a[j]) > 0:
-        c = b[j] / a[j]
-        if float(np.max(np.abs(b - c * a))) <= 1e-10 * sc:
-            return "not coprime: the reflection is a scalar multiple of p"
+    if _proportion(b, a)[1] <= 1e-10 * sc:
+        return "not coprime: the reflection is a scalar multiple of p"
     return None
 
 
@@ -244,7 +237,7 @@ def _line_derivative(p: BiPolyN1, pt: BiPolyN1, tau: complex, alpha: complex,
 def _detect_singularities(p: BiPolyN1, pt: BiPolyN1, circle) -> tuple:
     sc = max(p.scale(), 1e-300)
     sings = []
-    for tau, mult in circle:
+    for tau, mult in circle:  # in angle order, as _split_circle_roots sorts them
         if mult % 2:
             raise NumericError("odd-order boundary contact; t must be nonnegative")
         p1t, p2t = p.p1(tau), p.p2(tau)
@@ -262,7 +255,6 @@ def _detect_singularities(p: BiPolyN1, pt: BiPolyN1, circle) -> tuple:
         sings.append(Singularity(complex(tau), lam, alpha, deriv, int(mult)))
     if len(sings) > p.n:
         raise NumericError("more boundary zeros than the degree allows")
-    sings.sort(key=lambda s: math.atan2(s.tau.imag, s.tau.real) % (2.0 * math.pi))
     return tuple(sings)
 
 

@@ -65,12 +65,13 @@ from .clark import (
     Unitarity,
     _clark_measures,
     _family_node_data,
+    _raising,
     classify_extreme,
     classify_unitary,
     integrate,
     level_set_sample,
 )
-from .errors import DomainError, RifClarkError, _check_seed
+from .errors import DomainError, _check_seed
 from .polynomials import TOL
 from .quadrature import _kernel_factor, circle_nodes, pointmass_probe, poisson2
 from .rif import Rif, phi_eval, reflect
@@ -129,15 +130,6 @@ def _distinct_exceptional(rif: Rif) -> list[complex]:
 def _zero_gap(cm: ClarkMeasure) -> float:
     """1 minus the largest modulus of the measure's Blaschke zeros."""
     return 1.0 - max((abs(a) for a in cm.balpha.zeros), default=0.0)
-
-
-def _raising(built: list) -> list[ClarkMeasure]:
-    """built, a list from _clark_measures, once it holds no error; else
-    its first error is raised."""
-    for cm in built:
-        if isinstance(cm, RifClarkError):
-            raise cm
-    return built
 
 
 def _unit_draws(rng, count: int) -> list[complex]:
@@ -231,19 +223,19 @@ class _Ctx:
 
 
 def _parts(rif: Rif, z1) -> tuple:
-    """p1, p2, ptilde.p1 and ptilde.p2 at the points z1: p = p1 + z2 p2
-    and ptilde = ptilde.p1 + z2 ptilde.p2 at any z2 over them."""
-    return rif.p.p1(z1), rif.p.p2(z1), rif.ptilde.p1(z1), rif.ptilde.p2(z1)
+    """p1, p2, pt2 and pt1, as Rif names them, at the points z1, in that
+    order: p = p1 + z2 p2 and ptilde = pt2 + z2 pt1 at any z2 over them."""
+    return rif.p1(z1), rif.p2(z1), rif.pt2(z1), rif.pt1(z1)
 
 
 def _level_residual(alpha: complex, parts: tuple, z2) -> float:
     """max |p~ - alpha p| / max(1, max |p|) at the points (z1, z2), from the
     parts of p and ptilde at z1 (_parts), formed as BiPolyN1.eval forms
     them."""
-    p1, p2, pt1, pt2 = parts
+    p1, p2, pt2, pt1 = parts
     z2 = np.asarray(z2, dtype=complex)
     pz = p1 + z2 * p2
-    num = (pt1 + z2 * pt2) - alpha * pz
+    num = (pt2 + z2 * pt1) - alpha * pz
     return float(np.max(np.abs(num))) / max(1.0, float(np.max(np.abs(pz))))
 
 
@@ -257,8 +249,8 @@ def _support_residuals(rif: Rif, measures):
     for cm, z2, _w, parts in _family_node_data(measures, lambda nodes: _parts(rif, nodes)):
         a = cm.alpha
         yield _worst(_level_residual(a, parts, z2), *(
-            (abs(pt1 - a * p1) + abs(pt2 - a * p2)) / max(1.0, abs(p1) + abs(p2))
-            for p1, p2, pt1, pt2 in (_parts(rif, tau) for tau, _mass in cm.lines)))
+            (abs(pt2 - a * p1) + abs(pt1 - a * p2)) / max(1.0, abs(p1) + abs(p2))
+            for p1, p2, pt2, pt1 in (_parts(rif, tau) for tau, _mass in cm.lines)))
 
 
 def _factor_residual(rif: Rif, q, count: int) -> float:

@@ -226,6 +226,7 @@ def test_analyze_malformed_json_exit_code(tmp_path, capsys):
         "truncated.json": json.dumps(good)[:-3],
         "scalar.json": "5",
         "float-degree.json": json.dumps({**good, "n": 1.5}),
+        "bool-degree.json": json.dumps({**good, "n": True}),
         "three-part-coefficient.json": json.dumps(
             {**good, "p2": {"coeffs": [[-1.0, 0.0, 5.0]]}}),
     }

@@ -139,6 +139,43 @@ REFUSALS = [
     ("level-set-sample-float",
      lambda: level_set_sample(clark_measure(get("fave").build(), 1.0), 2.5),
      "node count must be a positive integer"),
+    # a bool, JSON's true included, is not an integer, though it is an int
+    ("bipoly-degree-bool",
+     lambda: BiPolyN1.from_json({"n": True, "p1": UniPoly([2.0, -1.0]).to_json(),
+                                 "p2": UniPoly([-1.0]).to_json()}),
+     "the z1-degree bound must be an integer, not True"),
+    ("run-suites-seed-bool", lambda: run_suites(get("fave"), ["support"], seed=True),
+     "seed must be an integer, not True"),
+    ("circle-nodes-bool", lambda: circle_nodes(True),
+     "node count must be a positive integer, not True"),
+    ("level-set-sample-bool",
+     lambda: level_set_sample(clark_measure(get("fave").build(), 1.0), True),
+     "node count must be a positive integer, not True"),
+    # the band of a TrigPoly is read as the other integers are
+    ("trig-band-float", lambda: TrigPoly([1.0, 2.0, 3.0, 4.0], 1.5),
+     "the band must be a nonnegative integer, not 1.5"),
+    ("trig-band-string", lambda: TrigPoly([1.0, 2.0, 1.0], "1"),
+     "the band must be a nonnegative integer, not '1'"),
+    ("trig-band-negative", lambda: TrigPoly([1.0], -1),
+     "the band must be a nonnegative integer, not -1"),
+    ("blaschke-constant-string", lambda: BlaschkeProduct("x", ()),
+     "Blaschke constant must be a complex number, not 'x'"),
+    # the three proportionality certificates, each with its full reason:
+    # p1 = -p2 puts the z2-root at 1 for every z1
+    ("validate-constant-z2-root",
+     lambda: validate(BiPolyN1(UniPoly([2.0, -1.0]), UniPoly([-2.0, 1.0]), 1)),
+     "not stable: z2-root is constant on the closed disk"),
+    # p = 1 - z1 z2 is its own reflection up to sign
+    ("validate-self-reflection",
+     lambda: validate(BiPolyN1(UniPoly([1.0]), UniPoly([0.0, -1.0]), 1)),
+     "not coprime: the reflection is a scalar multiple of p"),
+    # the reflection of 0.5 + z is 1 + 0.5 z, of which 1 + 0.3 z is no multiple
+    ("blaschke-not-proportional",
+     lambda: blaschke_from_rational(UniPoly([0.5, 1.0]), UniPoly([1.0, 0.3])),
+     "denominator is not a multiple of the reflected numerator"),
+    ("blaschke-quotient-not-unimodular",
+     lambda: blaschke_from_rational(UniPoly([0.5, 1.0]), UniPoly([2.0, 1.0])),
+     "quotient constant is not unimodular"),
 ]
 
 

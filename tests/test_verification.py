@@ -695,3 +695,76 @@ def test_alpha_sweep_skips_a_draw_it_already_holds(monkeypatch):
     assert min(abs(x - y) for i, x in enumerate(sweep) for y in sweep[:i]) > 1e-6
     slots = [np.angle(x) / (2 * np.pi) * 192 - 0.5 for x in sweep[2:]]
     assert np.allclose(slots, np.round(slots), atol=1e-9)
+
+
+def _plant_extra_line(monkeypatch):
+    # every level-set sample reports one line more than its measure has
+    made = verification.level_set_sample
+
+    def planted(cm, n_points):
+        sample = made(cm, n_points)
+        return dataclasses.replace(sample, line_abscissae=sample.line_abscissae + (0.0,))
+
+    monkeypatch.setattr(verification, "level_set_sample", planted)
+
+
+def _plant_flat_probe(monkeypatch):
+    # every probe repeats its last, smallest value: not decreasing
+    made = verification.pointmass_probe
+
+    def planted(*args):
+        probe = made(*args)
+        return [probe[-1]] * len(probe)
+
+    monkeypatch.setattr(verification, "pointmass_probe", planted)
+
+
+def _plant_repeated_box(monkeypatch):
+    # the last two boxes are one box, so their masses are equal
+    monkeypatch.setattr(verification, "_BOX_EPSS", (0.1, 0.05, 0.05))
+
+
+@pytest.mark.parametrize("suite, plant, flag", [
+    ("levelset", _plant_extra_line, "lines_consistent"),
+    ("atoms_probe", _plant_flat_probe, "monotone"),
+    ("box_mass", _plant_repeated_box, "monotone"),
+])
+def test_a_false_flag_alone_fails_its_suite(suite, plant, flag, monkeypatch):
+    # each fault sets only the suite's flag: the deviation stays within its
+    # tolerance, and the suite fails all the same
+    honest, = run_suites(get("fave"), [suite], seed=0)
+    assert honest.passed and honest.details[flag] is True
+    plant(monkeypatch)
+    result, = run_suites(get("fave"), [suite], seed=0)
+    assert result.details[flag] is False
+    assert result.max_deviation <= result.tol
+    assert not result.passed
+
+
+def test_an_extreme_mismatch_count_fails_its_suite(monkeypatch):
+    # every exceptional value of fave is classified extreme: one mismatch each
+    honest, = run_suites(get("fave"), ["extreme"], seed=0)
+    assert honest.passed and honest.max_deviation == 0.0
+    decision = clark.ExtremeDecision(clark.ExtremeStatus.EXTREME, "planted")
+    monkeypatch.setattr(verification, "classify_extreme", lambda rif, alpha: decision)
+    result, = run_suites(get("fave"), ["extreme"], seed=0)
+    assert result.max_deviation >= len(verification._distinct_exceptional(get("fave").build()))
+    assert not result.passed
+
+
+def test_a_non_finite_weight_fails_its_suite(monkeypatch):
+    honest, = run_suites(get("fave"), ["weight_positive"], seed=0)
+    assert honest.passed and "max_weight" in honest.details
+    made = clark.ClarkMeasure.node_data
+
+    def planted(self, count):
+        z, z2, w = made(self, count)
+        w = w.copy()
+        w[0] = math.inf
+        return z, z2, w
+
+    monkeypatch.setattr(clark.ClarkMeasure, "node_data", planted)
+    result, = run_suites(get("fave"), ["weight_positive"], seed=0)
+    # the non-finite branch returns before it records the largest weight
+    assert result.details == {} and result.max_deviation == math.inf
+    assert not result.passed
