@@ -94,7 +94,6 @@ from .polynomials import (
     TrigPoly,
     UniPoly,
     _blaschke,
-    _spectral_factor,
     _zero_product,
     circle_nodes,
     cplx_to_json,
@@ -455,7 +454,9 @@ def _raising(built: list) -> list[ClarkMeasure]:
 def _assemble(rif: Rif, ac: AlphaClass, u: UniPoly, balpha: BlaschkeProduct) -> ClarkMeasure:
     """The measure at ac.alpha from its pencil numerator u and B_alpha:
     B_alpha's degree checked against n - l, the weight numerator reduced
-    at the matched contacts, and the line masses."""
+    at the matched contacts, and the line masses.  The numerator comes
+    from rif._weight_numerator, so every measure at one matched set (rif.t
+    for the generic ones) shares one TrigPoly and its node values."""
     matched = [rif.singularities[k] for k in ac.matched]
     expected = rif.n - len(matched)
     if balpha.degree != expected:
@@ -475,16 +476,11 @@ def _assemble(rif: Rif, ac: AlphaClass, u: UniPoly, balpha: BlaschkeProduct) -> 
         raise NumericError(
             f"Blaschke degree {balpha.degree} instead of {expected}{reason}"
         )
-    weight_num = rif.t
-    if matched:
-        weight_num = TrigPoly.modulus_squared(_spectral_factor(
-            rif.t, rif.inside, [(s.tau, s.mult) for s in rif.singularities],
-            [s.tau for s in matched]))
     return ClarkMeasure(
         rif=rif,
         alpha_class=ac,
         balpha=balpha,
-        weight_num=weight_num,
+        weight_num=rif._weight_numerator(ac.matched),
         u=u,
         lines=tuple((s.tau, 1.0 / abs(s.deriv)) for s in matched),
     )

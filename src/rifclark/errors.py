@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import operator
 
+import numpy as np
+
 
 class RifClarkError(Exception):
     """Base class for package errors."""
@@ -39,12 +41,35 @@ def _as(convert, value, message: str):
         raise DomainError(message.format(value)) from None
 
 
+# complex() parses text ("1j") and reads True as 1, and numpy does both
+# for arrays; neither is a number here
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
+def _is_text_or_bool(value) -> bool:
+    """Whether value, or an entry of a list, tuple or array of it, is text
+    or a bool."""
+    if isinstance(value, np.ndarray):
+        kind = value.dtype.kind
+        return kind in "USb" or (kind == "O" and any(map(_is_text_or_bool, value.flat)))
+    if isinstance(value, (list, tuple)):
+        return any(map(_is_text_or_bool, value))
+    return isinstance(value, _NOT_NUMBERS)
+
+
+def _numbers(value, message: str):
+    """value once neither it nor any entry of it is text or a bool (str,
+    bytes, bool, numpy.bool_); else DomainError(message.format(value)).
+    The one rule for every complex value that enters the package."""
+    if _is_text_or_bool(value):
+        raise DomainError(message.format(value))
+    return value
+
+
 def _integer(value, message: str) -> int:
     """value as an int, numpy's included; a bool or whatever operator.index
     refuses (2.5, "3") raises DomainError(message.format(value))."""
-    if isinstance(value, bool):
-        raise DomainError(message.format(value))
-    return _as(operator.index, value, message)
+    return _as(operator.index, _numbers(value, message), message)
 
 
 def _check_seed(seed) -> None:
@@ -64,7 +89,8 @@ def _node_count(count) -> int:
 def _unimodular(value, name: str = "alpha") -> complex:
     """value projected onto the unit circle once it lies within 1e-6 of it;
     otherwise DomainError naming it: "Blaschke constant must be unimodular"."""
-    a = _as(complex, value, f"{name} must be a complex number, not {{!r}}")
+    message = f"{name} must be a complex number, not {{!r}}"
+    a = _as(complex, _numbers(value, message), message)
     if not abs(abs(a) - 1.0) <= 1e-6:
         raise DomainError(f"{name} must be unimodular")
     return a / abs(a)

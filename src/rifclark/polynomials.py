@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _integer, _node_count, _unimodular
+from .errors import DomainError, NumericError, _integer, _node_count, _numbers, _unimodular
 
 # Relative bound of root residuals and coefficient identities, and the
 # distance from the circle within which a root counts as on it.
@@ -149,8 +149,9 @@ def _zero_product(points, zeros, lead=1.0) -> np.ndarray:
 def _coefficient_array(coeffs) -> np.ndarray:
     """coeffs as a 1-D complex array; a scalar is one coefficient, and an
     array of more dimensions (a stack of rows, say) is refused, never
-    flattened into one polynomial."""
-    c = np.asarray(coeffs, dtype=complex)
+    flattened into one polynomial, and so are text and bools."""
+    c = np.asarray(_numbers(coeffs, "coefficients must be complex numbers, not {!r}"),
+                   dtype=complex)
     if c.ndim > 1:
         raise DomainError("coefficients must form a one-dimensional array")
     return np.atleast_1d(c)
@@ -861,7 +862,9 @@ class TrigPoly:
 
         The values are cached per count, as circle_nodes caches its nodes,
         and read only: every generic Clark measure of a Rif has rif.t as
-        its weight numerator, so its measures share one FFT per count."""
+        its weight numerator, and the exceptional ones at one matched set
+        share one |Q_red|^2 that the Rif keeps, so a Rif's measures take
+        one FFT per numerator and count, kept as long as the Rif."""
         count = _node_count(count)
         values = self._values.get(count)
         if values is None:
@@ -1068,7 +1071,8 @@ class BlaschkeProduct:
     D = prod (1 - conj(a) z) over the zeros a.
 
     The constant is projected onto the circle by errors._unimodular, as
-    alpha is, and every zero lies strictly inside the open disk.
+    alpha is, and every zero is a complex number, not text or a bool,
+    strictly inside the open disk.
     """
 
     constant: complex
@@ -1076,7 +1080,8 @@ class BlaschkeProduct:
 
     def __post_init__(self):
         object.__setattr__(self, "constant", _unimodular(self.constant, "Blaschke constant"))
-        zs = tuple(complex(a) for a in self.zeros)
+        zs = tuple(complex(a) for a in _numbers(
+            self.zeros, "Blaschke zeros must be complex numbers, not {!r}"))
         for a in zs:
             if not abs(a) < 1.0:
                 raise DomainError("Blaschke zero outside the open unit disk")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, _unimodular
+from .errors import DomainError, _numbers, _unimodular
 from .polynomials import circle_nodes
 from .rif import _pairs, phi_eval
 
@@ -53,7 +53,8 @@ def poisson2(z, zeta) -> np.ndarray:
     """
     pts = _pairs(z, "Poisson kernel points must be pairs, one per row")
     try:
-        zeta1, zeta2 = (np.asarray(w, dtype=complex) for w in zeta)
+        zeta1, zeta2 = (np.asarray(w, dtype=complex) for w in _numbers(
+            zeta, "Poisson kernel nodes must be complex numbers, not {!r}"))
         shape = np.broadcast_shapes(zeta1.shape, zeta2.shape)
     except (TypeError, ValueError):
         raise DomainError("Poisson kernel nodes must be a pair (zeta1, zeta2)") from None

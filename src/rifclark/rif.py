@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _as, _integer
+from .errors import DomainError, NumericError, _as, _integer, _numbers
 from .polynomials import (
-    TrigPoly, UniPoly, _proportion, _split_circle_roots, circle_nodes, roots)
+    TrigPoly, UniPoly, _proportion, _spectral_factor, _split_circle_roots, circle_nodes, roots)
 
 @dataclass(frozen=True)
 class BiPolyN1:
@@ -105,7 +105,11 @@ class Rif:
     ptilde = pt2 + z2 * pt1 mirrors p = p1 + z2 * p2.  t is the boundary
     polynomial |p1|^2 - |p2|^2 whose circle zeros validate certified as the
     singularities, and inside holds its roots inside the disk; everything
-    downstream reads them from here.
+    downstream reads them from here.  The Rif owns the weight numerators of
+    its Clark measures (_weight_numerator): t for every generic measure and
+    one |Q_red|^2 per matched set for the exceptional ones, so the measures
+    at one matched set share one numerator and its node values, which live
+    as long as the Rif.  dataclasses.replace starts an empty cache.
     """
 
     p: BiPolyN1
@@ -114,6 +118,7 @@ class Rif:
     phi_at_origin: complex
     t: TrigPoly = field(repr=False, compare=False)
     inside: tuple = field(repr=False, compare=False)
+    _numerators: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -136,6 +141,23 @@ class Rif:
     def pt2(self) -> UniPoly:
         """z2-free part of the reflection."""
         return self.ptilde.p1
+
+    def _weight_numerator(self, matched: tuple) -> TrigPoly:
+        """Weight numerator of the Clark measures whose alpha matches the
+        singularities at the indices matched: t when none, else |Q_red|^2,
+        Q_red the spectral factor of t less one (z - tau_k) per matched k,
+        formed on first request and kept (a failed factorization raises and
+        keeps nothing)."""
+        if not matched:
+            return self.t
+        num = self._numerators.get(matched)
+        if num is None:
+            sings = self.singularities
+            num = TrigPoly.modulus_squared(_spectral_factor(
+                self.t, self.inside, [(s.tau, s.mult) for s in sings],
+                [sings[k].tau for k in matched]))
+            self._numerators[matched] = num
+        return num
 
 
 def _stability_violation(p: BiPolyN1, p1_roots: list) -> str | None:
@@ -291,8 +313,11 @@ def validate(p: BiPolyN1) -> Rif:
 
 def _pairs(z, message: str, ndims=(1, 2)) -> np.ndarray:
     """z as a complex array of one pair (z1, z2) or P of them, of ndim 1 or
-    2 as ndims allows; anything else, a ragged list too, DomainError(message)."""
-    pts = _as(lambda v: np.asarray(v, dtype=complex), z, message)
+    2 as ndims allows; text or a bool among the coordinates raises
+    DomainError saying so, and anything else, a ragged list too,
+    DomainError(message)."""
+    pts = _as(lambda v: np.asarray(v, dtype=complex),
+              _numbers(z, "coordinates must be complex numbers, not {!r}"), message)
     if pts.ndim not in ndims or pts.shape[-1] != 2:
         raise DomainError(message)
     return pts

@@ -8,7 +8,13 @@ import pytest
 
 from rifclark.agler import compute_Q, gram_isometry_check, sos_residual
 from rifclark.catalog import get
-from rifclark.clark import classify_extreme, clark_measure, integrate, level_set_sample
+from rifclark.clark import (
+    classify_alpha,
+    classify_extreme,
+    clark_measure,
+    integrate,
+    level_set_sample,
+)
 from rifclark.errors import DomainError
 from rifclark.polynomials import (
     BlaschkeProduct,
@@ -176,6 +182,32 @@ REFUSALS = [
     ("blaschke-quotient-not-unimodular",
      lambda: blaschke_from_rational(UniPoly([0.5, 1.0]), UniPoly([2.0, 1.0])),
      "quotient constant is not unimodular"),
+    # complex() and numpy parse text and read True as 1: every complex
+    # input refuses both, as the integer inputs refuse bools
+    ("classify-alpha-string", lambda: classify_alpha(get("fave").build(), "-1"),
+     "alpha must be a complex number, not '-1'"),
+    ("classify-alpha-bool", lambda: classify_alpha(get("fave").build(), True),
+     "alpha must be a complex number, not True"),
+    ("classify-alpha-numpy-bool", lambda: classify_alpha(get("fave").build(), np.True_),
+     "alpha must be a complex number, not np.True_"),
+    ("blaschke-constant-numeric-string", lambda: BlaschkeProduct("1j"),
+     "Blaschke constant must be a complex number, not '1j'"),
+    ("blaschke-zero-string", lambda: BlaschkeProduct(1.0, ("0.5",)),
+     "Blaschke zeros must be complex numbers, not ('0.5',)"),
+    ("unipoly-strings", lambda: UniPoly(["2", "-1"]),
+     "coefficients must be complex numbers, not ['2', '-1']"),
+    ("unipoly-bools", lambda: UniPoly([True, False, True]),
+     "coefficients must be complex numbers, not [True, False, True]"),
+    ("trig-strings", lambda: TrigPoly(["1", "2", "1"], 1),
+     "coefficients must be complex numbers, not ['1', '2', '1']"),
+    ("phi-eval-strings", lambda: phi_eval(get("fave").build(), ("0.1", "0.2")),
+     "coordinates must be complex numbers, not ('0.1', '0.2')"),
+    ("poisson2-strings", lambda: poisson2(("0.1", "0.2"), (1.0, 1.0)),
+     "coordinates must be complex numbers, not ('0.1', '0.2')"),
+    ("poisson2-node-strings", lambda: poisson2((0.1, 0.2), ("1", "1")),
+     "Poisson kernel nodes must be complex numbers, not ('1', '1')"),
+    ("probe-direction-strings", lambda: pointmass_probe(get("fave").build(), -1, ("1", "1")),
+     "coordinates must be complex numbers, not ('1', '1')"),
 ]
 
 

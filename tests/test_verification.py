@@ -603,7 +603,7 @@ def test_family_node_data_shares_the_first_coordinate_by_centre(monkeypatch):
 def test_generic_measures_share_t_node_values(monkeypatch):
     # every generic measure of a Rif has rif.t as its weight numerator, so a
     # sweep's node data takes one FFT of t per node count, and one per
-    # exceptional measure, whose numerator is its own
+    # matched set of the exceptional measures, here one measure each
     ffts = []
     ifft = np.fft.ifft
 
@@ -630,6 +630,47 @@ def test_generic_measures_share_t_node_values(monkeypatch):
         t.coeffs[t.d] = 0.0
     with pytest.raises(ValueError):
         values[0] = 0.0
+
+
+def test_exceptional_measures_share_their_weight_numerator(monkeypatch):
+    # the Rif keeps one |Q_red|^2 per matched set: two alphas that match one
+    # singularity share it and its node values, a replaced Rif forms its
+    # own, and a failed factorization leaves nothing behind
+    rif = get("fave").build()
+    s = rif.singularities[0]
+    a, b = (clark.clark_measure(rif, s.alpha * np.exp(1j * x)) for x in (0.0, 1e-9))
+    assert a.alpha_class.matched == b.alpha_class.matched == (0,)
+    num, count = a.weight_num, clark.RULE_NODES
+    assert b.weight_num is num and num is not rif.t
+    ffts = []
+    ifft = np.fft.ifft
+
+    def counted(arr, *args, **kwargs):
+        ffts.append(len(arr))
+        return ifft(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    a.node_data(count)
+    b.node_data(count)
+    assert ffts.count(count) == 1
+    monkeypatch.undo()
+    fresh = polynomials.TrigPoly.modulus_squared(polynomials._spectral_factor(
+        rif.t, rif.inside, [(s.tau, s.mult)], [s.tau]))
+    assert num.d == fresh.d and np.array_equal(num.coeffs, fresh.coeffs)
+    assert np.array_equal(num.node_values(count), fresh.node_values(count))
+    other = dataclasses.replace(rif, phi_at_origin=rif.phi_at_origin)
+    own = clark.clark_measure(other, s.alpha).weight_num
+    assert own is not num and np.array_equal(own.coeffs, num.coeffs)
+
+    def failing(*args):
+        raise NumericError("planted factorization failure")
+
+    fresh_rif = get("fave").build()
+    monkeypatch.setattr(rif_module, "_spectral_factor", failing)
+    with pytest.raises(NumericError, match="planted factorization failure"):
+        clark.clark_measure(fresh_rif, s.alpha)
+    monkeypatch.undo()
+    assert np.array_equal(clark.clark_measure(fresh_rif, s.alpha).weight_num.coeffs, num.coeffs)
 
 
 def _plant_root_failure(monkeypatch, rif, alpha):
